@@ -63,8 +63,7 @@ from .harness import (
     parse_column_types,
     parse_join_completion,
     parse_table_class,
-    repair_text,
-    run_join_task,
+    run_join_task_detailed,
     run_table_pipeline,
 )
 from .prompt import (

@@ -44,7 +44,7 @@ from .evaluate import (
 from .harness import (
     PipelineConfig,
     TaskFailed,
-    UnknownType,
+    render_term,
     run_column_type_task,
     run_join_task_detailed,
     run_table_class_task,
@@ -256,12 +256,7 @@ def cmd_annotate_columns(args: argparse.Namespace) -> int:
     backend = _build_backend(args.backend)
     result, _, _ = run_column_type_task(table, ontology, backend, config)
     for index, assignment in enumerate(result.assignments):
-        label = (
-            "Unknown"
-            if isinstance(assignment, UnknownType)
-            else f"dbo:{assignment.local_name}"
-        )
-        print(f"{index}\t{label}")
+        print(f"{index}\t{render_term(assignment, ontology)}")
     return EXIT_OK
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "System",
     "Task",
     "WeightedMetrics",
-    "edit_distance",
     "jaccard",
     "jaccard_join",
     "join_match",

@@ -50,10 +50,6 @@ class InvalidState(RuntimeError):
     """The conversation is not in the shape the operation requires."""
 
 
-class RepairUnavailable(ValueError):
-    """This violation kind cannot be fixed by label substitution."""
-
-
 class TaskFailed(RuntimeError):
     """The task could not produce a feasible result within budget."""
 
@@ -148,6 +144,15 @@ class JoinTaskRun:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Settings shared by the task runners.
+
+    The table-class and column-type tasks make at most one clarification
+    re-ask and one canonical repair pass: with anchoring on, a repaired
+    answer replaces the whole assistant turn, so prose around a repaired
+    label is not kept.  ``max_anchor_attempts`` bounds only the join
+    task's violation re-asks.
+    """
+
     anchoring_enabled: bool = True
     max_anchor_attempts: int = 3
     context_flow: bool = True
@@ -333,44 +338,39 @@ def _parse_right_names(cur: _Cursor) -> list[str]:
     return _parse_name_list(cur)
 
 
-def resolve_table_class(candidate: str, ontology: Ontology) -> OntologyTerm | None:
+def _canonical(label: str, ontology: Ontology) -> str:
     try:
-        canonical = normalize_label(candidate, ontology)
+        return normalize_label(label, ontology)
     except EmptyLabel:
-        return None
-    return lookup(ontology, TermKind.CLASS, canonical)
+        return ""
+
+
+def _resolve(
+    label: str, kind: TermKind, ontology: Ontology
+) -> OntologyTerm | UnknownType | None:
+    """Exact term for a parsed label; ``None`` when it is infeasible.
+
+    A property label may also be Unknown, which is always feasible.
+    """
+    canonical = _canonical(label, ontology)
+    if kind is TermKind.PROPERTY and canonical.lower() == "unknown":
+        return UNKNOWN
+    return lookup(ontology, kind, canonical)
 
 
 def check_table_class(candidate: str, ontology: Ontology) -> Violation | None:
     """Feasibility check for a parsed table-class candidate."""
-    if resolve_table_class(candidate, ontology) is None:
+    if _resolve(candidate, TermKind.CLASS, ontology) is None:
         return Violation(ViolationKind.UNKNOWN_CLASS, candidate)
     return None
 
 
-def resolve_column_types(
-    items: Sequence[str], ontology: Ontology
-) -> tuple[OntologyTerm | UnknownType, ...] | Violation:
-    assignments: list[OntologyTerm | UnknownType] = []
-    for index, item in enumerate(items):
-        try:
-            canonical = normalize_label(item, ontology)
-        except EmptyLabel:
-            return Violation(ViolationKind.UNKNOWN_PROPERTY, item, position=index)
-        if canonical.lower() == "unknown":
-            assignments.append(UNKNOWN)
-            continue
-        term = lookup(ontology, TermKind.PROPERTY, canonical)
-        if term is None:
-            return Violation(ViolationKind.UNKNOWN_PROPERTY, item, position=index)
-        assignments.append(term)
-    return tuple(assignments)
-
-
 def check_column_types(items: Sequence[str], ontology: Ontology) -> Violation | None:
     """Feasibility check for a parsed column-type list; Unknown is always fine."""
-    resolved = resolve_column_types(items, ontology)
-    return resolved if isinstance(resolved, Violation) else None
+    for index, item in enumerate(items):
+        if _resolve(item, TermKind.PROPERTY, ontology) is None:
+            return Violation(ViolationKind.UNKNOWN_PROPERTY, item, position=index)
+    return None
 
 
 def check_join(
@@ -408,55 +408,17 @@ def anchor(conversation: Conversation, replacement: str) -> Conversation:
     return conversation.replaced_last(replacement)
 
 
-def _formatted_like(token: str, term: OntologyTerm, ontology: Ontology) -> str:
-    """Render the repaired term in the offending token's format.
-
-    Bare tokens take the task-canonical shape: full IRI for classes,
-    short-prefixed (``dbo:``) for properties.
-    """
-    stripped = token.strip().strip("`'\"").strip()
-    lowered = stripped.lower()
-    if lowered.startswith(("http://", "https://")):
-        return term.iri
-    for short in ontology.namespace_prefixes:
-        if lowered.startswith(short.lower()):
-            return short + term.local_name
+def render_term(term: OntologyTerm | UnknownType, ontology: Ontology) -> str:
+    """Canonical text for a resolved label: the full IRI for a class, the
+    ontology's short prefix and local name for a property, else ``Unknown``."""
+    if isinstance(term, UnknownType):
+        return "Unknown"
     if term.kind is TermKind.CLASS:
         return term.iri
     for short, iri_prefix in ontology.namespace_prefixes.items():
         if term.iri.startswith(iri_prefix):
             return short + term.local_name
     return term.local_name
-
-
-_KIND_FOR_VIOLATION = {
-    ViolationKind.UNKNOWN_CLASS: TermKind.CLASS,
-    ViolationKind.UNKNOWN_PROPERTY: TermKind.PROPERTY,
-}
-
-
-def repair_text(violation: Violation, ontology: Ontology, original: str) -> str:
-    """Original response with the offending label swapped for its nearest
-    in-ontology neighbor, keeping the surrounding text and prefix style."""
-    kind = _KIND_FOR_VIOLATION.get(violation.kind)
-    if kind is None:
-        raise RepairUnavailable(
-            f"cannot repair a {violation.kind.value} violation by substitution"
-        )
-    token = violation.offending_text
-    try:
-        canonical = normalize_label(token, ontology)
-    except EmptyLabel:
-        canonical = ""
-    term, _ = nearest_term(ontology, kind, canonical)
-    replacement = _formatted_like(token, term, ontology)
-    pattern = re.compile(rf"(?<![A-Za-z0-9_]){re.escape(token)}(?![A-Za-z0-9_])")
-    repaired, count = pattern.subn(replacement, original, count=1)
-    if count:
-        return repaired
-    if token in original:
-        return original.replace(token, replacement, 1)
-    return replacement
 
 
 def _complete_into(
@@ -484,6 +446,84 @@ def _splice_retry(
     return anchor(conversation, text if text else " "), text, usage
 
 
+def _parse_labels(
+    text: str, arity: int | None, pad: bool
+) -> tuple[tuple[str, ...], bool]:
+    """Labels in ``text`` and whether their count had to be fixed.
+
+    ``arity`` is ``None`` for a single table class.  With ``pad`` set, a
+    list of the wrong length is padded with Unknown or truncated.
+    """
+    if arity is None:
+        return (parse_table_class(text),), False
+    try:
+        return parse_column_types(text, arity), False
+    except ParseError as exc:
+        if not pad or exc.items is None:
+            raise
+        return exc.items[:arity] + ("Unknown",) * (arity - len(exc.items)), True
+
+
+def _run_label_task(
+    table: Table,
+    prompt: str,
+    kind: TermKind,
+    arity: int | None,
+    clarification: str,
+    ontology: Ontology,
+    backend: Backend,
+    config: PipelineConfig,
+    conversation: Conversation | None,
+) -> tuple[ColumnTypeResult, Conversation, Usage]:
+    """Ask, parse, repair: the one loop behind the table-class and
+    column-type tasks.
+
+    An unparsable answer gets one clarification re-ask spliced over the
+    bad turn.  Every infeasible label is then replaced by its nearest term
+    in one pass and, with anchoring on, the final assistant turn is
+    rewritten once in canonical form.  A single class comes back as the
+    one assignment of the result.
+    """
+    conv = conversation if conversation is not None else Conversation()
+    conv.append(user(prompt))
+    raw_response, total = _complete_into(conv, backend, config.params)
+    attempts = 1
+    while True:
+        try:
+            labels, padded = _parse_labels(conv.last.text, arity, config.anchoring_enabled)
+            break
+        except ParseError as exc:
+            if not config.anchoring_enabled or attempts > 1:
+                task, wanted = (
+                    ("table-class", "parsable table class")
+                    if arity is None
+                    else ("column-type", "usable column-type list")
+                )
+                raise TaskFailed(
+                    task,
+                    exc.violation,
+                    f"no {wanted} for {table.name!r} after {attempts} attempts",
+                ) from exc
+            conv, raw_response, usage = _splice_retry(
+                conv, clarification, backend, config.params
+            )
+            total += usage
+            attempts += 1
+
+    exact = [_resolve(label, kind, ontology) for label in labels]
+    assignments = tuple(
+        nearest_term(ontology, kind, _canonical(label, ontology))[0] if term is None else term
+        for label, term in zip(labels, exact)
+    )
+    anchored = attempts > 1
+    if config.anchoring_enabled and (padded or None in exact):
+        rendered = [render_term(term, ontology) for term in assignments]
+        text = rendered[0] if arity is None else "`" + ", ".join(rendered) + "`"
+        conv = anchor(conv, text)
+        anchored = True
+    return ColumnTypeResult(assignments, raw_response, anchored, attempts), conv, total
+
+
 def run_table_class_task(
     table: Table,
     ontology: Ontology,
@@ -492,111 +532,13 @@ def run_table_class_task(
     conversation: Conversation | None = None,
 ) -> tuple[TableClassResult, Conversation, Usage]:
     """Ask for the table's ontology class, mitigating infeasible answers."""
-    components = table_class_prompt(table, config.allowed_classes, config.prompt_config)
-    conv = conversation if conversation is not None else Conversation()
-    conv.append(user(assemble(components)))
-
-    total = Usage()
-    attempts = 0
-    rounds = 0
-    reasked = False
-    anchored = False
-    raw_response = ""
-    best_parse: str | None = None
-    last_violation: Violation | None = None
-
-    while True:
-        if conv.last is not None and conv.last.role is Role.USER:
-            raw_response, usage = _complete_into(conv, backend, config.params)
-            total += usage
-            attempts += 1
-        current = conv.last.text
-        violation: Violation | None
-        try:
-            candidate = parse_table_class(current)
-            best_parse = candidate
-            violation = check_table_class(candidate, ontology)
-        except ParseError as exc:
-            candidate, violation = None, exc.violation
-        if violation is None:
-            term = resolve_table_class(candidate, ontology)
-            assert term is not None
-            result = TableClassResult(term, raw_response, anchored, attempts)
-            return result, conv, total
-        last_violation = violation
-        if not config.anchoring_enabled or rounds >= config.max_anchor_attempts:
-            break
-        rounds += 1
-        if violation.kind is ViolationKind.UNKNOWN_CLASS:
-            conv = anchor(conv, repair_text(violation, ontology, current))
-            anchored = True
-            continue
-        if violation.kind is ViolationKind.UNPARSABLE_OUTPUT and not reasked:
-            reasked = True
-            conv, raw_response, usage = _splice_retry(
-                conv, LABEL_CLARIFICATION, backend, config.params
-            )
-            total += usage
-            attempts += 1
-            anchored = True
-            continue
-        break
-
-    if best_parse is None:
-        raise TaskFailed(
-            "table-class",
-            last_violation,
-            f"no parsable table class for {table.name!r} after {attempts} attempts",
-        )
-    # Deterministic fallback: force the best-effort parse into the ontology.
-    try:
-        canonical = normalize_label(best_parse, ontology)
-    except EmptyLabel:
-        canonical = ""
-    term, _ = nearest_term(ontology, TermKind.CLASS, canonical)
-    if config.anchoring_enabled and conv.last.role is Role.ASSISTANT:
-        conv = anchor(conv, term.iri)
-        anchored = True
-    return TableClassResult(term, raw_response, anchored, attempts), conv, total
-
-
-def _render_type_list(items: Sequence[str]) -> str:
-    return "`" + ", ".join(items) + "`"
-
-
-def _pad_or_truncate(items: Sequence[str], n: int) -> tuple[str, ...]:
-    trimmed = list(items[:n])
-    trimmed.extend(["Unknown"] * (n - len(trimmed)))
-    return tuple(trimmed)
-
-
-def _nearest_assignments(
-    items: Sequence[str], ontology: Ontology
-) -> tuple[OntologyTerm | UnknownType, ...]:
-    assignments: list[OntologyTerm | UnknownType] = []
-    for item in items:
-        try:
-            canonical = normalize_label(item, ontology)
-        except EmptyLabel:
-            canonical = ""
-        if canonical.lower() == "unknown":
-            assignments.append(UNKNOWN)
-            continue
-        term = lookup(ontology, TermKind.PROPERTY, canonical)
-        if term is None:
-            term, _ = nearest_term(ontology, TermKind.PROPERTY, canonical)
-        assignments.append(term)
-    return tuple(assignments)
-
-
-def _canonical_assignment_text(
-    assignments: Sequence[OntologyTerm | UnknownType],
-) -> str:
-    rendered = [
-        "Unknown" if isinstance(a, UnknownType) else f"dbo:{a.local_name}"
-        for a in assignments
-    ]
-    return _render_type_list(rendered)
+    prompt = assemble(table_class_prompt(table, config.allowed_classes, config.prompt_config))
+    run, conv, usage = _run_label_task(
+        table, prompt, TermKind.CLASS, None, LABEL_CLARIFICATION,
+        ontology, backend, config, conversation,
+    )
+    (term,) = run.assignments
+    return TableClassResult(term, run.raw_response, run.anchored, run.attempts), conv, usage
 
 
 def run_column_type_task(
@@ -607,76 +549,11 @@ def run_column_type_task(
     conversation: Conversation | None = None,
 ) -> tuple[ColumnTypeResult, Conversation, Usage]:
     """Ask for one property per column, mitigating infeasible answers."""
-    components = column_type_prompt(table, config.prompt_config)
-    conv = conversation if conversation is not None else Conversation()
-    conv.append(user(assemble(components)))
-    n = table.arity
-
-    total = Usage()
-    attempts = 0
-    rounds = 0
-    reasked = False
-    anchored = False
-    raw_response = ""
-    best_items: tuple[str, ...] | None = None
-    last_violation: Violation | None = None
-
-    while True:
-        if conv.last is not None and conv.last.role is Role.USER:
-            raw_response, usage = _complete_into(conv, backend, config.params)
-            total += usage
-            attempts += 1
-        current = conv.last.text
-        items: tuple[str, ...] | None = None
-        mismatched: tuple[str, ...] | None = None
-        try:
-            items = parse_column_types(current, n)
-            best_items = items
-            resolved = resolve_column_types(items, ontology)
-            violation = resolved if isinstance(resolved, Violation) else None
-        except ParseError as exc:
-            violation = exc.violation
-            mismatched = exc.items
-        if violation is None:
-            assert not isinstance(resolved, Violation)
-            result = ColumnTypeResult(resolved, raw_response, anchored, attempts)
-            return result, conv, total
-        last_violation = violation
-        if not config.anchoring_enabled or rounds >= config.max_anchor_attempts:
-            break
-        rounds += 1
-        if violation.kind is ViolationKind.UNKNOWN_PROPERTY:
-            conv = anchor(conv, repair_text(violation, ontology, current))
-            anchored = True
-            continue
-        if violation.kind is ViolationKind.ARITY_MISMATCH and mismatched is not None:
-            padded = _pad_or_truncate(mismatched, n)
-            best_items = padded
-            conv = anchor(conv, _render_type_list(padded))
-            anchored = True
-            continue
-        if violation.kind is ViolationKind.UNPARSABLE_OUTPUT and not reasked:
-            reasked = True
-            conv, raw_response, usage = _splice_retry(
-                conv, LIST_CLARIFICATION, backend, config.params
-            )
-            total += usage
-            attempts += 1
-            anchored = True
-            continue
-        break
-
-    if best_items is None or len(best_items) != n:
-        raise TaskFailed(
-            "column-type",
-            last_violation,
-            f"no usable column-type list for {table.name!r} after {attempts} attempts",
-        )
-    assignments = _nearest_assignments(best_items, ontology)
-    if config.anchoring_enabled and conv.last.role is Role.ASSISTANT:
-        conv = anchor(conv, _canonical_assignment_text(assignments))
-        anchored = True
-    return ColumnTypeResult(assignments, raw_response, anchored, attempts), conv, total
+    prompt = assemble(column_type_prompt(table, config.prompt_config))
+    return _run_label_task(
+        table, prompt, TermKind.PROPERTY, table.arity, LIST_CLARIFICATION,
+        ontology, backend, config, conversation,
+    )
 
 
 def run_table_pipeline(
@@ -764,14 +641,3 @@ def run_join_task_detailed(
         f"no feasible join between {left.name!r} and {right.name!r} "
         f"after {attempts} attempts",
     )
-
-
-def run_join_task(
-    left: Table,
-    right: Table,
-    backend: Backend,
-    config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
-    context_notes: str | None = None,
-) -> JoinPrediction:
-    """Predict which column pair(s) to equi-join two tables on."""
-    return run_join_task_detailed(left, right, backend, config, context_notes).prediction

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tabnotate.backend import ScriptedBackend
-from tabnotate.core import EmptyTable, MissingHeaders, Table, to_csv
+from tabnotate.core import EmptyTable, MissingHeaders, Table, edit_distance, to_csv
 from tabnotate.evaluate import (
     EmptyStats,
     LengthMismatch,
@@ -14,7 +14,6 @@ from tabnotate.evaluate import (
     System,
     Task,
     WeightedMetrics,
-    edit_distance,
     jaccard,
     jaccard_join,
     join_match,

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabnotate.backend import (
     BackendExhausted,
@@ -12,14 +15,13 @@ from tabnotate.backend import (
     assistant,
     user,
 )
-from tabnotate.core import MissingHeaders, Table, TermKind, lookup
+from tabnotate.core import EmptyLabel, MissingHeaders, Table, TermKind, lookup, normalize_label
 from tabnotate.harness import (
     UNKNOWN,
     InvalidState,
     JoinPrediction,
     ParseError,
     PipelineConfig,
-    RepairUnavailable,
     TaskFailed,
     UnknownType,
     Violation,
@@ -31,14 +33,13 @@ from tabnotate.harness import (
     parse_column_types,
     parse_join_completion,
     parse_table_class,
-    repair_text,
     run_column_type_task,
-    run_join_task,
     run_join_task_detailed,
     run_table_class_task,
     run_table_pipeline,
 )
 
+from fixture_data import PROPERTY_LIST, TABLE_CLASS_LIST
 from reference import nearest_label_ref
 
 
@@ -243,39 +244,60 @@ def test_anchor_touches_only_last_turn():
         assert repaired.last.role is Role.ASSISTANT
 
 
-def test_repair_text_property_in_list(ontology):
-    violation = Violation(ViolationKind.UNKNOWN_PROPERTY, "dbo:iucnStatus", position=0)
-    original = "`dbo:iucnStatus, dbo:binomial`"
-    expected_name, _ = nearest_label_ref(
-        [t.local_name for t in ontology.terms(TermKind.PROPERTY)], "iucnStatus"
-    )
-    assert expected_name == "conservationStatus"
-    repaired = repair_text(violation, ontology, original)
-    assert repaired == "`dbo:conservationStatus, dbo:binomial`"
+def _nearest_name(ontology, kind: TermKind, label: str) -> str:
+    return nearest_label_ref([t.local_name for t in ontology.terms(kind)], label)[0]
 
 
-def test_repair_text_bare_class_uses_iri(ontology):
-    violation = Violation(ViolationKind.UNKNOWN_CLASS, "Hostpital")
-    expected_name, _ = nearest_label_ref(
-        [t.local_name for t in ontology.terms(TermKind.CLASS)], "Hostpital"
-    )
+def test_bare_class_anchored_to_iri(ev_table, ontology):
+    expected_name = _nearest_name(ontology, TermKind.CLASS, "Hostpital")
     assert expected_name == "Hospital"
-    repaired = repair_text(violation, ontology, "I think `Hostpital` fits.")
-    assert "https://dbpedia.org/ontology/Hospital" in repaired
-    assert "Hostpital" not in repaired
+    for response in ("`Hostpital`", "`dbo:Hostpital`", "I think `Hostpital` fits."):
+        backend = ScriptedBackend([response])
+        result, conv, _ = run_table_class_task(ev_table, ontology, backend)
+        assert result.term.local_name == expected_name
+        assert result.anchored is True
+        assert conv.last.text == "https://dbpedia.org/ontology/Hospital"
 
 
-def test_repair_text_keeps_iri_format(ontology):
-    token = "https://dbpedia.org/ontology/Hostpital"
-    violation = Violation(ViolationKind.UNKNOWN_CLASS, token)
-    repaired = repair_text(violation, ontology, token)
-    assert repaired == "https://dbpedia.org/ontology/Hospital"
+def test_iri_class_anchored_to_iri(ev_table, ontology):
+    backend = ScriptedBackend(["https://dbpedia.org/ontology/Hostpital"])
+    result, conv, _ = run_table_class_task(ev_table, ontology, backend)
+    assert result.term.local_name == "Hospital" and result.attempts == 1
+    assert conv.last.text == "https://dbpedia.org/ontology/Hospital"
 
 
-def test_repair_unavailable_for_unparsable(ontology):
-    violation = Violation(ViolationKind.UNPARSABLE_OUTPUT, "???")
-    with pytest.raises(RepairUnavailable):
-        repair_text(violation, ontology, "???")
+def test_misspelt_property_becomes_nearest(animals_table, ontology):
+    expected_name = _nearest_name(ontology, TermKind.PROPERTY, "iucnStatus")
+    assert expected_name == "conservationStatus"
+    backend = ScriptedBackend(["`dbo:iucnStatus, dbo:binomial`"])
+    result, conv, _ = run_column_type_task(animals_table, ontology, backend)
+    assert [a.local_name for a in result.assignments] == [expected_name, "binomial"]
+    assert conv.last.text == "`dbo:conservationStatus, dbo:binomial`"
+
+
+def test_empty_label_does_not_overwrite_its_neighbour(ev_table, ontology):
+    backend = ScriptedBackend(
+        ["`dbo:manufacturer, Unknown, , dbo:vehicleIdentificationNumber`"]
+    )
+    result, conv, _ = run_column_type_task(ev_table, ontology, backend)
+    filled = lookup(ontology, TermKind.PROPERTY, _nearest_name(ontology, TermKind.PROPERTY, ""))
+    assert result.assignments == (
+        lookup(ontology, TermKind.PROPERTY, "manufacturer"),
+        UNKNOWN,
+        filled,
+        lookup(ontology, TermKind.PROPERTY, "vehicleIdentificationNumber"),
+    )
+    assert conv.last.text == (
+        "`dbo:manufacturer, Unknown, dbo:author, dbo:vehicleIdentificationNumber`"
+    )
+
+
+def test_leading_empty_label_anchored_cleanly(animals_table, ontology):
+    backend = ScriptedBackend(["`, dbo:binomial`"])
+    result, conv, _ = run_column_type_task(animals_table, ontology, backend)
+    filled = lookup(ontology, TermKind.PROPERTY, _nearest_name(ontology, TermKind.PROPERTY, ""))
+    assert result.assignments == (filled, lookup(ontology, TermKind.PROPERTY, "binomial"))
+    assert conv.last.text == "`dbo:author, dbo:binomial`"
 
 
 # ---------------------------------------------------------- table pipeline
@@ -433,8 +455,8 @@ def test_arity_mismatch_without_anchoring_fails(animals_table, ontology):
 
 
 def test_attempt_budget_falls_back_to_nearest(animals_table, ontology):
-    # Both items unknown and max_anchor_attempts=1: one repair round, then
-    # the nearest-neighbor fallback must still produce in-ontology terms.
+    # Both items unknown and max_anchor_attempts=1: that budget bounds only
+    # join re-asks, so one repair pass still yields in-ontology terms.
     backend = ScriptedBackend(["`dbo:iucnStatus, dbo:binomialName`"])
     config = PipelineConfig(max_anchor_attempts=1)
     result, conv, _ = run_column_type_task(animals_table, ontology, backend, config)
@@ -443,6 +465,16 @@ def test_attempt_budget_falls_back_to_nearest(animals_table, ontology):
         assert lookup(ontology, TermKind.PROPERTY, assignment.local_name) is assignment
     parsed = parse_column_types(conv.last.text, animals_table.arity)
     assert check_column_types(parsed, ontology) is None
+
+
+def test_reask_reply_of_wrong_length_is_padded(animals_table, ontology):
+    backend = ScriptedBackend(["no idea", "`dbo:binomial`"])
+    config = PipelineConfig(max_anchor_attempts=1)
+    result, conv, _ = run_column_type_task(animals_table, ontology, backend, config)
+    assert result.attempts == 2 and result.anchored is True
+    assert result.assignments == (lookup(ontology, TermKind.PROPERTY, "binomial"), UNKNOWN)
+    assert len(conv) == 2
+    assert conv.last.text == "`dbo:binomial, Unknown`"
 
 
 def test_pipeline_deterministic(animals_table, ontology):
@@ -505,12 +537,162 @@ def test_context_flow_off_shrinks_column_prompt(animals_table, ontology):
     assert usage_for(True) > usage_for(False)
 
 
+# ------------------------------------------------- repair against the oracle
+
+_FUZZ_WORDS = ["table", "join", "maybe", "zone", "ξ", "42", "dbo:", "unknown", "???"]
+
+# The shapes of the acceptance suite's constraint-totality fuzz.
+_FUZZ_RESPONSES = st.one_of(
+    st.lists(st.sampled_from(_FUZZ_WORDS), min_size=1, max_size=12).map(" ".join),
+    st.sampled_from(["", "Zzz", "NotAClass", "ElectricCar"]).map(
+        "https://dbpedia.org/ontology/".__add__
+    ),
+    st.lists(
+        st.sampled_from(["dbo:author", "dbo:nope", "Unknown", "dbo:made_up", ""]),
+        min_size=1,
+        max_size=6,
+    ).map(lambda items: "`" + ", ".join(items) + "`"),
+    st.sampled_from(["Hospital", "Hostpital", "zzz", ""]).map(lambda x: f"`{x}`"),
+    st.sampled_from(["'vin', right_on='zip')", "['name'], right_on=['vid', 'x'])"]),
+    st.sampled_from(["", "   ", "()", "[]", "“quotes”"]),
+)
+
+
+@st.composite
+def _label(draw, names: tuple[str, ...]) -> str:
+    name = draw(st.sampled_from(names))
+    index = draw(st.integers(0, len(name) - 1))
+    return draw(
+        st.sampled_from(
+            [
+                f"dbo:{name}",
+                name,
+                name.lower(),
+                f"https://dbpedia.org/ontology/{name}",
+                f"dbo:{name[:index]}{name[index + 1:]}",
+                f"{name[:index]}x{name[index:]}",
+                "",
+                "Unknown",
+                "unknown.",
+            ]
+        )
+    )
+
+
+@st.composite
+def _label_list(draw) -> str:
+    labels = draw(st.lists(_label(PROPERTY_LIST), max_size=5))
+    if labels and draw(st.booleans()):
+        labels.insert(draw(st.integers(0, len(labels))), draw(st.sampled_from(labels)))
+    wrap = draw(st.sampled_from(["`{}`", "{}", "Here you go: `{}` as asked.", "`{}`\nDone."]))
+    return wrap.format(", ".join(labels))
+
+
+@st.composite
+def _class_answer(draw) -> str:
+    wrap = draw(st.sampled_from(["`{}`", "{}", "I think `{}` fits.", "It is {}."]))
+    return wrap.format(draw(_label(TABLE_CLASS_LIST)))
+
+
+# ``label_similarity`` drops characters other than ASCII letters and digits
+# before comparing, while ``similarity_ref`` keeps them, so the reference
+# ranks only labels written in this alphabet the same way.
+_REFERENCE_ALPHABET = re.compile(r"[A-Za-z0-9_\s]*")
+
+
+def _oracle_name(label: str, kind: TermKind, ontology) -> str | None:
+    """Expected local name; ``None`` accepts any term of the kind."""
+    try:
+        canonical = normalize_label(label, ontology)
+    except EmptyLabel:
+        canonical = ""
+    if kind is TermKind.PROPERTY and canonical.lower() == "unknown":
+        return "Unknown"
+    term = lookup(ontology, kind, canonical)
+    if term is not None:
+        return term.local_name
+    if not _REFERENCE_ALPHABET.fullmatch(canonical):
+        return None
+    return _nearest_name(ontology, kind, canonical)
+
+
+def _oracle(responses, kind: TermKind, arity, ontology, anchoring: bool):
+    """Expected names per label, or ``None`` when the task must fail."""
+    for response in responses[: 2 if anchoring else 1]:
+        try:
+            if arity is None:
+                labels = (parse_table_class(response),)
+            else:
+                labels = parse_column_types(response, arity)
+        except ParseError as exc:
+            if not (anchoring and exc.items is not None):
+                continue
+            labels = exc.items[:arity] + ("Unknown",) * (arity - len(exc.items))
+        return tuple(_oracle_name(label, kind, ontology) for label in labels)
+    return None
+
+
+def _assert_label_task_matches_oracle(table, ontology, kind, responses, anchoring):
+    arity = None if kind is TermKind.CLASS else table.arity
+    expected = _oracle(responses, kind, arity, ontology, anchoring)
+    run = run_table_class_task if arity is None else run_column_type_task
+    backend = ScriptedBackend(list(responses))
+    config = PipelineConfig(anchoring_enabled=anchoring)
+    if expected is None:
+        with pytest.raises(TaskFailed):
+            run(table, ontology, backend, config)
+        return
+    result, conv, _ = run(table, ontology, backend, config)
+    labels = (result.term,) if arity is None else result.assignments
+    assert len(labels) == len(expected)
+    for label, name in zip(labels, expected):
+        if label is UNKNOWN:
+            assert name == "Unknown"
+        elif name is None:
+            assert lookup(ontology, kind, label.local_name) is label
+        else:
+            assert label.local_name == name
+    if not anchoring:
+        assert len(conv) == 2
+        assert conv.last.text == (responses[0] or " ")
+        return
+    for turn in conv.turns:
+        if turn.role is not Role.ASSISTANT:
+            continue
+        if arity is None:
+            assert check_table_class(parse_table_class(turn.text), ontology) is None
+        else:
+            assert check_column_types(parse_column_types(turn.text, arity), ontology) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    responses=st.lists(st.one_of(_label_list(), _FUZZ_RESPONSES), min_size=2, max_size=2),
+    anchoring=st.booleans(),
+    wide=st.booleans(),
+)
+def test_column_type_repair_matches_oracle(
+    ontology, animals_table, ev_table, responses, anchoring, wide
+):
+    table = ev_table if wide else animals_table
+    _assert_label_task_matches_oracle(table, ontology, TermKind.PROPERTY, responses, anchoring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    responses=st.lists(st.one_of(_class_answer(), _FUZZ_RESPONSES), min_size=2, max_size=2),
+    anchoring=st.booleans(),
+)
+def test_table_class_repair_matches_oracle(ontology, ev_table, responses, anchoring):
+    _assert_label_task_matches_oracle(ev_table, ontology, TermKind.CLASS, responses, anchoring)
+
+
 # ------------------------------------------------------------------- join
 
 
 def test_join_task_paper_example(ev_table, registration_table, ontology):
     backend = ScriptedBackend(["'VIN_prefix', right_on='vehicle_id_number')"])
-    prediction = run_join_task(ev_table, registration_table, backend)
+    prediction = run_join_task_detailed(ev_table, registration_table, backend).prediction
     assert prediction.left_cols == ("VIN_prefix",)
     assert prediction.right_cols == ("vehicle_id_number",)
 
@@ -534,7 +716,7 @@ def test_join_task_headers_required(ev_table):
     headerless = Table("raw", None, (("a", "b"),))
     backend = ScriptedBackend([])
     with pytest.raises(MissingHeaders):
-        run_join_task(ev_table, headerless, backend)
+        run_join_task_detailed(ev_table, headerless, backend)
     assert backend.remaining == 0  # no backend call was attempted
 
 
@@ -542,7 +724,7 @@ def test_join_task_fails_after_budget(ev_table, registration_table):
     backend = ScriptedBackend(["'nope', right_on='nothing')"] * 4)
     config = PipelineConfig(max_anchor_attempts=3)
     with pytest.raises(TaskFailed) as excinfo:
-        run_join_task(ev_table, registration_table, backend, config)
+        run_join_task_detailed(ev_table, registration_table, backend, config)
     assert excinfo.value.violation.kind is ViolationKind.NONEXISTENT_COLUMN
     assert backend.remaining == 0
 
@@ -555,12 +737,12 @@ def test_join_task_context_notes(ev_table, registration_table):
         [TranscriptEntry("'VIN_prefix', right_on='vehicle_id_number')",
                          match="ElectricVehicle")]
     )
-    prediction = run_join_task(
+    prediction = run_join_task_detailed(
         ev_table,
         registration_table,
         backend,
         context_notes="df1 is an ElectricVehicle table.",
-    )
+    ).prediction
     assert prediction.left_cols == ("VIN_prefix",)
 
 
