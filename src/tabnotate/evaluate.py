@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .backend import Backend, ScriptedBackend, UsageMeter, Usage
+from .backend import Backend, BackendError, ScriptedBackend, UsageMeter, Usage
 from .core import EmptyTable, MissingHeaders, Ontology, Table, edit_distance, read_csv
 from .harness import (
     DEFAULT_PIPELINE_CONFIG,
@@ -498,7 +498,7 @@ def _run_item(
         else:
             run = run_join_task_detailed(left, right, backend, config)
             meter.add(run.usage)
-            prediction, anchored, attempts = run.prediction, False, run.attempts
+            prediction, anchored, attempts = run.prediction, run.attempts > 1, run.attempts
         gold_pairs = [list(p) for p in example.gold]  # type: ignore[union-attr]
         predicted_pairs = [list(p) for p in prediction.pairs]
         correct = {tuple(p) for p in predicted_pairs} == {tuple(p) for p in gold_pairs}
@@ -511,8 +511,9 @@ def _run_item(
             anchored=anchored,
             attempts=attempts,
         )
-    except TaskFailed as exc:
-        meter.add(Usage())
+    except (TaskFailed, BackendError, OSError, ValueError) as exc:
+        failed = isinstance(exc, TaskFailed)
+        meter.add(exc.usage if failed else Usage())
         if example.task is Task.JOIN:
             gold = [list(p) for p in example.gold]  # type: ignore[union-attr]
         elif example.task is Task.COLUMN_TYPE:
@@ -526,7 +527,7 @@ def _run_item(
             gold=gold,
             correct=False,
             anchored=False,
-            attempts=0,
+            attempts=exc.attempts if failed else 0,
             error=str(exc),
         )
 
@@ -543,8 +544,9 @@ def run_benchmark(
 
     The similarity baselines need no backend and support only join items.
     Scripted backends run items sequentially so transcript replay stays
-    aligned with the manifest order; a failed item is recorded as
-    incorrect rather than aborting the run.
+    aligned with the manifest order.  An item that fails (no feasible
+    answer, an unreadable table, a backend error) is recorded as incorrect
+    with its error rather than aborting the run.
     """
     if system is System.MODEL:
         if backend is None:

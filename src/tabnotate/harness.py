@@ -51,12 +51,25 @@ class InvalidState(RuntimeError):
 
 
 class TaskFailed(RuntimeError):
-    """The task could not produce a feasible result within budget."""
+    """The task could not produce a feasible result within budget.
 
-    def __init__(self, task: str, violation: Violation | None, message: str) -> None:
+    ``usage`` and ``attempts`` cover the model calls the task made before
+    giving up, so a failed item is still metered.
+    """
+
+    def __init__(
+        self,
+        task: str,
+        violation: Violation | None,
+        message: str,
+        usage: Usage,
+        attempts: int,
+    ) -> None:
         super().__init__(message)
         self.task = task
         self.violation = violation
+        self.usage = usage
+        self.attempts = attempts
 
 
 class ViolationKind(Enum):
@@ -503,6 +516,8 @@ def _run_label_task(
                     task,
                     exc.violation,
                     f"no {wanted} for {table.name!r} after {attempts} attempts",
+                    total,
+                    attempts,
                 ) from exc
             conv, raw_response, usage = _splice_retry(
                 conv, clarification, backend, config.params
@@ -640,4 +655,6 @@ def run_join_task_detailed(
         last_violation,
         f"no feasible join between {left.name!r} and {right.name!r} "
         f"after {attempts} attempts",
+        total,
+        attempts,
     )

@@ -8,7 +8,9 @@ The golden files under the test fixtures pin the exact rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     EmptyTable,
@@ -59,6 +61,8 @@ JOIN_PREFIX = (
 )
 
 TRUNCATION_MARKER = "…"
+MAX_CELL_CHARS = 256
+CHAR_BUDGET = 16384
 
 _FIELD_ORDER = (
     "instruction",
@@ -103,8 +107,6 @@ class PromptConfig:
     include_metadata: bool = True
     include_prefix: bool = True
     strategy: SamplingStrategy = HEAD_SAMPLING
-    max_cell_chars: int = 256
-    char_budget: int = 16384
 
     def __post_init__(self) -> None:
         if self.sample_k < 1:
@@ -149,64 +151,65 @@ def assemble(components: PromptComponents) -> str:
     return "\n\n".join(parts)
 
 
-def _truncate_cell(cell: str, limit: int) -> str:
-    if len(cell) <= limit:
-        return cell
-    return cell[: limit - 1] + TRUNCATION_MARKER
+def _cut(text: str, limit: int) -> str:
+    return text if len(text) <= limit else text[: limit - 1] + TRUNCATION_MARKER
 
 
-def _truncated(table: Table, limit: int) -> Table:
-    headers = (
-        tuple(_truncate_cell(h, limit) for h in table.headers)
-        if table.headers is not None
-        else None
-    )
-    rows = tuple(tuple(_truncate_cell(c, limit) for c in row) for row in table.rows)
-    return Table(name=table.name, headers=headers, rows=rows)
+def _record(cells: tuple[str, ...]) -> str:
+    """One CSV record without its line terminator, long cells cut."""
+    row = tuple(_cut(cell, MAX_CELL_CHARS) for cell in cells)
+    return to_csv(Table(name="", headers=None, rows=(row,)))
 
 
-def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, str]:
-    """(metadata header line, row-only CSV) for the serialized sample."""
-    sample = _truncated(sample_rows(table, config.sample_k, config.strategy), config.max_cell_chars)
+def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, list[str]]:
+    """(metadata header line, one CSV record per sampled row)."""
+    if table.is_empty:
+        raise EmptyTable(f"table {table.name!r} has no rows and no headers")
+    sample = sample_rows(table, config.sample_k, config.strategy)
     metadata = None
     if sample.headers is not None and config.include_metadata:
-        metadata = to_csv(Table(name=sample.name, headers=sample.headers, rows=()))
-    body = to_csv(Table(name=sample.name, headers=None, rows=sample.rows)) if sample.rows else ""
-    return metadata, body
+        metadata = _record(sample.headers)
+    return metadata, [_record(row) for row in sample.rows]
 
 
-def _shrink_data_lines(components: PromptComponents, budget: int) -> PromptComponents:
-    """Trim sample lines until the assembled prompt fits the budget.
+def _fit(build: Callable[..., PromptComponents], samples: list[list[str]]) -> PromptComponents:
+    """Prompt from ``build`` with the most sample rows that fit the budget.
 
-    Rows are dropped from the end first; remaining lines are then capped,
-    halving the cap until the prompt fits.  Fence lines and frame markers
-    are never touched.  Best effort: a budget smaller than the fixed
-    template parts cannot be honored.
+    ``build`` takes one data body per table.  Every table keeps the same
+    row count n >= 1, found by bisection since the prompt never shrinks as
+    n grows; if n = 1 is too long, the lines of the rows are capped,
+    halving the cap until it fits.  Headers are not in the bodies, so they
+    are never cut.  Best effort: a budget below the fixed parts is not met.
     """
-    if len(assemble(components)) <= budget or components.data_sample is None:
+
+    def bodies(n: int) -> list[str]:
+        return ["\n".join(records[:n]) for records in samples]
+
+    def too_long(components: PromptComponents) -> bool:
+        return len(assemble(components)) > CHAR_BUDGET
+
+    most = max(len(records) for records in samples)
+    components = build(*bodies(most))
+    if not too_long(components):
         return components
-
-    def protected(line: str) -> bool:
-        return line.startswith("```") or line in ("df1 =", "df2 =")
-
-    lines = components.data_sample.splitlines()
-    # Drop data lines from the end while more than one remains per frame.
-    while len(assemble(components)) > budget:
-        droppable = [i for i, line in enumerate(lines) if not protected(line)]
-        if len(droppable) <= 1:
-            break
-        lines.pop(droppable[-1])
-        components = replace(components, data_sample="\n".join(lines))
-
-    cap = max(len(line) for line in lines) if lines else 0
-    while len(assemble(components)) > budget and cap > 8:
+    fitting = bisect_left(range(1, most), True, key=lambda n: too_long(build(*bodies(n))))
+    kept = bodies(max(fitting, 1))
+    components = build(*kept)
+    cap = max((len(line) for body in kept for line in body.splitlines()), default=0)
+    while too_long(components) and cap > 8:
         cap = max(8, cap // 2)
-        trimmed = [
-            line if protected(line) or len(line) <= cap else line[: cap - 1] + TRUNCATION_MARKER
-            for line in lines
-        ]
-        components = replace(components, data_sample="\n".join(trimmed))
+        capped = ("\n".join(_cut(line, cap) for line in body.splitlines()) for body in kept)
+        components = build(*capped)
     return components
+
+
+def _one_table_prompt(table: Table, config: PromptConfig, **parts: str | None) -> PromptComponents:
+    """``parts`` plus the fitted sample of ``table`` as metadata and data."""
+    metadata, records = _sample_parts(table, config)
+    return _fit(
+        lambda body: PromptComponents(**parts, metadata=metadata, data_sample=body or None),
+        [records],
+    )
 
 
 def table_class_prompt(
@@ -219,20 +222,16 @@ def table_class_prompt(
     Passing ``allowed_classes`` restricts the answer domain (the supervised
     variant); omitting it lets the model pick any class.
     """
-    if table.is_empty:
-        raise EmptyTable(f"table {table.name!r} has no rows and no headers")
-    metadata, body = _sample_parts(table, config)
-    components = PromptComponents(
+    return _one_table_prompt(
+        table,
+        config,
         instruction=(
             TABLE_CLASS_INSTRUCTION_WITH_LIST if allowed_classes else TABLE_CLASS_INSTRUCTION
         ),
         task_knowledge=", ".join(allowed_classes) + "." if allowed_classes else None,
         demonstration=TABLE_CLASS_DEMONSTRATION if config.include_demonstration else None,
-        metadata=metadata,
-        data_sample=body or None,
         prefix=TABLE_CLASS_PREFIX if config.include_prefix else None,
     )
-    return _shrink_data_lines(components, config.char_budget)
 
 
 def column_type_prompt(
@@ -240,20 +239,15 @@ def column_type_prompt(
     config: PromptConfig = DEFAULT_PROMPT_CONFIG,
 ) -> PromptComponents:
     """Prompt asking for one ontology property per column."""
-    if table.is_empty:
-        raise EmptyTable(f"table {table.name!r} has no rows and no headers")
-    metadata, body = _sample_parts(table, config)
-    components = PromptComponents(
+    return _one_table_prompt(
+        table,
+        config,
         instruction=COLUMN_TYPE_INSTRUCTION,
         demonstration=COLUMN_TYPE_DEMONSTRATION if config.include_demonstration else None,
-        metadata=metadata,
-        data_sample=body or None,
     )
-    return _shrink_data_lines(components, config.char_budget)
 
 
-def _frame(marker: str, table: Table, config: PromptConfig) -> str:
-    metadata, body = _sample_parts(table, config)
+def _frame(marker: str, metadata: str | None, body: str) -> str:
     inner = body if metadata is None else (f"{metadata}\n{body}" if body else metadata)
     return f"{marker} =\n```\n{inner}\n```"
 
@@ -270,13 +264,18 @@ def join_prompt(
     example classes detected earlier in the pipeline) become a paragraph
     above the frames.
     """
-    for table in (left, right):
-        if table.is_empty:
-            raise EmptyTable(f"table {table.name!r} has no rows and no headers")
-    components = PromptComponents(
-        instruction=JOIN_INSTRUCTION,
-        metadata=context_notes,
-        data_sample=f"{_frame('df1', left, config)}\n\n{_frame('df2', right, config)}",
-        prefix=JOIN_PREFIX if config.include_prefix else None,
-    )
-    return _shrink_data_lines(components, config.char_budget)
+    left_metadata, left_records = _sample_parts(left, config)
+    right_metadata, right_records = _sample_parts(right, config)
+
+    def build(left_body: str, right_body: str) -> PromptComponents:
+        return PromptComponents(
+            instruction=JOIN_INSTRUCTION,
+            metadata=context_notes,
+            data_sample=(
+                f"{_frame('df1', left_metadata, left_body)}\n\n"
+                f"{_frame('df2', right_metadata, right_body)}"
+            ),
+            prefix=JOIN_PREFIX if config.include_prefix else None,
+        )
+
+    return _fit(build, [left_records, right_records])

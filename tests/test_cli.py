@@ -262,6 +262,36 @@ def test_eval_all_correct_summary(workspace, capsys):
     assert payload["metrics"]["f1"] == 1.0
 
 
+def test_eval_records_item_errors_and_writes_report(workspace, capsys):
+    manifest = workspace / "manifest.jsonl"
+    manifest.write_text(
+        "".join(
+            json.dumps({"id": item_id, "task": "table-class", "table": table,
+                        "headers": True, "gold": "Animal"}) + "\n"
+            for item_id, table in (("ok", "animals.csv"), ("missing", "absent.csv"),
+                                   ("exhausted", "animals.csv"))
+        ),
+        encoding="utf-8",
+    )
+    backend = transcript(workspace, "t.jsonl", ["https://dbpedia.org/ontology/Animal"])
+    report_path = workspace / "report.json"
+    code, out, _ = run_cli(
+        capsys,
+        "eval", str(manifest),
+        "--system", "model",
+        "--ontology", str(workspace / "ontology.tsv"),
+        "--backend", f"scripted:{backend}",
+        "--report", str(report_path),
+    )
+    assert code == 0
+    assert "items=3" in out
+    items = json.loads(report_path.read_text(encoding="utf-8"))["per_item"]
+    assert [item["correct"] for item in items] == [True, False, False]
+    assert items[0]["error"] is None
+    assert "absent.csv" in items[1]["error"]
+    assert "exhausted" in items[2]["error"]
+
+
 def test_eval_malformed_manifest_line(workspace, capsys):
     manifest = workspace / "bad.jsonl"
     manifest.write_text(

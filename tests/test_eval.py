@@ -383,6 +383,47 @@ def test_benchmark_records_failures_as_incorrect(tmp_path, ontology):
     assert report.metrics.recall == pytest.approx(0.5)
 
 
+def test_benchmark_meters_failed_items(tmp_path, ontology):
+    examples = class_manifest(tmp_path, ["Animal", "Animal"])
+    responses = ["gibberish", "also gibberish", "https://dbpedia.org/ontology/Animal"]
+
+    def run(items, replies):
+        return run_benchmark(
+            items, System.MODEL, ontology=ontology, backend=ScriptedBackend(replies)
+        )
+
+    report = run(examples, responses)
+    failed_only, passed_only = run(examples[:1], responses[:2]), run(examples[1:], responses[2:])
+    assert report.per_item[0].attempts == 2
+    assert failed_only.usage["prompt_tokens"] > passed_only.usage["prompt_tokens"] > 0
+    for key in ("prompt_tokens", "completion_tokens"):
+        assert report.usage[key] == failed_only.usage[key] + passed_only.usage[key]
+    assert report.total_cost == pytest.approx(failed_only.total_cost + passed_only.total_cost)
+
+
+def test_model_join_reports_a_reask_as_anchored(tmp_path):
+    write_csv(tmp_path / "ev.csv", EV_TABLE)
+    write_csv(tmp_path / "reg.csv", CAR_REGISTRATION_TABLE)
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(
+        json.dumps(
+            {"id": "j", "task": "join", "left": "ev.csv", "right": "reg.csv",
+             "headers": True, "gold": [["VIN_prefix", "vehicle_id_number"]]}
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    backend = ScriptedBackend(
+        ["'vin', right_on='vehicle_id_number')",  # no such column in df1
+         "'VIN_prefix', right_on='vehicle_id_number')"]
+    )
+    report = run_benchmark(load_manifest(manifest), System.MODEL, backend=backend)
+    (item,) = report.per_item
+    assert item.correct is True
+    assert item.attempts == 2
+    assert item.anchored is True
+
+
 def test_benchmark_model_requires_backend(tmp_path):
     examples = class_manifest(tmp_path, ["Animal"])
     with pytest.raises(ValueError, match="backend"):

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import csv
+import io
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tabnotate.prompt
 from tabnotate.core import EmptyTable, Table
 from tabnotate.prompt import (
+    CHAR_BUDGET,
     COLUMN_TYPE_DEMONSTRATION,
     JOIN_PREFIX,
     PromptComponents,
@@ -244,4 +251,94 @@ def test_prompt_budget_holds_for_wide_tables(class_list):
             lambda t: column_type_prompt(t, config),
             lambda t: join_prompt(t, t, config),
         ):
-            assert len(assemble(builder(table))) <= config.char_budget
+            assert len(assemble(builder(table))) <= CHAR_BUDGET
+
+
+def _data_block(text: str, marker: str | None = None) -> str:
+    """The fenced sample: the last fenced block, or the named join frame's."""
+    if marker is None:
+        return text.rsplit("```", 2)[-2].strip("\n")
+    return text.split(f"{marker} =\n```\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_over_budget_join_keeps_both_frames():
+    def table(name: str, prefix: str) -> Table:
+        headers = tuple(f"{prefix}_{c}" for c in range(8))
+        rows = tuple(tuple(f"{prefix}{r}-{c}" + "y" * 240 for c in range(8)) for r in range(30))
+        return Table(name, headers, rows)
+
+    left, right = table("left", "a"), table("right", "b")
+    text = assemble(join_prompt(left, right, PromptConfig(sample_k=30)))
+    assert len(text) <= CHAR_BUDGET
+    kept = []
+    for marker, source in (("df1", left), ("df2", right)):
+        lines = _data_block(text, marker).splitlines()
+        assert lines[0] == ",".join(source.headers)
+        kept.append(len(lines) - 1)
+    assert kept[0] == kept[1] >= 1
+
+
+def test_multiline_cells_fit_budget_and_parse_back():
+    notes = Table(
+        "notes",
+        ("id", "note", "author"),
+        tuple(
+            (str(i), f"First paragraph of note {i}.\n\nSecond paragraph of note {i}.", "ann")
+            for i in range(300)
+        ),
+    )
+    config = PromptConfig(sample_k=300)
+    for components in (table_class_prompt(notes, None, config), column_type_prompt(notes, config)):
+        text = assemble(components)
+        assert len(text) <= CHAR_BUDGET
+        records = list(csv.reader(io.StringIO(_data_block(text))))
+        assert records[0] == list(notes.headers)
+        assert 1 < len(records) < 301
+        assert all(len(record) == notes.arity for record in records)
+        assert records[1:] == [list(row) for row in notes.rows[: len(records) - 1]]
+
+
+_BUILDERS = {
+    "table-class": lambda table, config: table_class_prompt(table, None, config),
+    "column-type": column_type_prompt,
+    "join": lambda table, config: join_prompt(table, table, config),
+}
+
+# No line breaks and no backticks, so every record is one line and no
+# cell can open a fence.
+_ALPHABET = "abcXYZ019 ,;\"'é…-"
+_CELL = st.builds(
+    lambda text, repeat: text * repeat,
+    st.text(alphabet=_ALPHABET, min_size=1, max_size=6),
+    st.integers(0, 100),
+)
+
+
+@st.composite
+def _tables(draw) -> Table:
+    arity = draw(st.integers(1, 10))
+    header = st.text(alphabet=_ALPHABET, min_size=1, max_size=12)
+    headers = tuple(draw(st.lists(header, min_size=arity, max_size=arity)))
+    height = draw(st.integers(0, 50))
+    row = st.lists(_CELL, min_size=arity, max_size=arity)
+    rows = draw(st.lists(row, min_size=height, max_size=height))
+    return Table("t", headers, tuple(tuple(row) for row in rows))
+
+
+def _kept_rows(text: str) -> int:
+    block = _data_block(text, "df1" if "df1 =" in text else None)
+    return len(block.splitlines()) - 1  # less the header line
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables(), k=st.integers(1, 50), builder=st.sampled_from(sorted(_BUILDERS)))
+def test_trimmed_prompt_is_the_untrimmed_prompt_of_fewer_rows(table, k, builder):
+    build = _BUILDERS[builder]
+    text = assemble(build(table, PromptConfig(sample_k=k)))
+    n = _kept_rows(text)
+    assert 1 <= n <= min(k, len(table.rows)) if table.rows else n == 0
+    assert text == assemble(build(table, PromptConfig(sample_k=max(n, 1))))
+    if len(table.rows) > n and k > n:
+        with mock.patch.object(tabnotate.prompt, "CHAR_BUDGET", 10**9):
+            longer = assemble(build(table, PromptConfig(sample_k=n + 1)))
+        assert len(longer) > CHAR_BUDGET
