@@ -11,7 +11,6 @@ from .backend import (
     PriceTable,
     ScriptedBackend,
     Usage,
-    UsageMeter,
     load_transcript,
 )
 from .core import (

@@ -391,44 +391,3 @@ class HttpBackend:
             cost=self._prices.cost(prompt_tokens, completion_tokens),
         )
 
-
-@dataclass(frozen=True)
-class MeterReport:
-    items: int
-    prompt_tokens: int
-    completion_tokens: int
-    total_wall_time: float
-    total_cost: float
-    items_per_second: float
-
-
-class UsageMeter:
-    """Accumulates usage across calls; totals are order-independent."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._items = 0
-        self._total = Usage()
-
-    def add(self, usage: Usage) -> None:
-        with self._lock:
-            self._items += 1
-            self._total = self._total + usage
-
-    @property
-    def total(self) -> Usage:
-        with self._lock:
-            return self._total
-
-    def report(self) -> MeterReport:
-        with self._lock:
-            items, total = self._items, self._total
-        rate = items / total.wall_time if total.wall_time > 0 else 0.0
-        return MeterReport(
-            items=items,
-            prompt_tokens=total.prompt_tokens,
-            completion_tokens=total.completion_tokens,
-            total_wall_time=total.wall_time,
-            total_cost=total.cost,
-            items_per_second=rate,
-        )

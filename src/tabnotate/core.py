@@ -12,7 +12,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 DBPEDIA_ONTOLOGY_IRI = "https://dbpedia.org/ontology/"
 DEFAULT_NAMESPACE_PREFIXES: Mapping[str, str] = {"dbo:": DBPEDIA_ONTOLOGY_IRI}
@@ -260,7 +260,7 @@ def edit_distance(a: str, b: str) -> int:
 
 
 def label_similarity(a: str, b: str) -> float:
-    """Default label similarity in [0, 1]: 1 - normalized edit distance.
+    """Label similarity in [0, 1]: 1 - normalized edit distance.
 
     Labels are compared in their tokenized forms, so ``iucnStatus`` and
     ``IUCN_status`` are treated as equal.
@@ -274,29 +274,20 @@ def label_similarity(a: str, b: str) -> float:
     return 1.0 - edit_distance(ta, tb) / denom
 
 
-SimilarityFn = Callable[[str, str], float]
-
-
 def nearest_term(
-    ontology: Ontology,
-    kind: TermKind,
-    canonical: str,
-    similarity: SimilarityFn | None = None,
+    ontology: Ontology, kind: TermKind, canonical: str
 ) -> tuple[OntologyTerm, float]:
-    """Best-scoring term of the requested kind under the similarity metric.
+    """Best-scoring term of the requested kind under :func:`label_similarity`.
 
-    Ties break toward the lexicographically smallest local name.  The
-    metric defaults to :func:`label_similarity`; pass ``similarity`` to
-    substitute an embedding-backed scorer.
+    Ties break toward the lexicographically smallest local name.
     """
     candidates = ontology.terms(kind)
     if not candidates:
         raise EmptyOntologyKind(f"ontology has no {kind.value} terms")
-    score = similarity or label_similarity
     best: OntologyTerm | None = None
     best_score = -1.0
     for term in sorted(candidates, key=lambda t: t.local_name):
-        s = score(canonical, term.local_name)
+        s = label_similarity(canonical, term.local_name)
         if s > best_score:
             best, best_score = term, s
     assert best is not None

@@ -9,14 +9,20 @@ with throughput and cost alongside the metrics.
 from __future__ import annotations
 
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .backend import Backend, BackendError, ScriptedBackend, UsageMeter, Usage
+from .backend import (
+    Backend,
+    BackendError,
+    Conversation,
+    GenerationParams,
+    ScriptedBackend,
+    Usage,
+)
 from .core import EmptyTable, MissingHeaders, Ontology, Table, edit_distance, read_csv
 from .harness import (
     DEFAULT_PIPELINE_CONFIG,
@@ -296,6 +302,7 @@ class ItemOutcome:
     correct: bool
     anchored: bool
     attempts: int
+    usage: Usage
     error: str | None = None
 
 
@@ -443,93 +450,95 @@ def _aggregate(
     return overall, by_task
 
 
+class _ItemTally:
+    """Forwards ``complete`` to the shared backend and sums the usage and
+    the count of the calls one item finished."""
+
+    def __init__(self, backend: Backend | None) -> None:
+        self._backend = backend
+        self.usage = Usage()
+        self.calls = 0
+
+    def complete(
+        self, conversation: Conversation, params: GenerationParams
+    ) -> tuple[str, Usage]:
+        text, usage = self._backend.complete(conversation, params)  # type: ignore[union-attr]
+        self.usage += usage
+        self.calls += 1
+        return text, usage
+
+
+def _json_ready(task: Task, value: object) -> object:
+    """A gold or predicted label in its report shape: lists, not tuples."""
+    if task is Task.JOIN:
+        return [list(p) for p in value]  # type: ignore[attr-defined]
+    return list(value) if task is Task.COLUMN_TYPE else value  # type: ignore[call-overload]
+
+
+def _predict(
+    example: LabeledExample,
+    system: System,
+    ontology: Ontology | None,
+    backend: Backend,
+    config: PipelineConfig,
+) -> tuple[object, bool]:
+    """The item's raw prediction and whether it was anchored."""
+    if example.task is Task.JOIN:
+        left = _read_table(example.left, f"{example.id}-left", example.headers)
+        right = _read_table(example.right, f"{example.id}-right", example.headers)
+        if system is System.JACCARD:
+            return jaccard_join(left, right).pairs, False
+        if system is System.LEVENSHTEIN:
+            return levenshtein_join(left, right).pairs, False
+        run = run_join_task_detailed(left, right, backend, config)
+        return run.prediction.pairs, run.attempts > 1
+    table = _read_table(example.table, example.id, example.headers)
+    if example.task is Task.TABLE_CLASS:
+        result, _, _ = run_table_class_task(table, ontology, backend, config)
+        return result.term.local_name, result.anchored
+    if len(example.gold) != table.arity:  # type: ignore[arg-type]
+        raise ManifestError(
+            f"item {example.id!r}: gold lists {len(example.gold)} columns, "
+            f"table has {table.arity}"
+        )
+    result, _, _ = run_column_type_task(table, ontology, backend, config)
+    return [_label_of(a) for a in result.assignments], result.anchored
+
+
 def _run_item(
     example: LabeledExample,
     system: System,
     ontology: Ontology | None,
     backend: Backend | None,
     config: PipelineConfig,
-    meter: UsageMeter,
 ) -> ItemOutcome:
+    """Run one example; a failure becomes the item's ``error``.
+
+    Usage and attempts come from the calls that reached the backend, so an
+    item that fails still reports every call it finished.
+    """
+    tally = _ItemTally(backend)
     try:
-        if example.task is Task.TABLE_CLASS:
-            table = _read_table(example.table, example.id, example.headers)
-            result, _, usage = run_table_class_task(table, ontology, backend, config)
-            meter.add(usage)
-            prediction = result.term.local_name
-            return ItemOutcome(
-                id=example.id,
-                task=example.task,
-                prediction=prediction,
-                gold=example.gold,
-                correct=prediction == example.gold,
-                anchored=result.anchored,
-                attempts=result.attempts,
-            )
-        if example.task is Task.COLUMN_TYPE:
-            table = _read_table(example.table, example.id, example.headers)
-            if len(example.gold) != table.arity:  # type: ignore[arg-type]
-                raise ManifestError(
-                    f"item {example.id!r}: gold lists {len(example.gold)} columns, "
-                    f"table has {table.arity}"
-                )
-            result, _, usage = run_column_type_task(table, ontology, backend, config)
-            meter.add(usage)
-            labels = [_label_of(a) for a in result.assignments]
-            return ItemOutcome(
-                id=example.id,
-                task=example.task,
-                prediction=labels,
-                gold=list(example.gold),  # type: ignore[arg-type]
-                correct=labels == list(example.gold),  # type: ignore[arg-type]
-                anchored=result.anchored,
-                attempts=result.attempts,
-            )
-        left = _read_table(example.left, f"{example.id}-left", example.headers)
-        right = _read_table(example.right, f"{example.id}-right", example.headers)
-        if system is System.JACCARD:
-            prediction = jaccard_join(left, right)
-            anchored, attempts = False, 0
-            meter.add(Usage())
-        elif system is System.LEVENSHTEIN:
-            prediction = levenshtein_join(left, right)
-            anchored, attempts = False, 0
-            meter.add(Usage())
-        else:
-            run = run_join_task_detailed(left, right, backend, config)
-            meter.add(run.usage)
-            prediction, anchored, attempts = run.prediction, run.attempts > 1, run.attempts
-        gold_pairs = [list(p) for p in example.gold]  # type: ignore[union-attr]
-        predicted_pairs = [list(p) for p in prediction.pairs]
-        correct = {tuple(p) for p in predicted_pairs} == {tuple(p) for p in gold_pairs}
-        return ItemOutcome(
-            id=example.id,
-            task=example.task,
-            prediction=predicted_pairs,
-            gold=gold_pairs,
-            correct=correct,
-            anchored=anchored,
-            attempts=attempts,
-        )
+        raw, anchored = _predict(example, system, ontology, tally, config)
+        prediction, error = _json_ready(example.task, raw), None
     except (TaskFailed, BackendError, OSError, ValueError) as exc:
-        failed = isinstance(exc, TaskFailed)
-        meter.add(exc.usage if failed else Usage())
-        if example.task is Task.JOIN:
-            gold = [list(p) for p in example.gold]  # type: ignore[union-attr]
-        elif example.task is Task.COLUMN_TYPE:
-            gold = list(example.gold)  # type: ignore[arg-type]
-        else:
-            gold = example.gold
-        return ItemOutcome(
-            id=example.id,
-            task=example.task,
-            prediction=None,
-            gold=gold,
-            correct=False,
-            anchored=False,
-            attempts=exc.attempts if failed else 0,
-            error=str(exc),
-        )
+        prediction, anchored, error = None, False, str(exc)
+    gold = _json_ready(example.task, example.gold)
+    if example.task is Task.JOIN and prediction is not None:
+        correct = {tuple(p) for p in prediction} == {tuple(p) for p in gold}  # type: ignore[union-attr]
+    else:
+        correct = prediction == gold
+    return ItemOutcome(
+        id=example.id,
+        task=example.task,
+        prediction=prediction,
+        gold=gold,
+        correct=correct,
+        anchored=anchored,
+        attempts=tally.calls,
+        usage=tally.usage,
+        error=error,
+    )
 
 
 def run_benchmark(
@@ -544,9 +553,11 @@ def run_benchmark(
 
     The similarity baselines need no backend and support only join items.
     Scripted backends run items sequentially so transcript replay stays
-    aligned with the manifest order.  An item that fails (no feasible
-    answer, an unreadable table, a backend error) is recorded as incorrect
-    with its error rather than aborting the run.
+    aligned with the manifest order; other model runs use ``jobs``
+    threads.  An item that fails (no feasible answer, an unreadable table,
+    a backend error) is recorded as incorrect with its error rather than
+    aborting the run.  Usage is summed over the items in manifest order,
+    so the totals do not depend on ``jobs``.
     """
     if system is System.MODEL:
         if backend is None:
@@ -561,8 +572,9 @@ def run_benchmark(
                 f"item {bad.id!r}: system {system.value!r} only supports join items"
             )
 
-    meter = UsageMeter()
-    outcomes: list[ItemOutcome | None] = [None] * len(examples)
+    def run(example: LabeledExample) -> ItemOutcome:
+        return _run_item(example, system, ontology, backend, config)
+
     parallel = (
         system is System.MODEL
         and not isinstance(backend, ScriptedBackend)
@@ -570,33 +582,23 @@ def run_benchmark(
         and len(examples) > 1
     )
     if parallel:
-        lock = threading.Lock()
-
-        def worker(index_example: tuple[int, LabeledExample]) -> None:
-            index, example = index_example
-            outcome = _run_item(example, system, ontology, backend, config, meter)
-            with lock:
-                outcomes[index] = outcome
-
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(worker, enumerate(examples)))
+            outcomes = list(pool.map(run, examples))
     else:
-        for index, example in enumerate(examples):
-            outcomes[index] = _run_item(example, system, ontology, backend, config, meter)
+        outcomes = list(map(run, examples))
 
-    finished = [o for o in outcomes if o is not None]
-    overall, by_task = _aggregate(finished)
-    tasks_present = {o.task.value for o in finished}
+    overall, by_task = _aggregate(outcomes)
+    tasks_present = {o.task.value for o in outcomes}
     task_name = tasks_present.pop() if len(tasks_present) == 1 else "mixed"
-    meter_report = meter.report()
+    usage = sum((o.usage for o in outcomes), Usage())
     return Report(
         task=task_name,
         system=system.value,
         metrics=overall,
-        items=len(finished),
-        throughput=meter_report.items_per_second,
-        total_cost=meter_report.total_cost,
-        per_item=finished,
+        items=len(outcomes),
+        throughput=len(outcomes) / usage.wall_time if usage.wall_time > 0 else 0.0,
+        total_cost=usage.cost,
+        per_item=outcomes,
         by_task=by_task,
         config={
             "temperature": config.params.temperature,
@@ -607,9 +609,9 @@ def run_benchmark(
             "jobs": jobs if parallel else 1,
         },
         usage={
-            "prompt_tokens": meter_report.prompt_tokens,
-            "completion_tokens": meter_report.completion_tokens,
-            "wall_time": meter_report.total_wall_time,
+            "prompt_tokens": usage.prompt_tokens,
+            "completion_tokens": usage.completion_tokens,
+            "wall_time": usage.wall_time,
             "token_counts_approximate": isinstance(backend, ScriptedBackend),
         },
     )

@@ -53,23 +53,14 @@ class InvalidState(RuntimeError):
 class TaskFailed(RuntimeError):
     """The task could not produce a feasible result within budget.
 
-    ``usage`` and ``attempts`` cover the model calls the task made before
-    giving up, so a failed item is still metered.
+    It carries no usage: callers that need the cost of a failed task meter
+    the calls at the backend, as the benchmark runner does.
     """
 
-    def __init__(
-        self,
-        task: str,
-        violation: Violation | None,
-        message: str,
-        usage: Usage,
-        attempts: int,
-    ) -> None:
+    def __init__(self, task: str, violation: Violation | None, message: str) -> None:
         super().__init__(message)
         self.task = task
         self.violation = violation
-        self.usage = usage
-        self.attempts = attempts
 
 
 class ViolationKind(Enum):
@@ -516,8 +507,6 @@ def _run_label_task(
                     task,
                     exc.violation,
                     f"no {wanted} for {table.name!r} after {attempts} attempts",
-                    total,
-                    attempts,
                 ) from exc
             conv, raw_response, usage = _splice_retry(
                 conv, clarification, backend, config.params
@@ -655,6 +644,4 @@ def run_join_task_detailed(
         last_violation,
         f"no feasible join between {left.name!r} and {right.name!r} "
         f"after {attempts} attempts",
-        total,
-        attempts,
     )

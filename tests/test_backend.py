@@ -24,7 +24,6 @@ from tabnotate.backend import (
     TransportError,
     Turn,
     Usage,
-    UsageMeter,
     assistant,
     load_transcript,
     system,
@@ -156,67 +155,6 @@ def test_load_transcript_missing_response():
 def test_load_transcript_bad_json_line_number():
     with pytest.raises(MalformedTranscript, match="line 2"):
         load_transcript('{"response": "ok"}\nnot json\n')
-
-
-# ----------------------------------------------------------------- meter
-
-
-def test_meter_hundred_items_at_quarter_millicent():
-    meter = UsageMeter()
-    for _ in range(100):
-        meter.add(Usage(cost=0.00025, wall_time=0.001))
-    report = meter.report()
-    assert report.total_cost == pytest.approx(0.025)  # 2.5 cents
-    assert report.items == 100
-
-
-def test_meter_empty():
-    report = UsageMeter().report()
-    assert report.items == 0
-    assert report.total_cost == 0.0
-    assert report.items_per_second == 0.0
-
-
-def test_meter_cost_formula():
-    prices = PriceTable(prompt_per_1k=0.001, completion_per_1k=0.001)
-    meter = UsageMeter()
-    for _ in range(2):
-        meter.add(Usage(prompt_tokens=10, completion_tokens=10,
-                        cost=prices.cost(10, 10)))
-    assert meter.report().total_cost == pytest.approx(0.00004)
-
-
-def test_meter_permutation_invariant():
-    rng = random.Random(2)
-    usages = [
-        Usage(
-            prompt_tokens=rng.randint(0, 50),
-            completion_tokens=rng.randint(0, 50),
-            wall_time=rng.random(),
-            cost=rng.random() / 100,
-        )
-        for _ in range(20)
-    ]
-    first = UsageMeter()
-    for u in usages:
-        first.add(u)
-    shuffled = list(usages)
-    rng.shuffle(shuffled)
-    second = UsageMeter()
-    for u in shuffled:
-        second.add(u)
-    a, b = first.report(), second.report()
-    assert a.items == b.items
-    assert a.total_cost == pytest.approx(b.total_cost, abs=1e-15)
-    assert a.prompt_tokens == b.prompt_tokens
-    assert a.completion_tokens == b.completion_tokens
-
-
-def test_meter_rate_from_wall_time():
-    meter = UsageMeter()
-    meter.add(Usage(wall_time=0.5))
-    meter.add(Usage(wall_time=0.5))
-    assert meter.report().items_per_second == pytest.approx(2.0)
 
 
 # ------------------------------------------------------------------ http

@@ -221,14 +221,6 @@ def test_nearest_term_empty_kind():
         nearest_term(make_ontology(classes=["A"]), TermKind.PROPERTY, "x")
 
 
-def test_nearest_term_custom_similarity():
-    onto = make_ontology(classes=["Alpha", "Beta"])
-    term, score = nearest_term(
-        onto, TermKind.CLASS, "x", similarity=lambda a, b: float(b == "Beta")
-    )
-    assert term.local_name == "Beta" and score == 1.0
-
-
 def test_similarity_symmetric_and_exact_iff_token_equal():
     rng = random.Random(99)
     pool = ["iucnStatus", "IUCN_status", "conservation status", "VIN", "vin_prefix",

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tabnotate.backend import ScriptedBackend
+from tabnotate.backend import PriceTable, ScriptedBackend, Usage
 from tabnotate.core import EmptyTable, MissingHeaders, Table, edit_distance, to_csv
 from tabnotate.evaluate import (
     EmptyStats,
@@ -341,6 +344,7 @@ def test_benchmark_levenshtein_no_cost(tmp_path):
     )
     report = run_benchmark(load_manifest(manifest), System.LEVENSHTEIN)
     assert report.total_cost == 0.0
+    assert report.throughput == 0.0
     assert report.items == 1
     assert report.system == "levenshtein"
 
@@ -401,6 +405,19 @@ def test_benchmark_meters_failed_items(tmp_path, ontology):
     assert report.total_cost == pytest.approx(failed_only.total_cost + passed_only.total_cost)
 
 
+def test_backend_error_after_a_call_is_metered(tmp_path, ontology):
+    examples = class_manifest(tmp_path, ["Animal"])
+    # The one reply is unparsable; the clarification re-ask finds the
+    # transcript exhausted, after one call already finished.
+    backend = ScriptedBackend(["gibberish"])
+    report = run_benchmark(examples, System.MODEL, ontology=ontology, backend=backend)
+    (item,) = report.per_item
+    assert item.error is not None
+    assert item.attempts == 1
+    assert report.usage["prompt_tokens"] > 0
+    assert report.total_cost > 0
+
+
 def test_model_join_reports_a_reask_as_anchored(tmp_path):
     write_csv(tmp_path / "ev.csv", EV_TABLE)
     write_csv(tmp_path / "reg.csv", CAR_REGISTRATION_TABLE)
@@ -442,3 +459,134 @@ def test_report_json_shape(tmp_path, ontology):
     item = payload["per_item"][0]
     assert set(item) >= {"id", "prediction", "gold", "correct", "anchored", "attempts"}
     assert payload["usage"]["token_counts_approximate"] is True
+
+
+# ------------------------------------------------- item order and --jobs
+
+
+class PromptKeyedBackend:
+    """Answers and bills as a pure function of the conversation, so items
+    may run on any thread in any order.  ``delay`` holds back the calls
+    about the animals table so that threads finish out of manifest order."""
+
+    PRICES = PriceTable(prompt_per_1k=0.001, completion_per_1k=0.003)
+
+    def __init__(self, delay: float = 0.0) -> None:
+        self._delay = delay
+
+    def complete(self, conversation, params):
+        prompt = conversation.turns[0].text
+        animals = "Panthera leo" in prompt
+        if "pd.merge" in prompt:
+            text = "'VIN_prefix', right_on='vehicle_id_number')"
+        elif "DBPedia.org Property" in prompt:
+            text = "`dbo:iucnStatus, dbo:binomial`" if animals else "`dbo:manufacturer, dbo:model`"
+        elif animals:
+            text = "https://dbpedia.org/ontology/Animal"
+        elif "Nissan" in prompt:
+            text = "https://dbpedia.org/ontology/ElectricVehicle"
+        else:
+            text = "no idea"  # unparsable, re-asked, then TaskFailed
+        if animals:
+            time.sleep(self._delay)
+        prompt_tokens = sum(len(t.text.split()) for t in conversation.turns)
+        completion_tokens = len(text.split())
+        return text, Usage(
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
+            wall_time=prompt_tokens * 1e-4,
+            cost=self.PRICES.cost(prompt_tokens, completion_tokens),
+        )
+
+
+def mixed_manifest(root):
+    """Eight items over three tables: every task, costs that differ per
+    item, an anchored item, a failed task and an unreadable table."""
+    write_csv(root / "animals.csv", ANIMALS_TABLE)
+    write_csv(root / "ev.csv", EV_TABLE)
+    write_csv(root / "reg.csv", CAR_REGISTRATION_TABLE)
+    tc = lambda i, table, gold: {"id": f"tc{i}", "task": "table-class", "table": table,
+                                 "headers": True, "gold": gold}
+    lines = [
+        tc(0, "animals.csv", "Animal"),
+        tc(1, "ev.csv", "ElectricVehicle"),
+        tc(2, "reg.csv", "Country"),
+        tc(3, "animals.csv", "Hospital"),
+        tc(4, "absent.csv", "Animal"),
+        {"id": "ct0", "task": "column-type", "table": "animals.csv", "headers": True,
+         "gold": ["conservationStatus", "binomial"]},
+        {"id": "ct1", "task": "column-type", "table": "reg.csv", "headers": True,
+         "gold": ["author", "vehicleIdentificationNumber"]},
+        {"id": "j0", "task": "join", "left": "ev.csv", "right": "reg.csv", "headers": True,
+         "gold": [["VIN_prefix", "vehicle_id_number"]]},
+    ]
+    manifest = root / "mixed.jsonl"
+    manifest.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
+    return load_manifest(manifest)
+
+
+def test_benchmark_totals_sum_the_items(tmp_path, ontology):
+    examples = mixed_manifest(tmp_path)
+
+    def run(items):
+        return run_benchmark(
+            items, System.MODEL, ontology=ontology, backend=PromptKeyedBackend(), jobs=1
+        )
+
+    report, alone = run(examples), [run([example]) for example in examples]
+    assert report.items == len(examples)
+    for key in ("prompt_tokens", "completion_tokens"):
+        assert report.usage[key] == sum(r.usage[key] for r in alone) > 0
+    wall_time = sum(r.usage["wall_time"] for r in alone)
+    assert report.usage["wall_time"] == pytest.approx(wall_time)
+    assert report.throughput == pytest.approx(len(examples) / wall_time)
+    assert report.total_cost == pytest.approx(sum(r.total_cost for r in alone))
+    assert report.total_cost == pytest.approx(
+        PromptKeyedBackend.PRICES.cost(
+            report.usage["prompt_tokens"], report.usage["completion_tokens"]
+        )
+    )
+    assert [o.attempts for o in report.per_item] == [r.per_item[0].attempts for r in alone]
+
+
+def test_thread_pool_report_equals_sequential_report(tmp_path, ontology):
+    examples = mixed_manifest(tmp_path)
+
+    def run(jobs):
+        backend = PromptKeyedBackend(delay=0.005)
+        return run_benchmark(
+            examples, System.MODEL, ontology=ontology, backend=backend, jobs=jobs
+        ).to_dict()
+
+    sequential, pooled = run(1), run(4)
+    assert pooled["config"].pop("jobs") == 4
+    assert sequential["config"].pop("jobs") == 1
+    assert pooled == sequential
+    assert [o["id"] for o in pooled["per_item"]] == [ex.id for ex in examples]
+    assert len({o["attempts"] for o in pooled["per_item"]}) > 1
+    assert any(o["anchored"] for o in pooled["per_item"])
+    assert sum(o["error"] is not None for o in pooled["per_item"]) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.permutations(range(8)))
+def test_report_is_invariant_under_item_order(tmp_path_factory, ontology, order):
+    examples = mixed_manifest(tmp_path_factory.mktemp("order"))
+    assert len(examples) == len(order)
+
+    def run(items):
+        return run_benchmark(
+            items, System.MODEL, ontology=ontology, backend=PromptKeyedBackend(), jobs=1
+        ).to_dict()
+
+    base, permuted = run(examples), run([examples[i] for i in order])
+    assert permuted["per_item"] == [base["per_item"][i] for i in order]
+    for name, value in base["metrics"].items():
+        assert permuted["metrics"][name] == pytest.approx(value, abs=1e-12)
+    assert permuted["by_task"].keys() == base["by_task"].keys()
+    for task, group in base["by_task"].items():
+        for name, value in group.items():
+            assert permuted["by_task"][task][name] == pytest.approx(value, abs=1e-12)
+    for key in ("prompt_tokens", "completion_tokens"):
+        assert permuted["usage"][key] == base["usage"][key]
+    assert permuted["total_cost"] == pytest.approx(base["total_cost"], abs=1e-12)
