@@ -274,24 +274,28 @@ def label_similarity(a: str, b: str) -> float:
     return 1.0 - edit_distance(ta, tb) / denom
 
 
+def nearest_name(names: Iterable[str], label: str) -> tuple[str, float]:
+    """Best-scoring name under :func:`label_similarity` and its score.
+
+    Ties break toward the lexicographically smallest name.  Raises
+    :class:`ValueError` when ``names`` is empty.
+    """
+    score, name = max(
+        ((label_similarity(label, name), name) for name in sorted(names)),
+        key=lambda scored: scored[0],
+    )
+    return name, score
+
+
 def nearest_term(
     ontology: Ontology, kind: TermKind, canonical: str
 ) -> tuple[OntologyTerm, float]:
-    """Best-scoring term of the requested kind under :func:`label_similarity`.
-
-    Ties break toward the lexicographically smallest local name.
-    """
-    candidates = ontology.terms(kind)
-    if not candidates:
+    """Term of the requested kind whose local name is :func:`nearest_name`."""
+    terms = {term.local_name: term for term in ontology.terms(kind)}
+    if not terms:
         raise EmptyOntologyKind(f"ontology has no {kind.value} terms")
-    best: OntologyTerm | None = None
-    best_score = -1.0
-    for term in sorted(candidates, key=lambda t: t.local_name):
-        s = label_similarity(canonical, term.local_name)
-        if s > best_score:
-            best, best_score = term, s
-    assert best is not None
-    return best, best_score
+    name, score = nearest_name(terms, canonical)
+    return terms[name], score
 
 
 @dataclass(frozen=True)

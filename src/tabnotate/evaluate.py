@@ -491,7 +491,7 @@ def _predict(
         if system is System.LEVENSHTEIN:
             return levenshtein_join(left, right).pairs, False
         run = run_join_task_detailed(left, right, backend, config)
-        return run.prediction.pairs, run.attempts > 1
+        return run.prediction.pairs, run.anchored
     table = _read_table(example.table, example.id, example.headers)
     if example.task is Task.TABLE_CLASS:
         result, _, _ = run_table_class_task(table, ontology, backend, config)

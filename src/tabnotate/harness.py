@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .backend import (
     Backend,
@@ -25,6 +25,7 @@ from .backend import (
     user,
 )
 from .core import (
+    DEFAULT_NAMESPACE_PREFIXES,
     EmptyLabel,
     MissingHeaders,
     Ontology,
@@ -32,6 +33,7 @@ from .core import (
     Table,
     TermKind,
     lookup,
+    nearest_name,
     nearest_term,
     normalize_label,
 )
@@ -144,17 +146,18 @@ class JoinTaskRun:
     conversation: Conversation
     usage: Usage
     attempts: int
+    anchored: bool
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Settings shared by the task runners.
 
-    The table-class and column-type tasks make at most one clarification
-    re-ask and one canonical repair pass: with anchoring on, a repaired
-    answer replaces the whole assistant turn, so prose around a repaired
-    label is not kept.  ``max_anchor_attempts`` bounds only the join
-    task's violation re-asks.
+    Every task makes at most one clarification re-ask and one canonical
+    repair pass: with anchoring on, a repaired answer replaces the whole
+    assistant turn, so prose around a repaired label is not kept.
+    ``max_anchor_attempts`` is deprecated and has no effect; it is still
+    validated so that existing configurations keep working.
     """
 
     anchoring_enabled: bool = True
@@ -173,14 +176,30 @@ DEFAULT_PIPELINE_CONFIG = PipelineConfig()
 
 LABEL_CLARIFICATION = "Answer with only the label."
 LIST_CLARIFICATION = "Answer with only the comma-separated list of labels, one per column."
+JOIN_CLARIFICATION = f"Answer with only the code. {JOIN_PREFIX}"
 
-_IRI_TOKEN_RE = re.compile(r"https://dbpedia\.org/ontology/[^\s`'\"()\[\]{}<>,;]+")
 _BACKTICK_RE = re.compile(r"`([^`]+)`")
 
 
-def parse_table_class(response: str) -> str:
-    """First ontology IRI in the response, else the first backticked token."""
-    match = _IRI_TOKEN_RE.search(response)
+def _term_token_re(prefixes: Mapping[str, str]) -> re.Pattern[str]:
+    """A namespaced token: an IRI stem (as ``http`` or ``https``) or a short
+    prefix, followed by a local name."""
+    stems = []
+    for short, iri_prefix in prefixes.items():
+        stems.append(re.sub(r"^https?://", "https?://", re.escape(iri_prefix)))
+        stems.append(re.escape(short))
+    return re.compile(f"(?:{'|'.join(stems) or '(?!)'})" + r"[^\s`'\"()\[\]{}<>,;]+")
+
+
+def parse_table_class(
+    response: str, prefixes: Mapping[str, str] = DEFAULT_NAMESPACE_PREFIXES
+) -> str:
+    """First namespaced term in the response, else the first backticked token.
+
+    A namespaced term starts with one of ``prefixes``: the IRI stem, in its
+    ``http`` or ``https`` form, or the short prefix such as ``dbo:``.
+    """
+    match = _term_token_re(prefixes).search(response)
     if match:
         return match.group(0)
     for match in _BACKTICK_RE.finditer(response):
@@ -425,41 +444,12 @@ def render_term(term: OntologyTerm | UnknownType, ontology: Ontology) -> str:
     return term.local_name
 
 
-def _complete_into(
-    conversation: Conversation,
-    backend: Backend,
-    params: GenerationParams,
-) -> tuple[str, Usage]:
-    text, usage = backend.complete(conversation, params)
-    # An empty completion still occupies an assistant turn; a lone space
-    # keeps the turn invariant and parses as unparsable output downstream.
-    conversation.append(assistant(text if text else " "))
-    return text, usage
-
-
-def _splice_retry(
-    conversation: Conversation,
-    clarification: str,
-    backend: Backend,
-    params: GenerationParams,
-) -> tuple[Conversation, str, Usage]:
-    """Ask once more on a side branch and graft the answer over the bad turn."""
-    retry = Conversation(conversation.turns)
-    retry.append(user(clarification))
-    text, usage = backend.complete(retry, params)
-    return anchor(conversation, text if text else " "), text, usage
-
-
-def _parse_labels(
-    text: str, arity: int | None, pad: bool
-) -> tuple[tuple[str, ...], bool]:
+def _parse_type_list(text: str, arity: int, pad: bool) -> tuple[tuple[str, ...], bool]:
     """Labels in ``text`` and whether their count had to be fixed.
 
-    ``arity`` is ``None`` for a single table class.  With ``pad`` set, a
-    list of the wrong length is padded with Unknown or truncated.
+    With ``pad`` set, a list of the wrong length is padded with Unknown or
+    truncated.
     """
-    if arity is None:
-        return (parse_table_class(text),), False
     try:
         return parse_column_types(text, arity), False
     except ParseError as exc:
@@ -468,64 +458,75 @@ def _parse_labels(
         return exc.items[:arity] + ("Unknown",) * (arity - len(exc.items)), True
 
 
-def _run_label_task(
-    table: Table,
-    prompt: str,
-    kind: TermKind,
-    arity: int | None,
-    clarification: str,
-    ontology: Ontology,
-    backend: Backend,
-    config: PipelineConfig,
-    conversation: Conversation | None,
-) -> tuple[ColumnTypeResult, Conversation, Usage]:
-    """Ask, parse, repair: the one loop behind the table-class and
-    column-type tasks.
-
-    An unparsable answer gets one clarification re-ask spliced over the
-    bad turn.  Every infeasible label is then replaced by its nearest term
-    in one pass and, with anchoring on, the final assistant turn is
-    rewritten once in canonical form.  A single class comes back as the
-    one assignment of the result.
-    """
-    conv = conversation if conversation is not None else Conversation()
-    conv.append(user(prompt))
-    raw_response, total = _complete_into(conv, backend, config.params)
-    attempts = 1
-    while True:
-        try:
-            labels, padded = _parse_labels(conv.last.text, arity, config.anchoring_enabled)
-            break
-        except ParseError as exc:
-            if not config.anchoring_enabled or attempts > 1:
-                task, wanted = (
-                    ("table-class", "parsable table class")
-                    if arity is None
-                    else ("column-type", "usable column-type list")
-                )
-                raise TaskFailed(
-                    task,
-                    exc.violation,
-                    f"no {wanted} for {table.name!r} after {attempts} attempts",
-                ) from exc
-            conv, raw_response, usage = _splice_retry(
-                conv, clarification, backend, config.params
-            )
-            total += usage
-            attempts += 1
-
+def _nearest_terms(
+    labels: Sequence[str], kind: TermKind, ontology: Ontology
+) -> tuple[tuple[OntologyTerm | UnknownType, ...], bool]:
+    """Each label's exact term, or its nearest term when it has none, and
+    whether any label was infeasible."""
     exact = [_resolve(label, kind, ontology) for label in labels]
-    assignments = tuple(
+    terms = tuple(
         nearest_term(ontology, kind, _canonical(label, ontology))[0] if term is None else term
         for label, term in zip(labels, exact)
     )
+    return terms, None in exact
+
+
+_Parsed = TypeVar("_Parsed")
+_Value = TypeVar("_Value")
+
+
+def _ask_parse_repair(
+    prompt: str,
+    clarification: str,
+    parse: Callable[[str], tuple[_Parsed, bool]],
+    repair: Callable[[_Parsed], tuple[_Value, bool]],
+    render: Callable[[_Value], str],
+    failure: tuple[str, str],
+    backend: Backend,
+    config: PipelineConfig,
+    conversation: Conversation | None = None,
+) -> tuple[_Value, str, bool, int, Conversation, Usage]:
+    """Ask, parse, repair: the one loop behind all three tasks.
+
+    ``parse`` reads an answer and says whether it had to fix its shape;
+    ``repair`` makes every item feasible in one pass and says whether any
+    was not; ``render`` writes a value in canonical form.  An unparsable
+    answer gets one clarification re-ask spliced over the bad turn.  With
+    anchoring on, a fixed or repaired answer then rewrites the final
+    assistant turn once.  ``failure`` is the task and what it lacked when
+    no answer parses.  Returns the value, the raw response, whether it was
+    anchored, the call count, the conversation and the usage.
+    """
+    conv = conversation if conversation is not None else Conversation()
+    conv.append(user(prompt))
+    raw_response, total = backend.complete(conv, config.params)
+    # An empty completion still occupies an assistant turn; a lone space
+    # keeps the turn invariant and parses as unparsable output.
+    conv.append(assistant(raw_response or " "))
+    attempts = 1
+    while True:
+        try:
+            parsed, fixed = parse(conv.last.text)
+            break
+        except ParseError as exc:
+            if not config.anchoring_enabled or attempts > 1:
+                task, wanted = failure
+                raise TaskFailed(
+                    task, exc.violation, f"no {wanted} after {attempts} attempts"
+                ) from exc
+            retry = Conversation(conv.turns)
+            retry.append(user(clarification))
+            raw_response, usage = backend.complete(retry, config.params)
+            conv = anchor(conv, raw_response or " ")
+            total += usage
+            attempts += 1
+
+    value, repaired = repair(parsed)
     anchored = attempts > 1
-    if config.anchoring_enabled and (padded or None in exact):
-        rendered = [render_term(term, ontology) for term in assignments]
-        text = rendered[0] if arity is None else "`" + ", ".join(rendered) + "`"
-        conv = anchor(conv, text)
+    if config.anchoring_enabled and (fixed or repaired):
+        conv = anchor(conv, render(value))
         anchored = True
-    return ColumnTypeResult(assignments, raw_response, anchored, attempts), conv, total
+    return value, raw_response, anchored, attempts, conv, total
 
 
 def run_table_class_task(
@@ -537,12 +538,15 @@ def run_table_class_task(
 ) -> tuple[TableClassResult, Conversation, Usage]:
     """Ask for the table's ontology class, mitigating infeasible answers."""
     prompt = assemble(table_class_prompt(table, config.allowed_classes, config.prompt_config))
-    run, conv, usage = _run_label_task(
-        table, prompt, TermKind.CLASS, None, LABEL_CLARIFICATION,
-        ontology, backend, config, conversation,
+    terms, raw, anchored, attempts, conv, usage = _ask_parse_repair(
+        prompt, LABEL_CLARIFICATION,
+        parse=lambda text: ((parse_table_class(text, ontology.namespace_prefixes),), False),
+        repair=lambda labels: _nearest_terms(labels, TermKind.CLASS, ontology),
+        render=lambda terms: render_term(terms[0], ontology),
+        failure=("table-class", f"parsable table class for {table.name!r}"),
+        backend=backend, config=config, conversation=conversation,
     )
-    (term,) = run.assignments
-    return TableClassResult(term, run.raw_response, run.anchored, run.attempts), conv, usage
+    return TableClassResult(terms[0], raw, anchored, attempts), conv, usage
 
 
 def run_column_type_task(
@@ -554,10 +558,15 @@ def run_column_type_task(
 ) -> tuple[ColumnTypeResult, Conversation, Usage]:
     """Ask for one property per column, mitigating infeasible answers."""
     prompt = assemble(column_type_prompt(table, config.prompt_config))
-    return _run_label_task(
-        table, prompt, TermKind.PROPERTY, table.arity, LIST_CLARIFICATION,
-        ontology, backend, config, conversation,
+    terms, raw, anchored, attempts, conv, usage = _ask_parse_repair(
+        prompt, LIST_CLARIFICATION,
+        parse=lambda text: _parse_type_list(text, table.arity, config.anchoring_enabled),
+        repair=lambda labels: _nearest_terms(labels, TermKind.PROPERTY, ontology),
+        render=lambda terms: "`" + ", ".join(render_term(t, ontology) for t in terms) + "`",
+        failure=("column-type", f"usable column-type list for {table.name!r}"),
+        backend=backend, config=config, conversation=conversation,
     )
+    return ColumnTypeResult(terms, raw, anchored, attempts), conv, usage
 
 
 def run_table_pipeline(
@@ -578,25 +587,14 @@ def run_table_pipeline(
     return class_result, column_result, usage_class + usage_columns
 
 
-def _describe_join_violation(
-    violation: Violation, left: Table, right: Table
-) -> str:
-    if violation.kind is ViolationKind.NONEXISTENT_COLUMN:
-        name = violation.offending_text
-        in_left = left.headers is not None and name in left.headers
-        in_right = right.headers is not None and name in right.headers
-        if not in_left and not in_right:
-            where = "either dataframe"
-        elif not in_left:
-            where = "df1"
-        else:
-            where = "df2"
-        issue = f"The column {name!r} does not exist in {where}."
-    elif violation.kind is ViolationKind.ARITY_MISMATCH:
-        issue = "left_on and right_on must list the same number of columns."
-    else:
-        issue = "That answer could not be parsed."
-    return f"{issue} {JOIN_PREFIX}"
+def _render_join(prediction: JoinPrediction) -> str:
+    """Canonical completion of ``pd.merge(df1, df2, left_on=`` for a prediction."""
+
+    def names(cols: tuple[str, ...]) -> str:
+        quoted = [f'"{name}"' if "'" in name else f"'{name}'" for name in cols]
+        return quoted[0] if len(quoted) == 1 else "[" + ", ".join(quoted) + "]"
+
+    return f"{names(prediction.left_cols)}, right_on={names(prediction.right_cols)})"
 
 
 def run_join_task_detailed(
@@ -606,42 +604,37 @@ def run_join_task_detailed(
     config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
     context_notes: str | None = None,
 ) -> JoinTaskRun:
-    """Join prediction with violation-driven re-asks and full run details."""
+    """Ask for the join columns, mitigating infeasible answers.
+
+    With anchoring on, ``left_on`` and ``right_on`` lists of different
+    lengths are truncated to the shorter one; with it off they fail the
+    task.  A name missing from its side's headers becomes that side's
+    nearest header.  An unparsable reply gets one spliced re-ask.
+    """
     if left.headers is None or right.headers is None:
         raise MissingHeaders("join prediction requires headers on both tables")
-    components = join_prompt(
-        left,
-        right,
-        config.prompt_config,
-        context_notes if config.context_flow else None,
-    )
-    conv = Conversation()
-    conv.append(user(assemble(components)))
+    notes = context_notes if config.context_flow else None
+    prompt = assemble(join_prompt(left, right, config.prompt_config, notes))
 
-    total = Usage()
-    attempts = 0
-    last_violation: Violation | None = None
-    for round_index in range(config.max_anchor_attempts + 1):
-        _, usage = _complete_into(conv, backend, config.params)
-        total += usage
-        attempts += 1
-        current = conv.last.text
-        try:
-            left_names, right_names = parse_join_completion(current)
-            violation = check_join(left_names, right_names, left, right)
-        except ParseError as exc:
-            violation = exc.violation
-        if violation is None:
-            prediction = JoinPrediction(tuple(left_names), tuple(right_names))
-            return JoinTaskRun(prediction, conv, total, attempts)
-        last_violation = violation
-        if not config.anchoring_enabled or round_index >= config.max_anchor_attempts:
-            break
-        conv.append(user(_describe_join_violation(violation, left, right)))
+    def parse(text: str) -> tuple[tuple[list[str], list[str]], bool]:
+        left_names, right_names = parse_join_completion(text)
+        n = min(len(left_names), len(right_names))
+        if n == max(len(left_names), len(right_names)):
+            return (left_names, right_names), False
+        if not config.anchoring_enabled:
+            raise ParseError(check_join(left_names, right_names, left, right))
+        return (left_names[:n], right_names[:n]), True
 
-    raise TaskFailed(
-        "join",
-        last_violation,
-        f"no feasible join between {left.name!r} and {right.name!r} "
-        f"after {attempts} attempts",
+    def repair(names: tuple[list[str], list[str]]) -> tuple[JoinPrediction, bool]:
+        left_cols, right_cols = (
+            tuple(name if name in side else nearest_name(side, name)[0] for name in side_names)
+            for side_names, side in zip(names, (left.headers, right.headers))
+        )
+        return JoinPrediction(left_cols, right_cols), check_join(*names, left, right) is not None
+
+    prediction, _, anchored, attempts, conv, usage = _ask_parse_repair(
+        prompt, JOIN_CLARIFICATION, parse=parse, repair=repair, render=_render_join,
+        failure=("join", f"usable join between {left.name!r} and {right.name!r}"),
+        backend=backend, config=config,
     )
+    return JoinTaskRun(prediction, conv, usage, attempts, anchored)

@@ -179,7 +179,8 @@ def _fit(build: Callable[..., PromptComponents], samples: list[list[str]]) -> Pr
     row count n >= 1, found by bisection since the prompt never shrinks as
     n grows; if n = 1 is too long, the lines of the rows are capped,
     halving the cap until it fits.  Headers are not in the bodies, so they
-    are never cut.  Best effort: a budget below the fixed parts is not met.
+    are never cut: a table whose header rows alone exceed ``CHAR_BUDGET``
+    goes over it, as does any budget below the fixed parts.
     """
 
     def bodies(n: int) -> list[str]:

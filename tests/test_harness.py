@@ -15,7 +15,17 @@ from tabnotate.backend import (
     assistant,
     user,
 )
-from tabnotate.core import EmptyLabel, MissingHeaders, Table, TermKind, lookup, normalize_label
+from tabnotate.core import (
+    EmptyLabel,
+    MissingHeaders,
+    OntologyFormat,
+    Table,
+    TermKind,
+    load_ontology,
+    lookup,
+    normalize_label,
+    tokenize_label,
+)
 from tabnotate.harness import (
     UNKNOWN,
     InvalidState,
@@ -38,9 +48,10 @@ from tabnotate.harness import (
     run_table_class_task,
     run_table_pipeline,
 )
+from tabnotate.prompt import JOIN_PREFIX
 
-from fixture_data import PROPERTY_LIST, TABLE_CLASS_LIST
-from reference import nearest_label_ref
+from fixture_data import ONTOLOGY_TEXT, PROPERTY_LIST, TABLE_CLASS_LIST
+from reference import nearest_label_ref, tokenize_ref
 
 
 def violation_kind(callable_, *args, **kwargs) -> ViolationKind:
@@ -73,6 +84,22 @@ def test_parse_table_class_ignores_bare_prefix_echo():
 def test_parse_table_class_strips_iri_from_sentence():
     response = "The answer is https://dbpedia.org/ontology/Airport."
     assert parse_table_class(response) == "https://dbpedia.org/ontology/Airport."
+
+
+def test_parse_table_class_reads_every_namespace_spelling(ev_table):
+    ontology = load_ontology(
+        ONTOLOGY_TEXT + "C\thttps://dbpedia.org/ontology/Person\n",
+        OntologyFormat.TAB_SEPARATED_KIND_IRI,
+    )
+    for response in ("http://dbpedia.org/ontology/Person", "I think dbo:Person fits."):
+        backend = ScriptedBackend([response])
+        result, conv, _ = run_table_class_task(ev_table, ontology, backend)
+        assert result.term.local_name == "Person"
+        assert result.attempts == 1 and result.anchored is False
+        assert conv.last.text == response
+    prefixes = {"ex:": "https://example.org/onto/"}
+    assert parse_table_class("I think ex:Person fits.", prefixes) == "ex:Person"
+    assert parse_table_class("Not dbo:City but `Town`.", prefixes) == "Town"
 
 
 def test_parse_column_types_backtick_list():
@@ -455,8 +482,8 @@ def test_arity_mismatch_without_anchoring_fails(animals_table, ontology):
 
 
 def test_attempt_budget_falls_back_to_nearest(animals_table, ontology):
-    # Both items unknown and max_anchor_attempts=1: that budget bounds only
-    # join re-asks, so one repair pass still yields in-ontology terms.
+    # Both items unknown and max_anchor_attempts=1: that setting has no
+    # effect, so one repair pass still yields in-ontology terms.
     backend = ScriptedBackend(["`dbo:iucnStatus, dbo:binomialName`"])
     config = PipelineConfig(max_anchor_attempts=1)
     result, conv, _ = run_column_type_task(animals_table, ontology, backend, config)
@@ -697,19 +724,42 @@ def test_join_task_paper_example(ev_table, registration_table, ontology):
     assert prediction.right_cols == ("vehicle_id_number",)
 
 
-def test_join_task_retry_after_missing_column(ev_table, registration_table):
-    backend = ScriptedBackend(
-        [
-            "'VIN_prefix', right_on='zipcode')",
-            "'VIN_prefix', right_on='vehicle_id_number')",
-        ]
-    )
+def test_join_task_anchors_missing_column(ev_table, registration_table):
+    nearest = nearest_label_ref(list(registration_table.headers), "zipcode")[0]
+    assert nearest == "vehicle_id_number"
+    backend = ScriptedBackend(["'VIN_prefix', right_on='zipcode')"])
     run = run_join_task_detailed(ev_table, registration_table, backend)
-    assert run.attempts == 2
-    assert run.prediction.right_cols == ("vehicle_id_number",)
-    retry_turn = run.conversation.turns[-2]
-    assert retry_turn.role is Role.USER
-    assert "zipcode" in retry_turn.text and "df2" in retry_turn.text
+    assert run.attempts == 1 and run.anchored is True
+    assert run.prediction.pairs == (("VIN_prefix", nearest),)
+    assert len(run.conversation) == 2
+    assert run.conversation.last.text == "'VIN_prefix', right_on='vehicle_id_number')"
+
+
+def test_join_arity_mismatch_truncated(ev_table, registration_table):
+    backend = ScriptedBackend(["['VIN_prefix', 'ZIP'], right_on=['vehicle_id_number'])"])
+    run = run_join_task_detailed(ev_table, registration_table, backend)
+    assert run.attempts == 1 and run.anchored is True
+    assert run.prediction.pairs == (("VIN_prefix", "vehicle_id_number"),)
+    assert run.conversation.last.text == "'VIN_prefix', right_on='vehicle_id_number')"
+
+
+def test_join_unparsable_reask_is_spliced(ev_table, registration_table):
+    answers = ["Join them on the VIN.", "['VIN_prefix'], right_on=['vehicle_id_number'])"]
+    scripted = ScriptedBackend(answers)
+    asked = []
+
+    class Recorder:
+        def complete(self, conversation, params):
+            asked.append(conversation.last.text)
+            return scripted.complete(conversation, params)
+
+    run = run_join_task_detailed(ev_table, registration_table, Recorder())
+    assert run.attempts == 2 and run.anchored is True
+    assert asked[1].endswith(JOIN_PREFIX)
+    assert run.prediction.pairs == (("VIN_prefix", "vehicle_id_number"),)
+    # The clarification exchange is spliced over the bad turn: two turns total.
+    assert len(run.conversation) == 2
+    assert run.conversation.last.text == answers[1]
 
 
 def test_join_task_headers_required(ev_table):
@@ -721,12 +771,29 @@ def test_join_task_headers_required(ev_table):
 
 
 def test_join_task_fails_after_budget(ev_table, registration_table):
-    backend = ScriptedBackend(["'nope', right_on='nothing')"] * 4)
-    config = PipelineConfig(max_anchor_attempts=3)
+    backend = ScriptedBackend(["no idea", "'nope', right_on=", "unused"])
+    with pytest.raises(TaskFailed) as excinfo:
+        run_join_task_detailed(ev_table, registration_table, backend)
+    assert excinfo.value.violation.kind is ViolationKind.UNPARSABLE_OUTPUT
+    assert backend.remaining == 1  # exactly 2 calls
+    # A nonexistent column is repaired, not a failure.
+    backend = ScriptedBackend(["'nope', right_on='nothing')"])
+    run = run_join_task_detailed(ev_table, registration_table, backend)
+    assert run.attempts == 1 and run.anchored is True
+
+
+def test_join_without_anchoring(ev_table, registration_table):
+    config = PipelineConfig(anchoring_enabled=False)
+    answer = "'VIN_prefix', right_on='zipcode')"
+    run = run_join_task_detailed(ev_table, registration_table, ScriptedBackend([answer]), config)
+    assert run.prediction.pairs == (("VIN_prefix", "vehicle_id_number"),)
+    assert run.anchored is False
+    assert len(run.conversation) == 2 and run.conversation.last.text == answer
+    backend = ScriptedBackend(["['VIN_prefix', 'ZIP'], right_on=['vehicle_id_number'])", "unused"])
     with pytest.raises(TaskFailed) as excinfo:
         run_join_task_detailed(ev_table, registration_table, backend, config)
-    assert excinfo.value.violation.kind is ViolationKind.NONEXISTENT_COLUMN
-    assert backend.remaining == 0
+    assert excinfo.value.violation.kind is ViolationKind.ARITY_MISMATCH
+    assert backend.remaining == 1
 
 
 def test_join_task_context_notes(ev_table, registration_table):
@@ -751,3 +818,122 @@ def test_join_prediction_invariants():
         JoinPrediction((), ())
     with pytest.raises(ValueError):
         JoinPrediction(("a",), ("b", "c"))
+
+
+# -------------------------------------------- join repair against the oracle
+
+_NAME = st.from_regex(r"[A-Za-z0-9_]{1,10}", fullmatch=True)
+_HEADERS = st.lists(_NAME, min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def _join_name(draw, headers: list[str]) -> str:
+    name = draw(st.sampled_from(headers))
+    index = draw(st.integers(0, len(name) - 1))
+    return draw(
+        st.one_of(
+            st.just(name),
+            st.just(f"{name[:index]}x{name[index:]}"),
+            st.just(name[:index] + name[index + 1:]).filter(bool),
+            _NAME,
+        )
+    )
+
+
+@st.composite
+def _join_answer(draw, left_headers: list[str], right_headers: list[str]) -> str:
+    def names(headers: list[str]) -> str:
+        chosen = draw(st.lists(_join_name(headers), min_size=1, max_size=3))
+        quoted = [f"'{name}'" for name in chosen]
+        if len(quoted) == 1 and draw(st.booleans()):
+            return quoted[0]
+        return "[" + ", ".join(quoted) + "]"
+
+    shape = draw(
+        st.sampled_from(
+            ["{}, right_on={})", "pd.merge(df1, df2, left_on={}, right_on={})", "{}, right_on={}"]
+        )
+    )
+    return shape.format(names(left_headers), names(right_headers))
+
+
+def _oracle_header(name: str, headers: list[str]) -> str | None:
+    """Expected header; ``None`` accepts any header (the tokenizers differ)."""
+    if name in headers:
+        return name
+    if any(tokenize_label(n) != tokenize_ref(n) for n in (name, *headers)):
+        return None
+    return nearest_label_ref(headers, name)[0]
+
+
+def _join_oracle(responses, left_headers, right_headers, anchoring: bool):
+    """Expected (left, right) names, or ``None`` when the task must fail."""
+    for response in responses[: 2 if anchoring else 1]:
+        try:
+            left_names, right_names = parse_join_completion(response)
+        except ParseError:
+            continue
+        if len(left_names) != len(right_names) and not anchoring:
+            return None
+        n = min(len(left_names), len(right_names))
+        return (
+            [_oracle_header(name, left_headers) for name in left_names[:n]],
+            [_oracle_header(name, right_headers) for name in right_names[:n]],
+        )
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), left_headers=_HEADERS, right_headers=_HEADERS, anchoring=st.booleans())
+def test_join_repair_matches_oracle(data, left_headers, right_headers, anchoring):
+    left = Table("left", left_headers, (tuple("v" for _ in left_headers),))
+    right = Table("right", right_headers, (tuple("w" for _ in right_headers),))
+    answer = st.one_of(
+        _join_answer(left_headers, right_headers),
+        st.sampled_from(["", "no idea", "'a', right_on=", "[]", "on="]),
+    )
+    responses = data.draw(st.lists(answer, min_size=2, max_size=2))
+    expected = _join_oracle(responses, left_headers, right_headers, anchoring)
+    config = PipelineConfig(anchoring_enabled=anchoring)
+    backend = ScriptedBackend(list(responses))
+    if expected is None:
+        with pytest.raises(TaskFailed):
+            run_join_task_detailed(left, right, backend, config)
+        return
+    run = run_join_task_detailed(left, right, backend, config)
+    predicted = (run.prediction.left_cols, run.prediction.right_cols)
+    for names, wanted, headers in zip(predicted, expected, (left_headers, right_headers)):
+        assert len(names) == len(wanted)
+        for name, want in zip(names, wanted):
+            assert name == want if want is not None else name in headers
+    if not anchoring:
+        assert len(run.conversation) == 2
+        assert run.conversation.last.text == (responses[0] or " ")
+        return
+    for turn in run.conversation.turns:
+        if turn.role is Role.ASSISTANT:
+            assert check_join(*parse_join_completion(turn.text), left, right) is None
+    # Anchoring is idempotent: the anchored turn, asked again, needs no repair.
+    final = run.conversation.last.text
+    again = run_join_task_detailed(left, right, ScriptedBackend([final]), config)
+    assert again.prediction == run.prediction
+    assert again.anchored is False and again.conversation.last.text == final
+
+
+# ------------------------------------------------------- parser totality
+
+_SYNTAX = ["'", '"', "[", "]", ",", " ", "\n", ")", "`", "```", "left_on=", "right_on=",
+           "on=", "a", "B_1", "dbo:", "http://dbpedia.org/ontology/", "Unknown"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(st.text(), st.lists(st.sampled_from(_SYNTAX), max_size=24).map("".join)),
+    n=st.integers(1, 6),
+)
+def test_parsers_raise_only_parse_error(text, n):
+    for parse in (parse_table_class, lambda t: parse_column_types(t, n), parse_join_completion):
+        try:
+            parse(text)
+        except ParseError:
+            pass
