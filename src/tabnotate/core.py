@@ -1,7 +1,9 @@
 """Tabular data model, ontology vocabulary, row sampling, and label matching.
 
 Everything in this module is immutable after construction and side-effect
-free, so values can be shared freely across worker threads.
+free, so values can be shared freely across worker threads.  The one
+exception is derived: :func:`nearest_term` caches its name index and its
+results on the :class:`Ontology` it searches, which changes no answer.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping
 
 DBPEDIA_ONTOLOGY_IRI = "https://dbpedia.org/ontology/"
@@ -79,7 +82,9 @@ class Ontology:
     """Reference vocabulary of table classes and column properties.
 
     ``classes`` and ``properties`` map case-folded local names to terms;
-    collisions within a kind are rejected at construction.
+    collisions within a kind are rejected at construction.  The fields never
+    change; :func:`nearest_term` fills a derived cache that lives and dies
+    with the instance.
     """
 
     classes: Mapping[str, OntologyTerm] = field(default_factory=dict)
@@ -117,6 +122,14 @@ class Ontology:
             DEFAULT_NAMESPACE_PREFIXES if namespace_prefixes is None else namespace_prefixes
         )
         return cls(classes=classes, properties=properties, namespace_prefixes=prefixes)
+
+    @cached_property
+    def _derived(
+        self,
+    ) -> dict[TermKind, tuple[list[tuple[str, str]], dict[str, tuple[OntologyTerm, float]]]]:
+        """Per kind, the ``(local_name, tokenized)`` index in name order and
+        the memo of :func:`nearest_term` results; empty until first use."""
+        return {}
 
     def terms(self, kind: TermKind) -> tuple[OntologyTerm, ...]:
         bucket = self.classes if kind is TermKind.CLASS else self.properties
@@ -228,35 +241,76 @@ def lookup(ontology: Ontology, kind: TermKind, canonical: str) -> OntologyTerm |
     return bucket.get(canonical.lower())
 
 
-_CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z0-9])|[A-Z]?[a-z0-9]+|[A-Z]+")
+_CASE_BOUNDARY_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+
+
+def _splits_before(text: str, i: int) -> bool:
+    """:data:`_CASE_BOUNDARY_RE` for any script, through ``str`` case tests."""
+    prev, char, nxt = text[i - 1], text[i], text[i + 1 : i + 2]
+    return char.isupper() and (
+        prev.islower() or prev.isdigit() or (prev.isupper() and nxt.islower())
+    )
 
 
 def tokenize_label(label: str) -> str:
-    """Lowercased, space-joined form of a label split on case and underscores."""
-    parts: list[str] = []
-    for chunk in re.split(r"[\s_]+", label):
-        parts.extend(_CAMEL_RE.findall(chunk))
-    return " ".join(part.lower() for part in parts)
+    """Lowercased words of a label, joined by single spaces.
+
+    Words split on whitespace and ``_``, before an upper-case letter that
+    follows a lower-case letter or a digit, and before the last capital of
+    an acronym that precedes a lower-case letter, so ``IUCNStatus`` gives
+    ``iucn status`` and ``ISO3166Code`` gives ``iso3166 code``.  Every
+    other character is kept.
+    """
+    text = label.replace("_", " ")
+    if text.isascii():
+        text = _CASE_BOUNDARY_RE.sub(" ", text)
+    else:
+        text = "".join(
+            " " + char if i and _splits_before(text, i) else char
+            for i, char in enumerate(text)
+        )
+    return " ".join(text.lower().split())
+
+
+def _char_masks(pattern: str) -> dict[str, int]:
+    """Bit ``i`` of ``masks[c]`` is set where ``pattern[i] == c``."""
+    masks: dict[str, int] = {}
+    for i, char in enumerate(pattern):
+        masks[char] = masks.get(char, 0) | 1 << i
+    return masks
+
+
+def _levenshtein(masks: dict[str, int], m: int, text: str) -> int:
+    """Edit distance between ``text`` and the length-``m`` pattern whose
+    :func:`_char_masks` are ``masks``.
+
+    Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's (2003) form: a
+    column of the dynamic program is held as its vertical +1/-1 deltas in
+    two ints, and the distance is tracked along the last row.
+    """
+    if not m:
+        return len(text)
+    full, last = (1 << m) - 1, 1 << (m - 1)
+    pv, mv, dist = full, 0, m
+    for char in text:
+        eq = masks.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = ph << 1 | 1
+        pv = (mh << 1 | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
 
 
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance with unit-cost insert, delete, and substitute."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[-1]
+    return _levenshtein(_char_masks(a), len(a), b)
 
 
 def label_similarity(a: str, b: str) -> float:
@@ -266,12 +320,31 @@ def label_similarity(a: str, b: str) -> float:
     ``IUCN_status`` are treated as equal.
     """
     ta, tb = tokenize_label(a), tokenize_label(b)
-    if ta == tb:
-        return 1.0
     denom = max(len(ta), len(tb))
-    if denom == 0:
-        return 1.0
-    return 1.0 - edit_distance(ta, tb) / denom
+    return 1.0 - edit_distance(ta, tb) / denom if denom else 1.0
+
+
+def _nearest(candidates: Iterable[tuple[str, str]], label: str) -> tuple[str, float]:
+    """:func:`nearest_name` over ``(name, tokenize_label(name))`` pairs that
+    come in sorted name order."""
+    query = tokenize_label(label)
+    masks, la = _char_masks(query), len(query)
+    best_name, best = None, -1.0
+    for name, tokens in candidates:
+        lb = len(tokens)
+        denom = max(la, lb) or 1
+        # The score at the least possible distance, |la - lb|, in the same
+        # float arithmetic: a candidate it cannot lift above ``best`` loses.
+        if 1.0 - abs(la - lb) / denom <= best:
+            continue
+        score = 1.0 - _levenshtein(masks, la, tokens) / denom
+        if score > best:
+            best_name, best = name, score
+            if best == 1.0:
+                break
+    if best_name is None:
+        raise ValueError("no names to match against")
+    return best_name, best
 
 
 def nearest_name(names: Iterable[str], label: str) -> tuple[str, float]:
@@ -280,22 +353,28 @@ def nearest_name(names: Iterable[str], label: str) -> tuple[str, float]:
     Ties break toward the lexicographically smallest name.  Raises
     :class:`ValueError` when ``names`` is empty.
     """
-    score, name = max(
-        ((label_similarity(label, name), name) for name in sorted(names)),
-        key=lambda scored: scored[0],
-    )
-    return name, score
+    return _nearest(((name, tokenize_label(name)) for name in sorted(names)), label)
 
 
 def nearest_term(
     ontology: Ontology, kind: TermKind, canonical: str
 ) -> tuple[OntologyTerm, float]:
-    """Term of the requested kind whose local name is :func:`nearest_name`."""
-    terms = {term.local_name: term for term in ontology.terms(kind)}
-    if not terms:
+    """Term of the requested kind whose local name is :func:`nearest_name`.
+
+    The kind's sorted, tokenized names are indexed on the ontology at the
+    first call, and every result is memoized there.
+    """
+    derived = ontology._derived
+    if kind not in derived:
+        names = sorted(term.local_name for term in ontology.terms(kind))
+        derived[kind] = ([(name, tokenize_label(name)) for name in names], {})
+    index, memo = derived[kind]
+    if not index:
         raise EmptyOntologyKind(f"ontology has no {kind.value} terms")
-    name, score = nearest_name(terms, canonical)
-    return terms[name], score
+    if canonical not in memo:
+        name, score = _nearest(index, canonical)
+        memo[canonical] = (lookup(ontology, kind, name), score)
+    return memo[canonical]
 
 
 @dataclass(frozen=True)

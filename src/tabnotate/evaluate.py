@@ -23,7 +23,7 @@ from .backend import (
     ScriptedBackend,
     Usage,
 )
-from .core import EmptyTable, MissingHeaders, Ontology, Table, edit_distance, read_csv
+from .core import EmptyTable, MissingHeaders, Ontology, Table, _char_masks, _levenshtein, read_csv
 from .harness import (
     DEFAULT_PIPELINE_CONFIG,
     JoinPrediction,
@@ -127,10 +127,9 @@ def weighted_metrics(stats: dict[str, ClassStats]) -> WeightedMetrics:
 
 def jaccard(x: set[str], y: set[str]) -> float:
     """|X ∩ Y| / |X ∪ Y|, defined as 0 when both sets are empty."""
-    union = x | y
-    if not union:
-        return 0.0
-    return len(x & y) / len(union)
+    inter = len(x & y)
+    union = len(x) + len(y) - inter
+    return inter / union if union else 0.0
 
 
 def _column_names(table: Table) -> list[str]:
@@ -143,10 +142,13 @@ def levenshtein_join(left: Table, right: Table) -> JoinPrediction:
     """Header pair with the smallest edit distance between lowercased names."""
     if left.headers is None or right.headers is None:
         raise MissingHeaders("the edit-distance baseline requires headers")
+    rights = [(r, r.lower()) for r in right.headers]
     best: tuple[int, str, str] | None = None
     for l in left.headers:
-        for r in right.headers:
-            key = (edit_distance(l.lower(), r.lower()), l, r)
+        pattern = l.lower()
+        masks = _char_masks(pattern)
+        for r, lowered in rights:
+            key = (_levenshtein(masks, len(pattern), lowered), l, r)
             if best is None or key < best:
                 best = key
     assert best is not None
@@ -162,12 +164,8 @@ def jaccard_join(left: Table, right: Table) -> JoinPrediction:
     if not left.rows or not right.rows:
         raise EmptyTable("the value-overlap baseline requires rows on both sides")
     left_names, right_names = _column_names(left), _column_names(right)
-    left_sets = [
-        {row[i] for row in left.rows if row[i]} for i in range(left.arity)
-    ]
-    right_sets = [
-        {row[j] for row in right.rows if row[j]} for j in range(right.arity)
-    ]
+    left_sets = [set(column) - {""} for column in zip(*left.rows)]
+    right_sets = [set(column) - {""} for column in zip(*right.rows)]
     best: tuple[float, str, str] | None = None
     for i, lname in enumerate(left_names):
         for j, rname in enumerate(right_names):

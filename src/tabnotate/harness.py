@@ -269,14 +269,21 @@ def _unparsable_join(text: str) -> ParseError:
     return ParseError(Violation(ViolationKind.UNPARSABLE_OUTPUT, text))
 
 
+_QUOTED_RES = {
+    quote: re.compile(quote + r"((?:\\[\\'\"]|\\(?![\\'\"])|[^\\" + quote + "])*)" + quote)
+    for quote in ("'", '"')
+}
+_ESCAPE_RE = re.compile(r"\\([\\'\"])")
+
+
 def _parse_quoted(cur: _Cursor) -> str:
-    quote = cur.peek()
-    end = cur.text.find(quote, cur.pos + 1)
-    if end < 0:
+    """A quoted name.  ``\\\\``, ``\\'`` and ``\\"`` are escapes; any other
+    backslash is literal."""
+    match = _QUOTED_RES[cur.peek()].match(cur.text, cur.pos)
+    if match is None:
         raise _unparsable_join(cur.rest())
-    name = cur.text[cur.pos + 1 : end]
-    cur.pos = end + 1
-    return name
+    cur.pos = match.end()
+    return _ESCAPE_RE.sub(r"\1", match.group(1))
 
 
 def _parse_name_list(cur: _Cursor) -> list[str]:
@@ -330,27 +337,38 @@ def parse_join_completion(response: str) -> tuple[list[str], list[str]]:
         raise _unparsable_join(response)
 
     left_match = _LEFT_ON_RE.search(text)
+    if text[0] in ("'", '"', "["):
+        # A bare completion; one of its names may itself hold ``left_on=``.
+        try:
+            return _parse_on_lists(text, 0)
+        except ParseError:
+            if left_match is None:
+                raise
     if left_match is not None:
-        cur = _Cursor(text, left_match.end())
-        left = _parse_name_list(cur)
-        right = _parse_right_names(cur)
-    elif text[0] in ("'", '"', "["):
-        cur = _Cursor(text, 0)
-        left = _parse_name_list(cur)
-        right = _parse_right_names(cur)
-    else:
-        lone = _LONE_ON_RE.search(text)
-        if lone is None:
-            raise _unparsable_join(text)
-        cur = _Cursor(text, lone.end())
-        left = _parse_name_list(cur)
-        right = list(left)
+        return _parse_on_lists(text, left_match.end())
+    lone = _LONE_ON_RE.search(text)
+    if lone is None:
+        raise _unparsable_join(text)
+    cur = _Cursor(text, lone.end())
+    left = _parse_name_list(cur)
+    _parse_end(cur)
+    return left, list(left)
+
+
+def _parse_on_lists(text: str, pos: int) -> tuple[list[str], list[str]]:
+    cur = _Cursor(text, pos)
+    left = _parse_name_list(cur)
+    right = _parse_right_names(cur)
+    _parse_end(cur)
+    return left, right
+
+
+def _parse_end(cur: _Cursor) -> None:
     trailing = cur.rest().strip().strip("`").strip()
     while trailing and trailing[0] in ").;":
         trailing = trailing[1:].lstrip()
     if trailing:
         raise _unparsable_join(trailing)
-    return left, right
 
 
 def _parse_right_names(cur: _Cursor) -> list[str]:
@@ -590,8 +608,12 @@ def run_table_pipeline(
 def _render_join(prediction: JoinPrediction) -> str:
     """Canonical completion of ``pd.merge(df1, df2, left_on=`` for a prediction."""
 
+    def quote(name: str) -> str:
+        mark = '"' if "'" in name else "'"
+        return mark + name.replace("\\", "\\\\").replace(mark, "\\" + mark) + mark
+
     def names(cols: tuple[str, ...]) -> str:
-        quoted = [f'"{name}"' if "'" in name else f"'{name}'" for name in cols]
+        quoted = [quote(name) for name in cols]
         return quoted[0] if len(quoted) == 1 else "[" + ", ".join(quoted) + "]"
 
     return f"{names(prediction.left_cols)}, right_on={names(prediction.right_cols)})"

@@ -4,8 +4,12 @@ import csv
 import io
 import random
 import string
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabnotate.core import (
     DuplicateTerm,
@@ -24,6 +28,7 @@ from tabnotate.core import (
     label_similarity,
     load_ontology,
     lookup,
+    nearest_name,
     nearest_term,
     normalize_label,
     read_csv,
@@ -239,6 +244,102 @@ def test_tokenizer_matches_reference():
              "ABCDef", "snake_case_name", "", "  spaced  out  "]
     for case in cases:
         assert tokenize_label(case) == tokenize_ref(case)
+
+
+def test_tokenizer_keeps_every_character_and_acronym_digits():
+    cases = {"ISO3166Code": "iso3166 code", "AB1": "ab1", "Zürich": "zürich",
+             "élan": "élan", "birth-date": "birth-date", "ÉtatCivil": "état civil",
+             "naïveÜber": "naïve über"}
+    for case, expected in cases.items():
+        assert tokenize_label(case) == tokenize_ref(case) == expected
+
+
+# Letters on both sides of every case rule, digits, separators, punctuation,
+# non-ASCII cases and a titlecase letter (neither upper nor lower).
+_CASE_SOUP = st.text(alphabet="aBcD1_ -.ÉéÜüΣσǅ\t")
+
+
+@settings(max_examples=500, deadline=None)
+@given(label=st.one_of(st.text(), _CASE_SOUP, st.text(alphabet=string.printable)))
+def test_tokenizer_equals_reference_on_any_text(label):
+    assert tokenize_label(label) == tokenize_ref(label)
+
+
+_LONG = st.text(alphabet="abé ", min_size=60, max_size=140)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(st.text(), _LONG), b=st.one_of(st.text(), _LONG))
+def test_edit_distance_equals_full_matrix_on_any_text(a, b):
+    # _LONG crosses the 64-bit word size; st.text() brings non-ASCII and "".
+    assert edit_distance(a, b) == levenshtein_ref(a, b)
+    assert label_similarity(a, b) == similarity_ref(a, b)
+
+
+# A small alphabet makes scores and tokenizations tie (``abC`` and ``ab_c``).
+_TIED = st.text(alphabet="abC_ ", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(_TIED, min_size=1, max_size=8), label=_TIED)
+def test_nearest_name_equals_reference(names, label):
+    assert nearest_name(names, label) == nearest_label_ref(names, label)
+
+
+def test_nearest_name_rejects_no_names():
+    with pytest.raises(ValueError):
+        nearest_name([], "x")
+
+
+_LOCAL_NAME = st.from_regex(r"[abC][abC_]{0,5}", fullmatch=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(names=st.lists(_LOCAL_NAME, min_size=1, max_size=8, unique_by=str.lower), label=_TIED)
+def test_nearest_term_is_exact_repeatable_and_per_ontology(names, label):
+    text = "".join(f"P\thttps://dbpedia.org/ontology/{name}\n" for name in names)
+    ontology = load_ontology(text, OntologyFormat.TAB_SEPARATED_KIND_IRI)
+    term, score = nearest_term(ontology, TermKind.PROPERTY, label)
+    assert (term.local_name, score) == nearest_label_ref(names, label)
+    assert lookup(ontology, TermKind.PROPERTY, term.local_name) is term
+    assert nearest_term(ontology, TermKind.PROPERTY, label) == (term, score)
+    fresh = load_ontology(text, OntologyFormat.TAB_SEPARATED_KIND_IRI)
+    assert nearest_term(fresh, TermKind.PROPERTY, label) == (term, score)
+
+
+def test_nearest_term_shared_by_threads_gives_sequential_answers(ontology):
+    names = [t.local_name for t in ontology.terms(TermKind.PROPERTY)]
+    labels = ["iucnStatus", "vin", "modelYear", "AuthorName", "iucnStatus", "ZIP"] * 5
+    expected = [nearest_label_ref(names, label) for label in labels]
+    fresh = Ontology.from_terms([*ontology.terms(TermKind.CLASS), *ontology.terms(TermKind.PROPERTY)])
+    results: list[list[tuple[str, float]]] = []
+
+    def work() -> None:
+        found = []
+        for label in labels:
+            term, score = nearest_term(fresh, TermKind.PROPERTY, label)
+            found.append((term.local_name, score))
+        results.append(found)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 8
+
+
+def test_nearest_term_memo_is_kept_per_kind():
+    onto = make_ontology(classes=["Animal"], properties=["animalName"])
+    assert nearest_term(onto, TermKind.CLASS, "animal")[0].kind is TermKind.CLASS
+    assert nearest_term(onto, TermKind.PROPERTY, "animal")[0].kind is TermKind.PROPERTY
+    assert nearest_term(onto, TermKind.CLASS, "animal")[0].local_name == "Animal"
 
 
 def test_edit_distance_against_full_matrix():

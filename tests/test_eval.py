@@ -3,13 +3,22 @@ from __future__ import annotations
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabnotate.backend import PriceTable, ScriptedBackend, Usage
-from tabnotate.core import EmptyTable, MissingHeaders, Table, edit_distance, to_csv
+from tabnotate.core import (
+    EmptyTable,
+    MissingHeaders,
+    OntologyFormat,
+    Table,
+    edit_distance,
+    load_ontology,
+    to_csv,
+)
 from tabnotate.evaluate import (
     EmptyStats,
     LengthMismatch,
@@ -29,7 +38,7 @@ from tabnotate.evaluate import (
 )
 from tabnotate.harness import JoinPrediction
 
-from fixture_data import ANIMALS_TABLE, CAR_REGISTRATION_TABLE, EV_TABLE
+from fixture_data import ANIMALS_TABLE, CAR_REGISTRATION_TABLE, EV_TABLE, ONTOLOGY_TEXT
 from reference import (
     best_jaccard_pair_ref,
     best_levenshtein_pair_ref,
@@ -202,6 +211,38 @@ def test_jaccard_join_positional_names_without_headers():
     right = Table("r", None, (("x", "9"), ("y", "8")))
     prediction = jaccard_join(left, right)
     assert prediction.pairs == (("1", "0"),)
+
+
+# Few distinct cells and header letters, so scores tie and the tie-break decides.
+_CELL = st.sampled_from(["", "a", "b", "c"])
+_HEADER = st.text(alphabet="aAbé", max_size=3)
+
+
+@st.composite
+def _baseline_table(draw, name: str, headers: bool | None = None, rows: bool = True):
+    arity = draw(st.integers(1, 5))
+    with_headers = draw(st.booleans()) if headers is None else headers
+    row = st.lists(_CELL, min_size=arity, max_size=arity).map(tuple)
+    return Table(
+        name,
+        draw(st.lists(_HEADER, min_size=arity, max_size=arity)) if with_headers else None,
+        tuple(draw(st.lists(row, min_size=1, max_size=6))) if rows else (),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(left=_baseline_table("l"), right=_baseline_table("r"))
+def test_jaccard_join_equals_reference(left, right):
+    assert jaccard_join(left, right).pairs == (best_jaccard_pair_ref(left, right),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    left=_baseline_table("l", headers=True, rows=False),
+    right=_baseline_table("r", headers=True, rows=False),
+)
+def test_levenshtein_join_equals_reference(left, right):
+    assert levenshtein_join(left, right).pairs == (best_levenshtein_pair_ref(left, right),)
 
 
 def test_baseline_invariance_under_row_order_and_duplicates():
@@ -547,11 +588,15 @@ def test_benchmark_totals_sum_the_items(tmp_path, ontology):
     assert [o.attempts for o in report.per_item] == [r.per_item[0].attempts for r in alone]
 
 
-def test_thread_pool_report_equals_sequential_report(tmp_path, ontology):
+def test_thread_pool_report_equals_sequential_report(tmp_path):
     examples = mixed_manifest(tmp_path)
+    # Repeats of ct0, whose misspelt ``dbo:iucnStatus`` every copy anchors
+    # through one freshly loaded ontology's nearest-term memo.
+    examples += [replace(examples[5], id=f"ct0-{i}") for i in range(6)]
 
     def run(jobs):
         backend = PromptKeyedBackend(delay=0.005)
+        ontology = load_ontology(ONTOLOGY_TEXT, OntologyFormat.TAB_SEPARATED_KIND_IRI)
         return run_benchmark(
             examples, System.MODEL, ontology=ontology, backend=backend, jobs=jobs
         ).to_dict()
@@ -562,7 +607,9 @@ def test_thread_pool_report_equals_sequential_report(tmp_path, ontology):
     assert pooled == sequential
     assert [o["id"] for o in pooled["per_item"]] == [ex.id for ex in examples]
     assert len({o["attempts"] for o in pooled["per_item"]}) > 1
-    assert any(o["anchored"] for o in pooled["per_item"])
+    anchored = [o for o in pooled["per_item"] if o["id"].startswith("ct0")]
+    assert len(anchored) == 7
+    assert all(o["anchored"] and o["prediction"][0] == "conservationStatus" for o in anchored)
     assert sum(o["error"] is not None for o in pooled["per_item"]) == 2
 
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,6 @@ from tabnotate.core import (
     load_ontology,
     lookup,
     normalize_label,
-    tokenize_label,
 )
 from tabnotate.harness import (
     UNKNOWN,
@@ -36,6 +34,7 @@ from tabnotate.harness import (
     UnknownType,
     Violation,
     ViolationKind,
+    _render_join,
     anchor,
     check_column_types,
     check_join,
@@ -51,7 +50,7 @@ from tabnotate.harness import (
 from tabnotate.prompt import JOIN_PREFIX
 
 from fixture_data import ONTOLOGY_TEXT, PROPERTY_LIST, TABLE_CLASS_LIST
-from reference import nearest_label_ref, tokenize_ref
+from reference import nearest_label_ref
 
 
 def violation_kind(callable_, *args, **kwargs) -> ViolationKind:
@@ -621,14 +620,8 @@ def _class_answer(draw) -> str:
     return wrap.format(draw(_label(TABLE_CLASS_LIST)))
 
 
-# ``label_similarity`` drops characters other than ASCII letters and digits
-# before comparing, while ``similarity_ref`` keeps them, so the reference
-# ranks only labels written in this alphabet the same way.
-_REFERENCE_ALPHABET = re.compile(r"[A-Za-z0-9_\s]*")
-
-
-def _oracle_name(label: str, kind: TermKind, ontology) -> str | None:
-    """Expected local name; ``None`` accepts any term of the kind."""
+def _oracle_name(label: str, kind: TermKind, ontology) -> str:
+    """Expected local name."""
     try:
         canonical = normalize_label(label, ontology)
     except EmptyLabel:
@@ -638,8 +631,6 @@ def _oracle_name(label: str, kind: TermKind, ontology) -> str | None:
     term = lookup(ontology, kind, canonical)
     if term is not None:
         return term.local_name
-    if not _REFERENCE_ALPHABET.fullmatch(canonical):
-        return None
     return _nearest_name(ontology, kind, canonical)
 
 
@@ -675,8 +666,6 @@ def _assert_label_task_matches_oracle(table, ontology, kind, responses, anchorin
     for label, name in zip(labels, expected):
         if label is UNKNOWN:
             assert name == "Unknown"
-        elif name is None:
-            assert lookup(ontology, kind, label.local_name) is label
         else:
             assert label.local_name == name
     if not anchoring:
@@ -857,12 +846,10 @@ def _join_answer(draw, left_headers: list[str], right_headers: list[str]) -> str
     return shape.format(names(left_headers), names(right_headers))
 
 
-def _oracle_header(name: str, headers: list[str]) -> str | None:
-    """Expected header; ``None`` accepts any header (the tokenizers differ)."""
+def _oracle_header(name: str, headers: list[str]) -> str:
+    """Expected header."""
     if name in headers:
         return name
-    if any(tokenize_label(n) != tokenize_ref(n) for n in (name, *headers)):
-        return None
     return nearest_label_ref(headers, name)[0]
 
 
@@ -901,11 +888,7 @@ def test_join_repair_matches_oracle(data, left_headers, right_headers, anchoring
             run_join_task_detailed(left, right, backend, config)
         return
     run = run_join_task_detailed(left, right, backend, config)
-    predicted = (run.prediction.left_cols, run.prediction.right_cols)
-    for names, wanted, headers in zip(predicted, expected, (left_headers, right_headers)):
-        assert len(names) == len(wanted)
-        for name, want in zip(names, wanted):
-            assert name == want if want is not None else name in headers
+    assert (list(run.prediction.left_cols), list(run.prediction.right_cols)) == expected
     if not anchoring:
         assert len(run.conversation) == 2
         assert run.conversation.last.text == (responses[0] or " ")
@@ -918,6 +901,39 @@ def test_join_repair_matches_oracle(data, left_headers, right_headers, anchoring
     again = run_join_task_detailed(left, right, ScriptedBackend([final]), config)
     assert again.prediction == run.prediction
     assert again.anchored is False and again.conversation.last.text == final
+
+
+def test_join_header_with_both_quotes_is_anchored_to_a_parsable_turn():
+    left = Table("left", ("a'b\"c", "zz"), (("v", "v"),))
+    right = Table("right", ("k",), (("w",),))
+    run = run_join_task_detailed(left, right, ScriptedBackend(["'ab', right_on='k')"]))
+    assert run.prediction.pairs == (("a'b\"c", "k"),)
+    assert run.conversation.last.text == "\"a'b\\\"c\", right_on='k')"
+    assert parse_join_completion(run.conversation.last.text) == (["a'b\"c"], ["k"])
+
+
+def test_join_parser_reads_escapes_and_keeps_other_backslashes():
+    assert parse_join_completion(r"'a\'b', right_on='c\\d')") == (["a'b"], ["c\\d"])
+    assert parse_join_completion("'C:\\path', right_on=\"x\\\"y\")") == (
+        ["C:\\path"], ['x"y'])
+
+
+_COLUMNS = st.lists(st.text(min_size=1), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), left_cols=_COLUMNS)
+def test_rendered_join_parses_back(data, left_cols):
+    right_cols = data.draw(st.lists(st.text(min_size=1), min_size=len(left_cols),
+                                    max_size=len(left_cols)))
+    prediction = JoinPrediction(tuple(left_cols), tuple(right_cols))
+    assert parse_join_completion(_render_join(prediction)) == (left_cols, right_cols)
+
+
+def test_rendered_join_parses_back_when_a_name_holds_left_on():
+    prediction = JoinPrediction(("pd.merge(df1, df2, left_on=",), ("k",))
+    assert parse_join_completion(_render_join(prediction)) == (
+        ["pd.merge(df1, df2, left_on="], ["k"])
 
 
 # ------------------------------------------------------- parser totality
