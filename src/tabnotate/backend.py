@@ -7,15 +7,21 @@ HTTP backend talks to any chat-completions-compatible endpoint.
 
 from __future__ import annotations
 
+import functools
+import http.client
 import json
 import random
+import selectors
+import ssl
 import threading
 import time
+import weakref
 from dataclasses import dataclass
+from datetime import timezone
+from email.utils import parsedate_to_datetime
 from enum import Enum
 from typing import Callable, Iterable, Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 
 class BackendError(Exception):
@@ -288,27 +294,69 @@ class HttpEndpoint:
     backoff_factor: float = 2.0
 
 
+def _retry_after(value: str) -> float | None:
+    """Seconds a ``Retry-After`` header asks the client to wait (RFC 9110
+    §10.2.3), as delta-seconds or an HTTP-date; None when empty,
+    unparsable or already past."""
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    seconds = when.replace(tzinfo=when.tzinfo or timezone.utc).timestamp() - time.time()
+    return seconds if seconds > 0 else None
+
+
+class _Held:
+    """Holds one thread's connection and closes it when collected, that is
+    when the thread ends or the backend goes away."""
+
+    def __init__(self, conn: http.client.HTTPConnection) -> None:
+        self.conn = conn
+        weakref.finalize(self, conn.close)
+
+
 class HttpBackend:
     """Minimal chat-completions client with retry and full-jitter backoff.
 
     Transient failures (connection errors, 429, 5xx) are retried up to the
-    endpoint's attempt budget; other client errors fail immediately.
-    Request bodies are byte-identical for identical inputs.
+    endpoint's attempt budget; other client errors fail immediately.  A
+    ``Retry-After`` on a 429 or 503 replaces the jittered pause.  Each
+    thread keeps one keep-alive connection and reopens it, without a
+    pause, when the server has closed it while idle.  HTTPS verifies the
+    server against the default CA store.  Request bodies are
+    byte-identical for identical inputs.
     """
 
     def __init__(
         self,
         endpoint: HttpEndpoint,
         prices: PriceTable = DEFAULT_PRICES,
-        session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ) -> None:
+        url = urlsplit(endpoint.url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                f"endpoint URL must be http:// or https:// with a host: {endpoint.url!r}"
+            )
+        https = url.scheme == "https"
+        tls = {"context": ssl.create_default_context()} if https else {}
+        self._connect = functools.partial(
+            http.client.HTTPSConnection if https else http.client.HTTPConnection,
+            url.hostname,
+            url.port or (http.client.HTTPS_PORT if https else http.client.HTTP_PORT),
+            timeout=endpoint.timeout,
+            **tls,
+        )
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._endpoint = endpoint
         self._prices = prices
-        self._session = session or requests.Session()
         self._sleep = sleep
         self._rng = rng or random.Random()
+        self._local = threading.local()
 
     def request_body(
         self, conversation: Conversation, params: GenerationParams
@@ -320,6 +368,20 @@ class HttpBackend:
             "max_tokens": params.max_tokens,
         }
         return json.dumps(payload, ensure_ascii=False).encode("utf-8")
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; an idle socket that reads as ready has
+        been closed by the server, so it is dropped and reopened on use."""
+        held = getattr(self._local, "held", None)
+        if held is None:
+            held = self._local.held = _Held(self._connect())
+        elif held.conn.sock is not None:
+            # A selector, not select.select, which fails on descriptors >= 1024.
+            with selectors.DefaultSelector() as idle:
+                idle.register(held.conn.sock, selectors.EVENT_READ)
+                if idle.select(0):
+                    held.conn.close()
+        return held.conn
 
     def complete(
         self, conversation: Conversation, params: GenerationParams
@@ -334,32 +396,34 @@ class HttpBackend:
         rate_limited = False
         for attempt in range(self._endpoint.max_attempts):
             start = time.monotonic()
+            wait = None
+            conn = self._connection()
             try:
-                response = self._session.post(
-                    self._endpoint.url,
-                    data=body,
-                    headers=headers,
-                    timeout=self._endpoint.timeout,
-                )
-            except requests.RequestException as exc:
+                conn.request("POST", self._path, body=body, headers=headers)
+                response = conn.getresponse()
+                data = response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
                 last_failure = f"transport failure: {exc}"
             else:
-                if response.status_code == 200:
-                    elapsed = time.monotonic() - start
-                    return self._parse(response, elapsed)
-                if response.status_code == 429:
+                status = response.status
+                if status == 200:
+                    return self._parse(data, time.monotonic() - start)
+                if status == 429:
                     rate_limited = True
                     last_failure = "HTTP 429"
-                elif response.status_code >= 500:
+                elif status >= 500:
                     rate_limited = False
-                    last_failure = f"HTTP {response.status_code}"
+                    last_failure = f"HTTP {status}"
                 else:
-                    raise TransportError(
-                        f"HTTP {response.status_code} from {self._endpoint.url}"
-                    )
+                    raise TransportError(f"HTTP {status} from {self._endpoint.url}")
+                if status in (429, 503):
+                    wait = _retry_after(response.getheader("Retry-After", ""))
             if attempt + 1 < self._endpoint.max_attempts:
-                cap = self._endpoint.backoff_base * self._endpoint.backoff_factor**attempt
-                self._sleep(self._rng.uniform(0.0, cap))
+                if wait is None:
+                    cap = self._endpoint.backoff_base * self._endpoint.backoff_factor**attempt
+                    wait = self._rng.uniform(0.0, cap)
+                self._sleep(wait)
 
         message = (
             f"giving up on {self._endpoint.url} after "
@@ -367,9 +431,9 @@ class HttpBackend:
         )
         raise RateLimited(message) if rate_limited else TransportError(message)
 
-    def _parse(self, response: requests.Response, elapsed: float) -> tuple[str, Usage]:
+    def _parse(self, data: bytes, elapsed: float) -> tuple[str, Usage]:
         try:
-            payload = response.json()
+            payload = json.loads(data)
         except ValueError:
             raise MalformedResponse("response body is not JSON") from None
         try:
@@ -381,13 +445,17 @@ class HttpBackend:
             ) from None
         if not isinstance(content, str):
             raise MalformedResponse("message content is not a string")
-        usage = payload.get("usage") or {}
-        prompt_tokens = int(usage.get("prompt_tokens", 0) or 0)
-        completion_tokens = int(usage.get("completion_tokens", 0) or 0)
+        usage = payload.get("usage")
+        usage = {} if usage is None else usage
+        if not isinstance(usage, dict):
+            raise MalformedResponse("usage is not an object")
+        counts = [usage.get(key) for key in ("prompt_tokens", "completion_tokens")]
+        prompt_tokens, completion_tokens = [0 if n is None else n for n in counts]
+        if not all(type(n) is int and n >= 0 for n in (prompt_tokens, completion_tokens)):
+            raise MalformedResponse("usage token counts must be non-negative integers")
         return content, Usage(
             prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,
             wall_time=elapsed,
             cost=self._prices.cost(prompt_tokens, completion_tokens),
         )
-

@@ -116,39 +116,16 @@ class PromptConfig:
 DEFAULT_PROMPT_CONFIG = PromptConfig()
 
 
-def _contains_fence(text: str) -> bool:
-    return any(line.startswith("```") for line in text.splitlines())
-
-
 def assemble(components: PromptComponents) -> str:
     """Concatenate the present parts into the final prompt text.
 
-    Order is fixed: instruction, task knowledge, demonstration, the fenced
-    metadata+sample block, prefix, separated by single blank lines.  The
-    data sample is wrapped in a triple-backtick fence with the metadata
-    header line directly above the data rows; samples that already carry
-    fences (the two-frame join layout) are emitted as-is with metadata as
-    a plain paragraph above them.  Output is byte-deterministic.
+    Order is fixed: instruction, task knowledge, demonstration, metadata,
+    data sample, prefix, separated by single blank lines.  The builders
+    fence their data samples themselves (see :func:`_fence`).  Output is
+    byte-deterministic.
     """
-    parts: list[str] = []
-    for name in ("instruction", "task_knowledge", "demonstration"):
-        value = getattr(components, name)
-        if value is not None:
-            parts.append(value)
-    metadata, data_sample = components.metadata, components.data_sample
-    if data_sample is not None:
-        if _contains_fence(data_sample):
-            if metadata is not None:
-                parts.append(metadata)
-            parts.append(data_sample)
-        else:
-            inner = data_sample if metadata is None else f"{metadata}\n{data_sample}"
-            parts.append(f"```\n{inner}\n```")
-    elif metadata is not None:
-        parts.append(f"```\n{metadata}\n```")
-    if components.prefix is not None:
-        parts.append(components.prefix)
-    return "\n\n".join(parts)
+    parts = (getattr(components, name) for name in _FIELD_ORDER)
+    return "\n\n".join(part for part in parts if part is not None)
 
 
 def _cut(text: str, limit: int) -> str:
@@ -204,11 +181,20 @@ def _fit(build: Callable[..., PromptComponents], samples: list[list[str]]) -> Pr
     return components
 
 
+def _fence(metadata: str | None, body: str) -> str:
+    """The metadata header line directly above the data rows, in a
+    triple-backtick fence."""
+    inner = "\n".join(part for part in (metadata, body) if part)
+    return f"```\n{inner}\n```"
+
+
 def _one_table_prompt(table: Table, config: PromptConfig, **parts: str | None) -> PromptComponents:
-    """``parts`` plus the fitted sample of ``table`` as metadata and data."""
+    """``parts`` plus the fitted sample of ``table`` as one fenced block."""
     metadata, records = _sample_parts(table, config)
     return _fit(
-        lambda body: PromptComponents(**parts, metadata=metadata, data_sample=body or None),
+        lambda body: PromptComponents(
+            **parts, data_sample=_fence(metadata, body) if metadata or body else None
+        ),
         [records],
     )
 
@@ -248,11 +234,6 @@ def column_type_prompt(
     )
 
 
-def _frame(marker: str, metadata: str | None, body: str) -> str:
-    inner = body if metadata is None else (f"{metadata}\n{body}" if body else metadata)
-    return f"{marker} =\n```\n{inner}\n```"
-
-
 def join_prompt(
     left: Table,
     right: Table,
@@ -273,8 +254,8 @@ def join_prompt(
             instruction=JOIN_INSTRUCTION,
             metadata=context_notes,
             data_sample=(
-                f"{_frame('df1', left_metadata, left_body)}\n\n"
-                f"{_frame('df2', right_metadata, right_body)}"
+                f"df1 =\n{_fence(left_metadata, left_body)}\n\n"
+                f"df2 =\n{_fence(right_metadata, right_body)}"
             ),
             prefix=JOIN_PREFIX if config.include_prefix else None,
         )

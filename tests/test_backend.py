@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -161,18 +165,34 @@ def test_load_transcript_bad_json_line_number():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """Answers each POST from the server's plan of ``(status, payload)`` or
+    ``(status, payload, headers)`` tuples, the last one repeating.  Replies
+    are HTTP/1.1 keep-alive unless the server drops every connection after
+    its reply, as an idle-timeout would, without sending ``Connection:
+    close``."""
+
+    protocol_version = "HTTP/1.1"
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
         body = self.rfile.read(length)
-        self.server.captured.append(body)
-        plan = self.server.plan
-        status, payload = plan[min(len(self.server.captured) - 1, len(plan) - 1)]
+        with self.server.lock:
+            self.server.captured.append(body)
+            self.server.clients.add(self.client_address)
+            plan = self.server.plan
+            status, payload, *extra = plan[min(len(self.server.captured) - 1, len(plan) - 1)]
         data = payload.encode("utf-8") if isinstance(payload, str) else payload
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+        if self.server.drop_after_reply:
+            self.connection.shutdown(socket.SHUT_WR)
+            self.close_connection = True
+            self.server.dropped.release()
 
     def log_message(self, *args):
         pass
@@ -181,8 +201,12 @@ class _StubHandler(BaseHTTPRequestHandler):
 class _StubServer:
     def __init__(self):
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+        self.httpd.lock = threading.Lock()
         self.httpd.plan = [(200, OK_PAYLOAD)]
         self.httpd.captured = []
+        self.httpd.clients = set()
+        self.httpd.drop_after_reply = False
+        self.httpd.dropped = threading.Semaphore(0)
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
         self.thread.start()
 
@@ -191,13 +215,25 @@ class _StubServer:
         host, port = self.httpd.server_address
         return f"http://{host}:{port}/v1/chat/completions"
 
-    def set_plan(self, plan):
+    def set_plan(self, plan, drop_after_reply=False):
         self.httpd.plan = plan
         self.httpd.captured = []
+        self.httpd.clients = set()
+        self.httpd.drop_after_reply = drop_after_reply
+        self.httpd.dropped = threading.Semaphore(0)
 
     @property
     def captured(self):
         return self.httpd.captured
+
+    def wait_dropped(self) -> bool:
+        """Wait until the last reply's connection has been shut down."""
+        return self.httpd.dropped.acquire(timeout=10)
+
+    @property
+    def connections(self) -> int:
+        """Distinct client addresses, so one per TCP connection opened."""
+        return len(self.httpd.clients)
 
     def close(self):
         self.httpd.shutdown()
@@ -325,3 +361,91 @@ def test_http_connection_failure_is_transport_error():
     backend = HttpBackend(endpoint, sleep=lambda _: None)
     with pytest.raises(TransportError):
         backend.complete(conversation("hello"), PARAMS)
+
+
+@pytest.mark.parametrize("url", ["notaurl", "ftp://example.com/v1", "http:///v1"])
+def test_http_malformed_url_rejected_when_built(url):
+    sleeps: list[float] = []
+    with pytest.raises(ValueError, match="endpoint URL"):
+        HttpBackend(HttpEndpoint(url=url, model="m"), sleep=sleeps.append)
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "usage",
+    ['"n/a"', '{"prompt_tokens": [5]}', '{"prompt_tokens": "abc"}', '{"completion_tokens": -1}'],
+)
+def test_http_malformed_usage_is_malformed(stub, usage):
+    content = '{"choices": [{"message": {"content": "Hi"}}], "usage": %s}' % usage
+    stub.set_plan([(200, content)])
+    backend, _ = make_backend(stub)
+    with pytest.raises(MalformedResponse, match="usage"):
+        backend.complete(conversation("hello"), PARAMS)
+
+
+@pytest.mark.parametrize("usage", ["null", '{"prompt_tokens": null}'])
+def test_http_absent_usage_reads_as_zero(stub, usage):
+    content = '{"choices": [{"message": {"content": "Hi"}}], "usage": %s}' % usage
+    stub.set_plan([(200, content)])
+    backend, _ = make_backend(stub)
+    text, counted = backend.complete(conversation("hello"), PARAMS)
+    assert text == "Hi"
+    assert (counted.prompt_tokens, counted.completion_tokens, counted.cost) == (0, 0, 0.0)
+
+
+def test_http_retry_after_seconds_replaces_the_jitter(stub):
+    stub.set_plan([(429, "{}", {"Retry-After": "2"}), (200, OK_PAYLOAD)])
+    backend, sleeps = make_backend(stub)
+    assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+    assert sleeps == [2.0]
+
+
+def test_http_retry_after_date_replaces_the_jitter(stub):
+    later = formatdate(time.time() + 30, usegmt=True)
+    stub.set_plan([(503, "{}", {"Retry-After": later}), (200, OK_PAYLOAD)])
+    backend, sleeps = make_backend(stub)
+    assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+    assert len(sleeps) == 1 and 25 < sleeps[0] <= 30
+
+
+@pytest.mark.parametrize("value", ["soon", "-3", formatdate(time.time() - 60, usegmt=True)])
+def test_http_unusable_retry_after_falls_back_to_jitter(stub, value):
+    stub.set_plan([(429, "{}", {"Retry-After": value}), (200, OK_PAYLOAD)])
+    backend, sleeps = make_backend(stub)
+    assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+    assert len(sleeps) == 1 and 0.0 <= sleeps[0] <= 0.25
+
+
+def test_http_one_thread_reuses_one_connection(stub):
+    stub.set_plan([(200, OK_PAYLOAD)])
+    backend, _ = make_backend(stub)
+    for _ in range(5):
+        backend.complete(conversation("hello"), PARAMS)
+    assert len(stub.captured) == 5
+    assert stub.connections == 1
+
+
+def test_http_each_thread_keeps_its_own_connection(stub):
+    stub.set_plan([(200, OK_PAYLOAD)])
+    backend, sleeps = make_backend(stub)
+
+    def five_calls(_):
+        return [backend.complete(conversation("hello"), PARAMS)[0] for _ in range(5)]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        answers = [text for texts in pool.map(five_calls, range(4), timeout=30) for text in texts]
+    assert answers == ["Hi"] * 20
+    assert len(stub.captured) == 20
+    assert 1 <= stub.connections <= 4
+    assert sleeps == []
+
+
+def test_http_reopens_a_dropped_keep_alive_connection_without_backoff(stub):
+    stub.set_plan([(200, OK_PAYLOAD)], drop_after_reply=True)
+    backend, sleeps = make_backend(stub)
+    for _ in range(4):
+        assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+        assert stub.wait_dropped()
+    assert len(stub.captured) == 4
+    assert stub.connections == 4
+    assert sleeps == []

@@ -374,6 +374,18 @@ def test_bad_backend_spec(workspace, capsys):
     assert "backend" in err
 
 
+def test_malformed_http_url_is_usage_error(workspace, capsys):
+    code, _, err = run_cli(
+        capsys,
+        "classify-table", str(workspace / "ev.csv"),
+        "--headers",
+        "--ontology", str(workspace / "ontology.tsv"),
+        "--backend", "http:ftp://example.com/v1",
+    )
+    assert code == 1
+    assert "endpoint URL" in err
+
+
 def test_unknown_flag_is_usage_error(workspace, capsys):
     code, _, _ = run_cli(capsys, "classify-table", "x.csv", "--frobnicate")
     assert code == 1

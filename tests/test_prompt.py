@@ -14,10 +14,12 @@ from tabnotate.core import EmptyTable, Table
 from tabnotate.prompt import (
     CHAR_BUDGET,
     COLUMN_TYPE_DEMONSTRATION,
+    COLUMN_TYPE_INSTRUCTION,
     JOIN_PREFIX,
     PromptComponents,
     PromptConfig,
     TABLE_CLASS_DEMONSTRATION,
+    TABLE_CLASS_INSTRUCTION,
     assemble,
     column_type_prompt,
     join_prompt,
@@ -46,8 +48,22 @@ def test_assemble_fenced_block_layout(ev_table, class_list):
 
 
 def test_assemble_metadata_only_block():
-    text = assemble(PromptComponents(instruction="I", metadata="a,b"))
-    assert text == "I\n\n```\na,b\n```"
+    table = Table("t", ("a", "b"), ())
+    config = PromptConfig(include_demonstration=False, include_prefix=False)
+    text = assemble(table_class_prompt(table, None, config))
+    assert text == f"{TABLE_CLASS_INSTRUCTION}\n\n```\na,b\n```"
+
+
+def test_row_starting_with_a_fence_stays_inside_the_block():
+    rows = (("a", "1"), ("```x", "2"), ("b", "3"))
+    config = PromptConfig(include_demonstration=False)
+    lengths = []
+    for n in range(1, len(rows) + 1):
+        text = assemble(column_type_prompt(Table("t", ("k", "v"), rows[:n]), config))
+        body = "\n".join(",".join(row) for row in rows[:n])
+        assert text == f"{COLUMN_TYPE_INSTRUCTION}\n\n```\nk,v\n{body}\n```"
+        lengths.append(len(text))
+    assert lengths == sorted(set(lengths))
 
 
 def test_components_require_one_field():
