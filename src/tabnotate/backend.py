@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import http.client
 import json
+import math
 import random
 import selectors
 import ssl
@@ -149,6 +150,11 @@ class PriceTable:
 
     prompt_per_1k: float = 0.0015
     completion_per_1k: float = 0.002
+
+    def __post_init__(self) -> None:
+        for name in ("prompt_per_1k", "completion_per_1k"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     def cost(self, prompt_tokens: int, completion_tokens: int) -> float:
         return (

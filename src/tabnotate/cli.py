@@ -72,90 +72,84 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _common_options(parser: argparse.ArgumentParser, *, needs_backend: bool) -> None:
-    parser.add_argument(
-        "--backend",
-        metavar="SPEC",
-        required=False,
-        help="scripted:<transcript.jsonl> or http:<endpoint-url>",
-    )
-    parser.add_argument("--ontology", metavar="PATH", help="ontology term file")
-    parser.add_argument(
-        "--headers",
-        action="store_true",
-        help="treat the first CSV line as the header row",
-    )
-    parser.add_argument("--sample-rows", type=int, default=5, metavar="N")
-    parser.add_argument("--temperature", type=float, default=0.0, metavar="T")
-    parser.add_argument("--max-tokens", type=int, default=256, metavar="N")
-    parser.add_argument(
-        "--seed",
+# Every option of every subcommand; each subcommand registers only the
+# options its cmd_* function reads.
+_OPTIONS: dict[str, dict] = {
+    "--backend": dict(metavar="SPEC", help="scripted:<transcript.jsonl> or http:<endpoint-url>"),
+    "--ontology": dict(metavar="PATH", help="ontology term file"),
+    "--headers": dict(action="store_true", help="treat the first CSV line as the header row"),
+    "--sample-rows": dict(type=int, default=5, metavar="N"),
+    "--temperature": dict(type=float, default=0.0, metavar="T"),
+    "--max-tokens": dict(type=int, default=256, metavar="N"),
+    "--seed": dict(
         type=int,
         default=None,
         metavar="N",
         help="sample rows with a seeded draw instead of taking the head",
-    )
-    parser.add_argument("--no-demonstration", action="store_true")
-    parser.add_argument("--no-metadata", action="store_true")
-    parser.add_argument("--no-prefix", action="store_true")
-    parser.add_argument("--no-anchoring", action="store_true")
-    parser.add_argument("--report", metavar="PATH", help="write a JSON report here")
-    parser.add_argument(
-        "--dump-prompt",
+    ),
+    "--no-demonstration": dict(action="store_true"),
+    "--no-metadata": dict(action="store_true"),
+    "--no-prefix": dict(action="store_true"),
+    "--no-anchoring": dict(action="store_true"),
+    "--report": dict(metavar="PATH", help="write a JSON report here"),
+    "--dump-prompt": dict(
         action="store_true",
         help="print the assembled prompt and exit without calling any backend",
-    )
-    parser.set_defaults(needs_backend=needs_backend)
+    ),
+    "--classes": dict(metavar="PATH", help="restrict answers to these class names"),
+    "--baseline": dict(
+        choices=["none", "jaccard", "levenshtein"],
+        default="none",
+        help="use a similarity baseline instead of the model",
+    ),
+    "--system": dict(choices=[s.value for s in System], default=System.MODEL.value),
+    "--jobs": dict(type=int, default=4, metavar="N"),
+}
+
+# The options all four subcommands read.
+_SHARED = (
+    "--backend", "--sample-rows", "--temperature", "--max-tokens", "--seed",
+    "--no-metadata", "--no-anchoring",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tabnotate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    classify = sub.add_parser(
-        "classify-table", help="assign an ontology class to a table"
-    )
-    classify.add_argument("csv_path", metavar="TABLE.csv")
-    classify.add_argument(
-        "--classes", metavar="PATH", help="restrict answers to these class names"
-    )
-    _common_options(classify, needs_backend=True)
-    classify.set_defaults(run=cmd_classify_table)
-
-    annotate = sub.add_parser(
-        "annotate-columns", help="assign a property to each column"
-    )
-    annotate.add_argument("csv_path", metavar="TABLE.csv")
-    _common_options(annotate, needs_backend=True)
-    annotate.set_defaults(run=cmd_annotate_columns)
-
-    join = sub.add_parser(
-        "predict-join", help="predict the join column pair"
-    )
-    join.add_argument("left_csv", metavar="LEFT.csv")
-    join.add_argument("right_csv", metavar="RIGHT.csv")
-    join.add_argument(
-        "--baseline",
-        choices=["none", "jaccard", "levenshtein"],
-        default="none",
-        help="use a similarity baseline instead of the model",
-    )
-    _common_options(join, needs_backend=True)
-    join.set_defaults(run=cmd_predict_join)
-
-    evaluate = sub.add_parser(
-        "eval", help="run a benchmark manifest and report metrics"
-    )
-    evaluate.add_argument("manifest", metavar="MANIFEST.jsonl")
-    evaluate.add_argument(
-        "--system",
-        choices=[s.value for s in System],
-        default=System.MODEL.value,
-    )
-    evaluate.add_argument("--jobs", type=int, default=4, metavar="N")
-    _common_options(evaluate, needs_backend=False)
-    evaluate.set_defaults(run=cmd_eval)
-
+    for name, help_text, positionals, options, run in (
+        (
+            "classify-table", "assign an ontology class to a table",
+            [("csv_path", "TABLE.csv")],
+            ("--ontology", "--headers", "--no-demonstration", "--no-prefix",
+             "--dump-prompt", "--classes"),
+            cmd_classify_table,
+        ),
+        (
+            "annotate-columns", "assign a property to each column",
+            [("csv_path", "TABLE.csv")],
+            ("--ontology", "--headers", "--no-demonstration", "--dump-prompt"),
+            cmd_annotate_columns,
+        ),
+        (
+            "predict-join", "predict the join column pair",
+            [("left_csv", "LEFT.csv"), ("right_csv", "RIGHT.csv")],
+            ("--headers", "--no-prefix", "--dump-prompt", "--baseline"),
+            cmd_predict_join,
+        ),
+        (
+            "eval", "run a benchmark manifest and report metrics",
+            [("manifest", "MANIFEST.jsonl")],
+            ("--ontology", "--no-demonstration", "--no-prefix", "--report", "--system",
+             "--jobs"),
+            cmd_eval,
+        ),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        for dest, metavar in positionals:
+            command.add_argument(dest, metavar=metavar)
+        for option in _SHARED + options:
+            command.add_argument(option, **_OPTIONS[option])
+        command.set_defaults(run=run)
     return parser
 
 
@@ -172,7 +166,7 @@ def _build_backend(spec: str | None):
     kind, _, rest = spec.partition(":")
     if kind == "scripted" and rest:
         return load_transcript(
-            Path(rest).read_text(encoding="utf-8"), prices=_prices_from_env()
+            Path(rest).read_text(encoding="utf-8-sig"), prices=_prices_from_env()
         )
     if kind == "http" and rest:
         endpoint = HttpEndpoint(
@@ -187,12 +181,12 @@ def _build_backend(spec: str | None):
 def _load_ontology_file(path: str | None) -> Ontology:
     if path is None:
         raise ValueError("--ontology is required for this command")
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     return load_ontology(text, detect_ontology_format(text))
 
 
 def _load_table(path: str, headers: bool) -> Table:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     return read_csv(text, name=Path(path).stem, headers=headers)
 
 
@@ -200,7 +194,7 @@ def _load_class_list(path: str | None) -> tuple[str, ...] | None:
     if path is None:
         return None
     names = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             names.append(line)
@@ -217,9 +211,9 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     )
     prompt_config = PromptConfig(
         sample_k=args.sample_rows,
-        include_demonstration=not args.no_demonstration,
+        include_demonstration=not getattr(args, "no_demonstration", False),
         include_metadata=not args.no_metadata,
-        include_prefix=not args.no_prefix,
+        include_prefix=not getattr(args, "no_prefix", False),
         strategy=strategy,
     )
     return PipelineConfig(

@@ -241,7 +241,7 @@ def load_manifest(path: Path | str) -> list[LabeledExample]:
     base = path.parent
     examples: list[LabeledExample] = []
     for lineno, raw_line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
+        path.read_text(encoding="utf-8-sig").splitlines(), start=1
     ):
         line = raw_line.strip()
         if not line:
@@ -356,7 +356,7 @@ def write_report(report: Report, path: Path | str) -> None:
 
 
 def _read_table(path: Path, name: str, headers: bool) -> Table:
-    return read_csv(path.read_text(encoding="utf-8"), name=name, headers=headers)
+    return read_csv(path.read_text(encoding="utf-8-sig"), name=name, headers=headers)
 
 
 def _label_of(assignment: object) -> str:

@@ -379,29 +379,25 @@ def _parse_right_names(cur: _Cursor) -> list[str]:
     return _parse_name_list(cur)
 
 
-def _canonical(label: str, ontology: Ontology) -> str:
-    try:
-        return normalize_label(label, ontology)
-    except EmptyLabel:
-        return ""
-
-
 def _resolve(
     label: str, kind: TermKind, ontology: Ontology
-) -> OntologyTerm | UnknownType | None:
-    """Exact term for a parsed label; ``None`` when it is infeasible.
+) -> tuple[str, OntologyTerm | UnknownType | None]:
+    """A parsed label's canonical form and exact term, ``None`` if infeasible.
 
     A property label may also be Unknown, which is always feasible.
     """
-    canonical = _canonical(label, ontology)
+    try:
+        canonical = normalize_label(label, ontology)
+    except EmptyLabel:
+        canonical = ""
     if kind is TermKind.PROPERTY and canonical.lower() == "unknown":
-        return UNKNOWN
-    return lookup(ontology, kind, canonical)
+        return canonical, UNKNOWN
+    return canonical, lookup(ontology, kind, canonical)
 
 
 def check_table_class(candidate: str, ontology: Ontology) -> Violation | None:
     """Feasibility check for a parsed table-class candidate."""
-    if _resolve(candidate, TermKind.CLASS, ontology) is None:
+    if _resolve(candidate, TermKind.CLASS, ontology)[1] is None:
         return Violation(ViolationKind.UNKNOWN_CLASS, candidate)
     return None
 
@@ -409,7 +405,7 @@ def check_table_class(candidate: str, ontology: Ontology) -> Violation | None:
 def check_column_types(items: Sequence[str], ontology: Ontology) -> Violation | None:
     """Feasibility check for a parsed column-type list; Unknown is always fine."""
     for index, item in enumerate(items):
-        if _resolve(item, TermKind.PROPERTY, ontology) is None:
+        if _resolve(item, TermKind.PROPERTY, ontology)[1] is None:
             return Violation(ViolationKind.UNKNOWN_PROPERTY, item, position=index)
     return None
 
@@ -481,12 +477,12 @@ def _nearest_terms(
 ) -> tuple[tuple[OntologyTerm | UnknownType, ...], bool]:
     """Each label's exact term, or its nearest term when it has none, and
     whether any label was infeasible."""
-    exact = [_resolve(label, kind, ontology) for label in labels]
+    resolved = [_resolve(label, kind, ontology) for label in labels]
     terms = tuple(
-        nearest_term(ontology, kind, _canonical(label, ontology))[0] if term is None else term
-        for label, term in zip(labels, exact)
+        nearest_term(ontology, kind, canonical)[0] if term is None else term
+        for canonical, term in resolved
     )
-    return terms, None in exact
+    return terms, any(term is None for _, term in resolved)
 
 
 _Parsed = TypeVar("_Parsed")
@@ -648,11 +644,13 @@ def run_join_task_detailed(
         return (left_names[:n], right_names[:n]), True
 
     def repair(names: tuple[list[str], list[str]]) -> tuple[JoinPrediction, bool]:
-        left_cols, right_cols = (
-            tuple(name if name in side else nearest_name(side, name)[0] for name in side_names)
+        # A missing name becomes a header, so the names changed exactly when
+        # one was missing.
+        repaired = tuple(
+            [name if name in side else nearest_name(side, name)[0] for name in side_names]
             for side_names, side in zip(names, (left.headers, right.headers))
         )
-        return JoinPrediction(left_cols, right_cols), check_join(*names, left, right) is not None
+        return JoinPrediction(*repaired), repaired != names
 
     prediction, _, anchored, attempts, conv, usage = _ask_parse_repair(
         prompt, JOIN_CLARIFICATION, parse=parse, repair=repair, render=_render_join,

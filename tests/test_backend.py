@@ -92,6 +92,15 @@ def test_generation_params_bounds():
         GenerationParams(max_tokens=0)
 
 
+@pytest.mark.parametrize("price", [-1.0, float("inf"), float("nan")])
+def test_price_table_rejects_negative_and_non_finite_prices(price):
+    with pytest.raises(ValueError):
+        PriceTable(price, 0.0)
+    with pytest.raises(ValueError):
+        PriceTable(0.0, price)
+    assert PriceTable(0.0, 0.0).cost(1000, 1000) == 0.0
+
+
 # -------------------------------------------------------------- scripted
 
 
@@ -408,7 +417,10 @@ def test_http_retry_after_date_replaces_the_jitter(stub):
     assert len(sleeps) == 1 and 25 < sleeps[0] <= 30
 
 
-@pytest.mark.parametrize("value", ["soon", "-3", formatdate(time.time() - 60, usegmt=True)])
+@pytest.mark.parametrize(
+    "value",
+    ["soon", "-3", pytest.param(formatdate(time.time() - 60, usegmt=True), id="past-date")],
+)
 def test_http_unusable_retry_after_falls_back_to_jitter(stub, value):
     stub.set_plan([(429, "{}", {"Retry-After": value}), (200, OK_PAYLOAD)])
     backend, sleeps = make_backend(stub)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from tabnotate.cli import main
+from tabnotate.backend import ScriptedBackend
+from tabnotate.cli import build_parser, main
 from tabnotate.core import Table, to_csv
 
 from fixture_data import (
@@ -400,3 +402,201 @@ def test_missing_backend_is_usage_error(workspace, capsys):
     )
     assert code == 1
     assert "--backend" in err
+
+
+# ------------------------------------------- each subcommand's own options
+
+_SHARED_OPTIONS = {
+    "--backend", "--sample-rows", "--temperature", "--max-tokens", "--seed",
+    "--no-metadata", "--no-anchoring",
+}
+_OWN_OPTIONS = {
+    "classify-table": {"--ontology", "--headers", "--no-demonstration", "--no-prefix",
+                       "--dump-prompt", "--classes"},
+    "annotate-columns": {"--ontology", "--headers", "--no-demonstration", "--dump-prompt"},
+    "predict-join": {"--headers", "--no-prefix", "--dump-prompt", "--baseline"},
+    "eval": {"--ontology", "--no-demonstration", "--no-prefix", "--report", "--system",
+             "--jobs"},
+}
+
+
+def test_each_subcommand_registers_only_the_options_it_reads():
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) == set(_OWN_OPTIONS)
+    for name, parser in subparsers.choices.items():
+        options = {
+            option for action in parser._actions for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        assert options == _SHARED_OPTIONS | _OWN_OPTIONS[name], name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify-table", "t.csv", "--report", "r.json"),
+        ("annotate-columns", "t.csv", "--report", "r.json"),
+        ("annotate-columns", "t.csv", "--no-prefix"),
+        ("predict-join", "l.csv", "r.csv", "--report", "r.json"),
+        ("predict-join", "l.csv", "r.csv", "--ontology", "o.tsv"),
+        ("predict-join", "l.csv", "r.csv", "--no-demonstration"),
+        ("eval", "m.jsonl", "--headers"),
+        ("eval", "m.jsonl", "--dump-prompt"),
+    ],
+)
+def test_option_a_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    option = next(arg for arg in argv if arg.startswith("--"))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert f"unrecognized arguments: {option}" in err
+
+
+def test_eval_dump_prompt_calls_no_backend_and_writes_no_report(workspace, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ScriptedBackend, "complete", lambda *args: calls.append(args))
+    manifest = eval_manifest(workspace)
+    backend = transcript(workspace, "t.jsonl", ["https://dbpedia.org/ontology/Animal"] * 3)
+    report_path = workspace / "report.json"
+    code, out, err = run_cli(
+        capsys,
+        "eval", str(manifest),
+        "--ontology", str(workspace / "ontology.tsv"),
+        "--backend", f"scripted:{backend}",
+        "--dump-prompt",
+        "--report", str(report_path),
+    )
+    assert code == 1
+    assert "unrecognized arguments: --dump-prompt" in err
+    assert out == ""
+    assert calls == []
+    assert not report_path.exists()
+
+
+# ------------------------------------------------- inputs with a UTF-8 BOM
+
+
+def bom_twin(path) -> str:
+    """A copy of ``path``, named ``bom-<name>``, that starts with a UTF-8
+    byte-order mark."""
+    twin = path.with_name("bom-" + path.name)
+    twin.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return str(twin)
+
+
+def test_bom_ontology_reads_like_its_twin(workspace, capsys):
+    ontology = workspace / "ontology.tsv"
+    assert ontology.read_text(encoding="utf-8").startswith("# ")
+    backend = transcript(workspace, "t.jsonl", ["`Hostpital`"])
+    plain, bom = (
+        run_cli(
+            capsys,
+            "classify-table", str(workspace / "ev.csv"),
+            "--headers",
+            "--ontology", path,
+            "--backend", f"scripted:{backend}",
+        )
+        for path in (str(ontology), bom_twin(ontology))
+    )
+    assert plain == bom
+    assert plain[0] == 0
+
+
+def test_bom_table_reads_like_its_twin(workspace, capsys):
+    table = workspace / "ev.csv"
+    plain, bom = (
+        run_cli(capsys, "classify-table", path, "--headers", "--dump-prompt")
+        for path in (str(table), bom_twin(table))
+    )
+    assert plain == bom
+    assert "\ufeff" not in bom[1]
+
+
+def test_bom_class_list_reads_like_its_twin(workspace, capsys):
+    classes = workspace / "classes.txt"
+    classes.write_text("Animal\nElectricVehicle\n", encoding="utf-8")
+    plain, bom = (
+        run_cli(
+            capsys,
+            "classify-table", str(workspace / "ev.csv"),
+            "--headers", "--dump-prompt", "--classes", path,
+        )
+        for path in (str(classes), bom_twin(classes))
+    )
+    assert plain == bom
+    assert "\ufeff" not in bom[1]
+
+
+def test_bom_transcript_reads_like_its_twin(workspace, capsys):
+    backend = transcript(workspace, "t.jsonl", ["https://dbpedia.org/ontology/ElectricVehicle"])
+    plain, bom = (
+        run_cli(
+            capsys,
+            "classify-table", str(workspace / "ev.csv"),
+            "--headers",
+            "--ontology", str(workspace / "ontology.tsv"),
+            "--backend", f"scripted:{path}",
+        )
+        for path in (backend, bom_twin(workspace / "t.jsonl"))
+    )
+    assert plain == bom
+    assert plain[0] == 0
+
+
+def _levenshtein_eval(capsys, manifest, report_path):
+    code, out, err = run_cli(
+        capsys, "eval", str(manifest), "--system", "levenshtein", "--report", str(report_path)
+    )
+    assert code == 0, err
+    return out, report_path.read_bytes()
+
+
+def _join_manifest(workspace, left: str):
+    manifest = workspace / "join.jsonl"
+    manifest.write_text(
+        json.dumps({"id": "j", "task": "join", "left": left, "right": "reg.csv",
+                    "headers": True, "gold": [["VIN_prefix", "vehicle_id_number"]]}) + "\n",
+        encoding="utf-8",
+    )
+    return manifest
+
+
+def test_bom_manifest_reads_like_its_twin(workspace, capsys):
+    manifest = _join_manifest(workspace, "ev.csv")
+    plain = _levenshtein_eval(capsys, manifest, workspace / "plain.json")
+    bom = _levenshtein_eval(capsys, bom_twin(manifest), workspace / "bom.json")
+    assert plain == bom
+
+
+def test_bom_manifest_table_reads_like_its_twin(workspace, capsys):
+    bom_twin(workspace / "ev.csv")
+    plain = _levenshtein_eval(
+        capsys, _join_manifest(workspace, "ev.csv"), workspace / "plain.json"
+    )
+    bom = _levenshtein_eval(
+        capsys, _join_manifest(workspace, "bom-ev.csv"), workspace / "bom.json"
+    )
+    assert plain == bom
+
+
+# ------------------------------------------------------------------ prices
+
+
+def test_nan_price_is_usage_error_before_any_call(workspace, capsys, monkeypatch):
+    monkeypatch.setenv("TABNOTATE_PRICE_IN", "nan")
+    manifest = eval_manifest(workspace)
+    backend = transcript(workspace, "t.jsonl", ["https://dbpedia.org/ontology/Animal"] * 3)
+    report_path = workspace / "report.json"
+    code, out, err = run_cli(
+        capsys,
+        "eval", str(manifest),
+        "--ontology", str(workspace / "ontology.tsv"),
+        "--backend", f"scripted:{backend}",
+        "--report", str(report_path),
+    )
+    assert code == 1
+    assert "prompt_per_1k" in err
+    assert out == ""
+    assert not report_path.exists()

@@ -703,6 +703,38 @@ def test_table_class_repair_matches_oracle(ontology, ev_table, responses, anchor
     _assert_label_task_matches_oracle(ev_table, ontology, TermKind.CLASS, responses, anchoring)
 
 
+# Label replies with the IRI stem in its https or http form.
+_LABEL_REPLIES = st.one_of(_label_list(), _class_answer()).flatmap(
+    lambda reply: st.sampled_from([reply, reply.replace("https://", "http://")])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    responses=st.lists(_LABEL_REPLIES, min_size=2, max_size=2),
+    kind=st.sampled_from([TermKind.CLASS, TermKind.PROPERTY]),
+    wide=st.booleans(),
+)
+def test_label_anchoring_is_idempotent(
+    ontology, animals_table, ev_table, responses, kind, wide
+):
+    table = ev_table if wide else animals_table
+    run = run_table_class_task if kind is TermKind.CLASS else run_column_type_task
+    try:
+        result, conv, _ = run(table, ontology, ScriptedBackend(list(responses)))
+    except TaskFailed:
+        return
+    # The anchored turn, asked again, needs no repair and is kept as it is.
+    final = conv.last.text
+    again, again_conv, _ = run(table, ontology, ScriptedBackend([final]))
+    assert again.anchored is False and again.attempts == 1
+    if kind is TermKind.CLASS:
+        assert again.term == result.term
+    else:
+        assert again.assignments == result.assignments
+    assert again_conv.last.text == final
+
+
 # ------------------------------------------------------------------- join
 
 
