@@ -392,19 +392,16 @@ class Table:
     def __post_init__(self) -> None:
         if self.headers is not None:
             object.__setattr__(self, "headers", tuple(self.headers))
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        arity = len(self.headers) if self.headers is not None else None
-        if arity == 0:
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        if self.headers == ():
             raise ValueError("header row must have at least one column")
-        for i, row in enumerate(self.rows):
-            if arity is None:
-                arity = len(row)
-                if arity == 0:
-                    raise ValueError("rows must have at least one cell")
-            if len(row) != arity:
-                raise ValueError(
-                    f"row {i} has {len(row)} cells, expected {arity}"
-                )
+        if self.headers is None and rows and not rows[0]:
+            raise ValueError("rows must have at least one cell")
+        arity = self.arity
+        if set(map(len, rows)) - {arity}:
+            i, row = next((i, row) for i, row in enumerate(rows) if len(row) != arity)
+            raise ValueError(f"row {i} has {len(row)} cells, expected {arity}")
 
     @property
     def arity(self) -> int:
@@ -467,13 +464,41 @@ def to_csv(table: Table) -> str:
     return text[:-1] if text.endswith("\n") else text
 
 
+def _records(text: str) -> list[tuple[str, ...]]:
+    """The records of RFC 4180 text, as :func:`csv.reader` reads them.
+
+    Text with no quote and no carriage return, and no line over the field
+    size limit, holds one record per line with no quoted field, so it is
+    split directly: the empty piece after a final newline is dropped, and
+    a blank line is the empty record.
+    """
+    if '"' not in text and "\r" not in text:
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        if max(map(len, lines), default=0) <= csv.field_size_limit():
+            # Each line is popped as it is split, so the lines and the cells
+            # are never all held at once.
+            lines.reverse()
+            return [
+                tuple(line.split(",")) if (line := lines.pop()) else ()
+                for _ in range(len(lines))
+            ]
+    return [tuple(record) for record in csv.reader(io.StringIO(text))]
+
+
 def read_csv(text: str, name: str, headers: bool) -> Table:
     """Parse RFC 4180 text into a :class:`Table`.
 
     When ``headers`` is true the first record becomes the header row.
-    Ragged records are rejected by the Table invariants.
+    Ragged records are rejected by the Table invariants.  Text that the
+    CSV reader rejects, such as a field over :func:`csv.field_size_limit`
+    characters, raises ``ValueError`` naming the table.
     """
-    records = [tuple(row) for row in csv.reader(io.StringIO(text))]
+    try:
+        records = _records(text)
+    except csv.Error as exc:
+        raise ValueError(f"{name}: {exc}") from None
     if headers:
         if not records:
             raise ValueError(f"{name}: expected a header row, got empty input")

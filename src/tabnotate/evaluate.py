@@ -555,8 +555,10 @@ def run_benchmark(
     threads.  An item that fails (no feasible answer, an unreadable table,
     a backend error) is recorded as incorrect with its error rather than
     aborting the run.  Usage is summed over the items in manifest order,
-    so the totals do not depend on ``jobs``.
+    so the totals do not depend on ``jobs``, which must be at least 1.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if system is System.MODEL:
         if backend is None:
             raise ValueError("the model system needs a backend")

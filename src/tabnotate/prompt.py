@@ -138,35 +138,65 @@ def _record(cells: tuple[str, ...]) -> str:
     return to_csv(Table(name="", headers=None, rows=(row,)))
 
 
-def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, list[str]]:
-    """(metadata header line, one CSV record per sampled row)."""
+_Rows = tuple[tuple[str, ...], ...]
+
+
+def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, _Rows]:
+    """(metadata header line, sampled rows); :func:`_fit` serializes the rows."""
     if table.is_empty:
         raise EmptyTable(f"table {table.name!r} has no rows and no headers")
     sample = sample_rows(table, config.sample_k, config.strategy)
     metadata = None
     if sample.headers is not None and config.include_metadata:
         metadata = _record(sample.headers)
-    return metadata, [_record(row) for row in sample.rows]
+    return metadata, sample.rows
 
 
-def _fit(build: Callable[..., PromptComponents], samples: list[list[str]]) -> PromptComponents:
+def _records_that_can_fit(
+    build: Callable[..., PromptComponents], samples: list[_Rows]
+) -> list[list[str]]:
+    """Each table's sampled rows as CSV records, up to the first row count
+    n >= 1 that cannot fit.
+
+    n rows cannot fit when the tables' first n records, with their line
+    breaks, take more than the room that the prompt of empty bodies leaves
+    in ``CHAR_BUDGET``: a prompt holds every body whole, so from n rows on
+    it is over budget whatever else it holds.  :func:`_fit` therefore keeps
+    the same rows as it would from every record.
+    """
+    room = CHAR_BUDGET - len(assemble(build(*[""] * len(samples))))
+    records: list[list[str]] = [[] for _ in samples]
+    used = 0
+    for n in range(max(map(len, samples))):
+        if n and used > room:
+            break
+        for rows, kept in zip(samples, records):
+            if n < len(rows):
+                kept.append(_record(rows[n]))
+                used += len(kept[-1]) + (n > 0)
+    return records
+
+
+def _fit(build: Callable[..., PromptComponents], samples: list[_Rows]) -> PromptComponents:
     """Prompt from ``build`` with the most sample rows that fit the budget.
 
-    ``build`` takes one data body per table.  Every table keeps the same
-    row count n >= 1, found by bisection since the prompt never shrinks as
-    n grows; if n = 1 is too long, the lines of the rows are capped,
-    halving the cap until it fits.  Headers are not in the bodies, so they
-    are never cut: a table whose header rows alone exceed ``CHAR_BUDGET``
-    goes over it, as does any budget below the fixed parts.
+    ``build`` takes one data body per table, and ``samples`` holds each
+    table's sampled rows.  Every table keeps the same row count n >= 1,
+    found by bisection since the prompt never shrinks as n grows; if n = 1
+    is too long, the lines of the rows are capped, halving the cap until it
+    fits.  Headers are not in the bodies, so they are never cut: a table
+    whose header rows alone exceed ``CHAR_BUDGET`` goes over it, as does
+    any budget below the fixed parts.
     """
+    serialized = _records_that_can_fit(build, samples)
 
     def bodies(n: int) -> list[str]:
-        return ["\n".join(records[:n]) for records in samples]
+        return ["\n".join(records[:n]) for records in serialized]
 
     def too_long(components: PromptComponents) -> bool:
         return len(assemble(components)) > CHAR_BUDGET
 
-    most = max(len(records) for records in samples)
+    most = max(len(records) for records in serialized)
     components = build(*bodies(most))
     if not too_long(components):
         return components
@@ -190,12 +220,12 @@ def _fence(metadata: str | None, body: str) -> str:
 
 def _one_table_prompt(table: Table, config: PromptConfig, **parts: str | None) -> PromptComponents:
     """``parts`` plus the fitted sample of ``table`` as one fenced block."""
-    metadata, records = _sample_parts(table, config)
+    metadata, rows = _sample_parts(table, config)
     return _fit(
         lambda body: PromptComponents(
             **parts, data_sample=_fence(metadata, body) if metadata or body else None
         ),
-        [records],
+        [rows],
     )
 
 
@@ -246,8 +276,8 @@ def join_prompt(
     example classes detected earlier in the pipeline) become a paragraph
     above the frames.
     """
-    left_metadata, left_records = _sample_parts(left, config)
-    right_metadata, right_records = _sample_parts(right, config)
+    left_metadata, left_rows = _sample_parts(left, config)
+    right_metadata, right_rows = _sample_parts(right, config)
 
     def build(left_body: str, right_body: str) -> PromptComponents:
         return PromptComponents(
@@ -260,4 +290,4 @@ def join_prompt(
             prefix=JOIN_PREFIX if config.include_prefix else None,
         )
 
-    return _fit(build, [left_records, right_records])
+    return _fit(build, [left_rows, right_rows])

@@ -6,6 +6,9 @@ formula-level implementations, full DP matrices, and exhaustive scans.
 
 from __future__ import annotations
 
+import csv
+import io
+
 
 def levenshtein_ref(a: str, b: str) -> int:
     """Full-matrix dynamic program, unit costs."""
@@ -126,3 +129,29 @@ def best_levenshtein_pair_ref(left, right) -> tuple[str, str]:
             scored.append((levenshtein_ref(lname.lower(), rname.lower()), lname, rname))
     scored.sort()
     return scored[0][1], scored[0][2]
+
+
+def read_csv_ref(text: str, name: str, headers: bool):
+    """``(headers, rows)`` of the text as :func:`csv.reader` reads it, checked
+    row by row against the table invariants; raises ``ValueError`` with the
+    message ``read_csv`` must give."""
+    try:
+        records = [tuple(record) for record in csv.reader(io.StringIO(text))]
+    except csv.Error as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    head = None
+    if headers:
+        if not records:
+            raise ValueError(f"{name}: expected a header row, got empty input")
+        head, records = records[0], records[1:]
+        if not head:
+            raise ValueError("header row must have at least one column")
+    arity = len(head) if head is not None else None
+    for i, row in enumerate(records):
+        if arity is None:
+            arity = len(row)
+            if arity == 0:
+                raise ValueError("rows must have at least one cell")
+        if len(row) != arity:
+            raise ValueError(f"row {i} has {len(row)} cells, expected {arity}")
+    return head, tuple(records)

@@ -581,6 +581,72 @@ def test_bom_manifest_table_reads_like_its_twin(workspace, capsys):
     assert plain == bom
 
 
+# -------------------------------------------------------- oversized field
+
+
+@pytest.fixture()
+def big_csv(workspace):
+    path = workspace / "big.csv"
+    path.write_text("id,note\n1," + "x" * 140_000 + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify-table", "{big}", "--headers", "--dump-prompt"],
+        ["annotate-columns", "{big}", "--headers", "--dump-prompt"],
+        ["predict-join", "{big}", "{reg}", "--headers", "--baseline", "jaccard"],
+    ],
+)
+def test_oversized_csv_field_is_a_usage_error(workspace, big_csv, capsys, argv):
+    args = [a.format(big=big_csv, reg=workspace / "reg.csv") for a in argv]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err == "error: big: field larger than field limit (131072)\n"
+
+
+def test_eval_with_an_oversized_csv_field_fails_that_item_alone(workspace, big_csv, capsys):
+    manifest = workspace / "join.jsonl"
+    manifest.write_text(
+        "".join(
+            json.dumps({"id": item_id, "task": "join", "left": left, "right": "reg.csv",
+                        "headers": True, "gold": [["VIN_prefix", "vehicle_id_number"]]}) + "\n"
+            for item_id, left in (("big", "big.csv"), ("ok", "ev.csv"))
+        ),
+        encoding="utf-8",
+    )
+    report_path = workspace / "report.json"
+    code, out, err = run_cli(
+        capsys, "eval", str(manifest), "--system", "jaccard", "--report", str(report_path)
+    )
+    assert (code, err) == (0, "")
+    assert "items=2" in out
+    items = json.loads(report_path.read_text(encoding="utf-8"))["per_item"]
+    assert [item["error"] for item in items] == [
+        "big-left: field larger than field limit (131072)", None
+    ]
+    assert [item["correct"] for item in items] == [False, True]
+
+
+# -------------------------------------------------------------------- jobs
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_usage_error(workspace, capsys, jobs):
+    manifest = _join_manifest(workspace, "ev.csv")
+    report_path = workspace / "report.json"
+    code, out, err = run_cli(
+        capsys, "eval", str(manifest), "--system", "levenshtein", "--jobs", jobs,
+        "--report", str(report_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: jobs must be >= 1\n"
+    assert not report_path.exists()
+
+
 # ------------------------------------------------------------------ prices
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import re
 import string
 import sys
 import threading
@@ -37,7 +38,13 @@ from tabnotate.core import (
     tokenize_label,
 )
 
-from reference import levenshtein_ref, nearest_label_ref, similarity_ref, tokenize_ref
+from reference import (
+    levenshtein_ref,
+    nearest_label_ref,
+    read_csv_ref,
+    similarity_ref,
+    tokenize_ref,
+)
 
 
 def make_ontology(classes=(), properties=()):
@@ -444,6 +451,82 @@ def test_read_csv_headers_flag():
 def test_read_csv_ragged_rejected():
     with pytest.raises(ValueError):
         read_csv("a,b\n1\n", "t", headers=True)
+
+
+def _read_outcome(read, text: str, headers: bool):
+    """``(headers, rows)`` read from ``text``, or the type and message of
+    the error raised instead."""
+    try:
+        table = read(text, "t", headers)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return table if isinstance(table, tuple) else (table.headers, table.rows)
+
+
+_CSV_CHARS = ',"\n\r éa1'
+_CSV_CELL = st.text(alphabet=_CSV_CHARS, max_size=4)  # often empty
+# Mostly quote-free rows of one width, so valid tables and the split path
+# come up often; any cell may still hold a quote, a CR or a line break.
+_CSV_ROWS = st.builds(
+    lambda rows, end, trailing: end.join(",".join(row) for row in rows) + trailing,
+    st.lists(
+        st.one_of(
+            st.lists(st.sampled_from(["", "a", " b ", "é", "1"]), min_size=2, max_size=2),
+            st.lists(_CSV_CELL, max_size=4),
+        ),
+        max_size=8,
+    ),
+    st.sampled_from(["\n", "\r\n", "\n\n"]),
+    st.sampled_from(["", "\n", "\n\n", "\r\n"]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    text=st.one_of(st.text(alphabet=_CSV_CHARS, max_size=40), _CSV_ROWS),
+    headers=st.booleans(),
+)
+def test_read_csv_equals_csv_reader_with_table_invariants(text, headers):
+    assert _read_outcome(read_csv, text, headers) == _read_outcome(read_csv_ref, text, headers)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b\n" + "x" * 140_000 + ",y\n1,2\n",
+        "a,b\n" + "x" * csv.field_size_limit() + ",y\n",
+        "," * 140_000 + "\n",
+    ],
+    ids=["field-over-limit", "line-over-limit-field-at-limit", "line-over-limit-fields-empty"],
+)
+def test_read_csv_past_the_field_size_limit_equals_csv_reader(text):
+    for headers in (True, False):
+        assert _read_outcome(read_csv, text, headers) == _read_outcome(read_csv_ref, text, headers)
+
+
+def test_oversized_field_is_a_value_error_naming_the_table():
+    limit = csv.field_size_limit()
+    with pytest.raises(ValueError, match=f"^big: field larger than field limit \\({limit}\\)$"):
+        read_csv("a\n" + "x" * (limit + 1) + "\n", "big", headers=True)
+    assert read_csv("x" * limit, "big", headers=False).rows == (("x" * limit,),)
+
+
+@pytest.mark.parametrize(
+    "headers, rows, message",
+    [
+        (("a", "b"), (("1", "2"), ("3",), ("4", "5", "6"), ("7", "8")), "row 1 has 1 cells, expected 2"),
+        (("a", "b"), (("1", "2"), ("3", "4"), ("5", "6", "7")), "row 2 has 3 cells, expected 2"),
+        (None, (("1", "2"), ("3", "4"), (), ("5",)), "row 2 has 0 cells, expected 2"),
+        (None, (("1",),) * 4 + (("2", "3"),), "row 4 has 2 cells, expected 1"),
+    ],
+)
+def test_ragged_row_error_names_the_first_bad_row(headers, rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Table("t", headers, rows)
+    text = "\n".join(",".join(row) for row in ((headers,) if headers else ()) + rows)
+    for source in (text, text.replace("1", '"1"')):  # split and csv.reader paths
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_csv(source, "t", headers=headers is not None)
 
 
 def test_table_invariants():

@@ -480,6 +480,34 @@ def test_model_join_reports_a_repair_as_anchored(tmp_path):
     assert item.anchored is True
 
 
+def test_oversized_csv_field_fails_its_item_alone(tmp_path):
+    write_csv(tmp_path / "ev.csv", EV_TABLE)
+    write_csv(tmp_path / "reg.csv", CAR_REGISTRATION_TABLE)
+    (tmp_path / "big.csv").write_text("id,note\n1," + "x" * 140_000 + "\n", encoding="utf-8")
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(
+        "".join(
+            json.dumps({"id": item_id, "task": "join", "left": left, "right": "reg.csv",
+                        "headers": True, "gold": [["VIN_prefix", "vehicle_id_number"]]}) + "\n"
+            for item_id, left in (("big", "big.csv"), ("ok", "ev.csv"))
+        ),
+        encoding="utf-8",
+    )
+    bad, good = run_benchmark(load_manifest(manifest), System.JACCARD).per_item
+    assert bad.error == "big-left: field larger than field limit (131072)"
+    assert not bad.correct
+    assert good.error is None and good.correct
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_benchmark_rejects_jobs_below_one(tmp_path, ontology, jobs):
+    examples = class_manifest(tmp_path, ["Animal"])
+    backend = ScriptedBackend(["https://dbpedia.org/ontology/Animal"])
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_benchmark(examples, System.MODEL, ontology=ontology, backend=backend, jobs=jobs)
+    assert backend.remaining == 1
+
+
 def test_benchmark_model_requires_backend(tmp_path):
     examples = class_manifest(tmp_path, ["Animal"])
     with pytest.raises(ValueError, match="backend"):

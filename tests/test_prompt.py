@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import csv
 import io
+import random
 from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tabnotate.prompt
-from tabnotate.core import EmptyTable, Table
+from tabnotate.core import EmptyTable, HEAD_SAMPLING, SamplingMode, SamplingStrategy, Table
 from tabnotate.prompt import (
     CHAR_BUDGET,
     COLUMN_TYPE_DEMONSTRATION,
@@ -358,3 +359,76 @@ def test_trimmed_prompt_is_the_untrimmed_prompt_of_fewer_rows(table, k, builder)
         with mock.patch.object(tabnotate.prompt, "CHAR_BUDGET", 10**9):
             longer = assemble(build(table, PromptConfig(sample_k=n + 1)))
         assert len(longer) > CHAR_BUDGET
+
+
+def _every_record(build, samples: list) -> list[list[str]]:
+    """The reference: every sampled row serialized, with no cutoff."""
+    return [[tabnotate.prompt._record(row) for row in rows] for rows in samples]
+
+
+_FRAME_CHARS = "abé019 ,;\"'\n…-"
+
+
+@st.composite
+def _frames(draw) -> Table:
+    """0–400 rows, cells of up to 300 characters, optional headers."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    arity = draw(st.integers(1, 8))
+    longest = draw(st.sampled_from([3, 30, 300]))
+    height = draw(st.integers(0, 400))
+
+    def cell() -> str:
+        piece = "".join(rng.choices(_FRAME_CHARS, k=rng.randint(1, 6)))
+        return (piece * (longest // len(piece) + 1))[: rng.randint(0, longest)]
+
+    headers = tuple(cell() or "h" for _ in range(arity)) if draw(st.booleans()) or not height else None
+    return Table("t", headers, tuple(tuple(cell() for _ in range(arity)) for _ in range(height)))
+
+
+# Headers alone over the budget: the prompt of empty bodies leaves no room.
+_WIDE_HEADERS = Table("h", tuple(f"{c}" + "h" * 300 for c in range(80)), (("1",) * 80,) * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@example(left=_WIDE_HEADERS, right=_WIDE_HEADERS, k=5, metadata=True, strategy=HEAD_SAMPLING)
+@given(
+    left=_frames(),
+    right=_frames(),
+    k=st.sampled_from([1, 5, 50, 500]),
+    metadata=st.booleans(),
+    strategy=st.sampled_from([HEAD_SAMPLING, SamplingStrategy(SamplingMode.SEEDED_RANDOM, 7)]),
+)
+def test_prompts_equal_the_prompts_from_every_sampled_row(left, right, k, metadata, strategy):
+    config = PromptConfig(sample_k=k, include_metadata=metadata, strategy=strategy)
+    builders = (
+        lambda: table_class_prompt(left, None, config),
+        lambda: table_class_prompt(left, ("Animal", "Car"), config),
+        lambda: column_type_prompt(left, config),
+        lambda: join_prompt(left, right, config),
+    )
+    prompts = [build() for build in builders]
+    with mock.patch.object(tabnotate.prompt, "_records_that_can_fit", _every_record):
+        assert prompts == [build() for build in builders]
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDERS))
+def test_rows_past_the_budget_are_never_serialized(builder):
+    rng = random.Random(3)
+    table = Table(
+        "wide",
+        tuple(f"column_{c}" for c in range(30)),
+        tuple(
+            tuple(f"{r}-{c}-" + "x" * rng.randint(0, 12) for c in range(30))
+            for r in range(3000)
+        ),
+    )
+    config = PromptConfig(sample_k=500, strategy=SamplingStrategy(SamplingMode.SEEDED_RANDOM, 5))
+    with mock.patch.object(
+        tabnotate.prompt, "_record", wraps=tabnotate.prompt._record
+    ) as record:
+        text = assemble(_BUILDERS[builder](table, config))
+    kept = _kept_rows(text)
+    frames = 2 if builder == "join" else 1
+    assert 1 < kept < 500
+    # Per frame: the header, the kept rows and the one that no longer fits.
+    assert record.call_count <= frames * (kept + 2)
