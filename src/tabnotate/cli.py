@@ -288,9 +288,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.report:
         write_report(report, args.report)
     m = report.metrics
+    rate = "" if report.elapsed_s is None else f" items/s={report.items / report.elapsed_s:.2f}"
     print(
         f"P={m.precision:.3f} R={m.recall:.3f} F1={m.f1:.3f} "
-        f"items={report.items} cost={report.total_cost:.6f}"
+        f"items={report.items} cost={report.total_cost:.6f}{rate}"
     )
     return EXIT_OK
 

@@ -1,9 +1,10 @@
 """Tabular data model, ontology vocabulary, row sampling, and label matching.
 
 Everything in this module is immutable after construction and side-effect
-free, so values can be shared freely across worker threads.  The one
-exception is derived: :func:`nearest_term` caches its name index and its
-results on the :class:`Ontology` it searches, which changes no answer.
+free, so values can be shared freely across worker threads.  The exceptions
+are derived and change no answer: :func:`nearest_term` caches its name index
+and its results on the :class:`Ontology` it searches, and a :class:`Table`
+keeps the rows it splits when :attr:`Table.rows` is first read.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import io
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -377,41 +378,84 @@ def nearest_term(
     return memo[canonical]
 
 
-@dataclass(frozen=True)
+class _Lines(list):
+    """Quote-free CSV lines that a :class:`Table` keeps as its rows."""
+
+
+def _row(record: str | tuple[str, ...]) -> tuple[str, ...]:
+    """A row's cells: a line is split now, and a blank line is ``()``."""
+    if isinstance(record, tuple):
+        return record
+    return tuple(record.split(",")) if record else ()
+
+
 class Table:
     """A named relation of text cells with an optional header row.
 
     All rows share one arity; when headers are present they share it too.
-    A table may be header-only (no rows).
+    A table may be header-only (no rows).  Tables are immutable and compare,
+    hash and print as ``(name, headers, rows)``.  Rows that :func:`read_csv`
+    keeps as lines are split only when read: :attr:`row_count` and
+    :meth:`row` split no other line, and :attr:`rows` splits them all.
     """
 
-    name: str
-    headers: tuple[str, ...] | None
-    rows: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.headers is not None:
-            object.__setattr__(self, "headers", tuple(self.headers))
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
-        if self.headers == ():
+    def __init__(
+        self, name: str, headers: Iterable[str] | None, rows: Iterable[Iterable[str]]
+    ) -> None:
+        lines = rows if isinstance(rows, _Lines) else None
+        rows = tuple(map(tuple, rows)) if lines is None else lines
+        headers = None if headers is None else tuple(headers)
+        vars(self).update(name=name, headers=headers, _rows=rows)
+        if headers == ():
             raise ValueError("header row must have at least one column")
-        if self.headers is None and rows and not rows[0]:
+        if headers is None and rows and not self.row(0):
             raise ValueError("rows must have at least one cell")
         arity = self.arity
-        if set(map(len, rows)) - {arity}:
-            i, row = next((i, row) for i, row in enumerate(rows) if len(row) != arity)
-            raise ValueError(f"row {i} has {len(row)} cells, expected {arity}")
+        if lines is None:
+            widths = list(map(len, rows))
+        else:  # a line has one cell more than it has commas, and a blank line none
+            widths = [line.count(",") + 1 if line else 0 for line in lines]
+        if set(widths) - {arity}:
+            i = next(i for i, n in enumerate(widths) if n != arity)
+            raise ValueError(f"row {i} has {widths[i]} cells, expected {arity}")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.headers, self.rows) == (other.name, other.headers, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.headers, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Table(name={self.name!r}, headers={self.headers!r}, rows={self.rows!r})"
+
+    @property
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        """Every row, split at the first read and then kept."""
+        if isinstance(self._rows, _Lines):
+            vars(self)["_rows"] = tuple(map(_row, self._rows))
+        return self._rows  # type: ignore[return-value]
+
+    @property
+    def row_count(self) -> int:
+        return len(self._rows)
+
+    def row(self, i: int) -> tuple[str, ...]:
+        return _row(self._rows[i])
 
     @property
     def arity(self) -> int:
         if self.headers is not None:
             return len(self.headers)
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.row(0)) if self._rows else 0
 
     @property
     def is_empty(self) -> bool:
-        return self.headers is None and not self.rows
+        return self.headers is None and not self._rows
 
 
 class SamplingMode(Enum):
@@ -435,7 +479,7 @@ HEAD_SAMPLING = SamplingStrategy(SamplingMode.HEAD)
 
 
 def sample_rows(table: Table, k: int, strategy: SamplingStrategy = HEAD_SAMPLING) -> Table:
-    """Table with the same name/headers and min(k, len(rows)) rows.
+    """Table with the same name/headers and min(k, row_count) rows.
 
     Head sampling takes the leading rows; seeded-random sampling draws
     distinct indices with a dedicated generator and keeps original order,
@@ -443,13 +487,12 @@ def sample_rows(table: Table, k: int, strategy: SamplingStrategy = HEAD_SAMPLING
     """
     if k < 1:
         raise ValueError("sample size must be >= 1")
-    if strategy.mode is SamplingMode.HEAD or len(table.rows) <= k:
-        picked = table.rows[:k]
+    n = table.row_count
+    if strategy.mode is SamplingMode.HEAD or n <= k:
+        indices = range(min(k, n))
     else:
-        rng = random.Random(strategy.seed)
-        indices = sorted(rng.sample(range(len(table.rows)), k))
-        picked = tuple(table.rows[i] for i in indices)
-    return Table(name=table.name, headers=table.headers, rows=picked)
+        indices = sorted(random.Random(strategy.seed).sample(range(n), k))
+    return Table(name=table.name, headers=table.headers, rows=map(table.row, indices))
 
 
 def to_csv(table: Table) -> str:
@@ -464,26 +507,20 @@ def to_csv(table: Table) -> str:
     return text[:-1] if text.endswith("\n") else text
 
 
-def _records(text: str) -> list[tuple[str, ...]]:
+def _records(text: str) -> list[tuple[str, ...]] | _Lines:
     """The records of RFC 4180 text, as :func:`csv.reader` reads them.
 
-    Text with no quote and no carriage return, and no line over the field
-    size limit, holds one record per line with no quoted field, so it is
-    split directly: the empty piece after a final newline is dropped, and
-    a blank line is the empty record.
+    Text with no quote, no carriage return and no line over the field size
+    limit holds one record per line with no quoted field.  Its lines are
+    kept, less the empty piece after a final newline, and :class:`Table`
+    splits each only when its row is read; a blank line is the empty record.
     """
     if '"' not in text and "\r" not in text:
         lines = text.split("\n")
         if not lines[-1]:
             lines.pop()
         if max(map(len, lines), default=0) <= csv.field_size_limit():
-            # Each line is popped as it is split, so the lines and the cells
-            # are never all held at once.
-            lines.reverse()
-            return [
-                tuple(line.split(",")) if (line := lines.pop()) else ()
-                for _ in range(len(lines))
-            ]
+            return _Lines(lines)
     return [tuple(record) for record in csv.reader(io.StringIO(text))]
 
 
@@ -491,7 +528,8 @@ def read_csv(text: str, name: str, headers: bool) -> Table:
     """Parse RFC 4180 text into a :class:`Table`.
 
     When ``headers`` is true the first record becomes the header row.
-    Ragged records are rejected by the Table invariants.  Text that the
+    Ragged records are rejected by the Table invariants; a kept line's
+    cells are counted by its commas (see :func:`_records`).  Text that the
     CSV reader rejects, such as a field over :func:`csv.field_size_limit`
     characters, raises ``ValueError`` naming the table.
     """
@@ -502,5 +540,5 @@ def read_csv(text: str, name: str, headers: bool) -> Table:
     if headers:
         if not records:
             raise ValueError(f"{name}: expected a header row, got empty input")
-        return Table(name=name, headers=records[0], rows=tuple(records[1:]))
-    return Table(name=name, headers=None, rows=tuple(records))
+        return Table(name=name, headers=_row(records.pop(0)), rows=records)
+    return Table(name=name, headers=None, rows=records)

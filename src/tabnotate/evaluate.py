@@ -9,6 +9,7 @@ with throughput and cost alongside the metrics.
 from __future__ import annotations
 
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,27 +35,6 @@ from .harness import (
     run_join_task_detailed,
     run_table_class_task,
 )
-
-__all__ = [
-    "ClassStats",
-    "EmptyStats",
-    "LabeledExample",
-    "LengthMismatch",
-    "ManifestError",
-    "Report",
-    "System",
-    "Task",
-    "WeightedMetrics",
-    "jaccard",
-    "jaccard_join",
-    "join_match",
-    "levenshtein_join",
-    "load_manifest",
-    "per_class_stats",
-    "run_benchmark",
-    "weighted_metrics",
-    "write_report",
-]
 
 
 class LengthMismatch(ValueError):
@@ -161,7 +141,7 @@ def jaccard_join(left: Table, right: Table) -> JoinPrediction:
     Empty cells are ignored.  Ties break lexicographically by column name
     (positional index when headers are absent).
     """
-    if not left.rows or not right.rows:
+    if not left.row_count or not right.row_count:
         raise EmptyTable("the value-overlap baseline requires rows on both sides")
     left_names, right_names = _column_names(left), _column_names(right)
     left_sets = [set(column) - {""} for column in zip(*left.rows)]
@@ -266,28 +246,15 @@ def load_manifest(path: Path | str) -> list[LabeledExample]:
             raise _manifest_error(lineno, "'headers' must be a boolean")
         gold = _parse_gold(task, obj.get("gold"), lineno)
         if task is Task.JOIN:
-            left, right = obj.get("left"), obj.get("right")
-            if not isinstance(left, str) or not isinstance(right, str):
+            paths = {side: obj.get(side) for side in ("left", "right")}
+            if not all(isinstance(p, str) for p in paths.values()):
                 raise _manifest_error(lineno, "join items need 'left' and 'right' paths")
-            examples.append(
-                LabeledExample(
-                    id=item_id,
-                    task=task,
-                    headers=headers,
-                    gold=gold,
-                    left=base / left,
-                    right=base / right,
-                )
-            )
         else:
-            table = obj.get("table")
-            if not isinstance(table, str):
+            paths = {"table": obj.get("table")}
+            if not isinstance(paths["table"], str):
                 raise _manifest_error(lineno, "missing 'table' path")
-            examples.append(
-                LabeledExample(
-                    id=item_id, task=task, headers=headers, gold=gold, table=base / table
-                )
-            )
+        paths = {key: base / p for key, p in paths.items()}
+        examples.append(LabeledExample(item_id, task, headers, gold, **paths))
     return examples
 
 
@@ -316,6 +283,8 @@ class Report:
     by_task: dict[str, dict] = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     usage: dict = field(default_factory=dict)
+    # Measured wall clock, for model runs on a backend whose time is real.
+    elapsed_s: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -328,6 +297,7 @@ class Report:
             },
             "items": self.items,
             "throughput": self.throughput,
+            **({} if self.elapsed_s is None else {"elapsed_s": self.elapsed_s}),
             "total_cost": self.total_cost,
             "config": self.config,
             "usage": self.usage,
@@ -556,7 +526,10 @@ def run_benchmark(
     a backend error) is recorded as incorrect with its error rather than
     aborting the run.  Usage is summed over the items in manifest order,
     so the totals do not depend on ``jobs``, which must be at least 1.
+    Model runs on a non-scripted backend also report their measured wall
+    clock as ``elapsed_s``; ``throughput`` divides by metered time.
     """
+    start = time.perf_counter()
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if system is System.MODEL:
@@ -575,12 +548,8 @@ def run_benchmark(
     def run(example: LabeledExample) -> ItemOutcome:
         return _run_item(example, system, ontology, backend, config)
 
-    parallel = (
-        system is System.MODEL
-        and not isinstance(backend, ScriptedBackend)
-        and jobs > 1
-        and len(examples) > 1
-    )
+    live = system is System.MODEL and not isinstance(backend, ScriptedBackend)
+    parallel = live and jobs > 1 and len(examples) > 1
     if parallel:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run, examples))
@@ -614,4 +583,5 @@ def run_benchmark(
             "wall_time": usage.wall_time,
             "token_counts_approximate": isinstance(backend, ScriptedBackend),
         },
+        elapsed_s=time.perf_counter() - start if live else None,
     )

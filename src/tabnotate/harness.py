@@ -156,20 +156,13 @@ class PipelineConfig:
     Every task makes at most one clarification re-ask and one canonical
     repair pass: with anchoring on, a repaired answer replaces the whole
     assistant turn, so prose around a repaired label is not kept.
-    ``max_anchor_attempts`` is deprecated and has no effect; it is still
-    validated so that existing configurations keep working.
     """
 
     anchoring_enabled: bool = True
-    max_anchor_attempts: int = 3
     context_flow: bool = True
     prompt_config: PromptConfig = DEFAULT_PROMPT_CONFIG
     params: GenerationParams = GenerationParams()
     allowed_classes: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_anchor_attempts < 1:
-            raise ValueError("max_anchor_attempts must be >= 1")
 
 
 DEFAULT_PIPELINE_CONFIG = PipelineConfig()
@@ -424,12 +417,10 @@ def check_join(
             ViolationKind.ARITY_MISMATCH,
             f"left_on names {len(left_names)} columns, right_on {len(right_names)}",
         )
-    for index, name in enumerate(left_names):
-        if name not in left.headers:
-            return Violation(ViolationKind.NONEXISTENT_COLUMN, name, position=index)
-    for index, name in enumerate(right_names):
-        if name not in right.headers:
-            return Violation(ViolationKind.NONEXISTENT_COLUMN, name, position=index)
+    for names, headers in ((left_names, left.headers), (right_names, right.headers)):
+        for index, name in enumerate(names):
+            if name not in headers:
+                return Violation(ViolationKind.NONEXISTENT_COLUMN, name, position=index)
     return None
 
 

@@ -295,7 +295,7 @@ def test_criterion_5_constraint_totality(ontology):
     watch = Stopwatch(10.0)
     rng = random.Random(97)
     config = PipelineConfig()
-    max_calls = 1 + config.max_anchor_attempts
+    max_calls = 4
     for index in range(1000):
         response = _fuzz_response(rng)
         backend = ScriptedBackend([response] * max_calls)

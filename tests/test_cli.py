@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 
 import pytest
 
+import tabnotate.cli
 from tabnotate.backend import ScriptedBackend
 from tabnotate.cli import build_parser, main
 from tabnotate.core import Table, to_csv
@@ -262,6 +264,38 @@ def test_eval_all_correct_summary(workspace, capsys):
     assert "items=3" in out
     payload = json.loads(report_path.read_text(encoding="utf-8"))
     assert payload["metrics"]["f1"] == 1.0
+
+
+def test_eval_summary_gives_items_per_second_only_for_live_backends(
+    workspace, capsys, monkeypatch
+):
+    manifest = workspace / "manifest.jsonl"
+    manifest.write_text(
+        json.dumps({"id": "a", "task": "table-class", "table": "animals.csv",
+                    "headers": True, "gold": "Animal"}) + "\n",
+        encoding="utf-8",
+    )
+    backend = transcript(workspace, "t.jsonl", ["https://dbpedia.org/ontology/Animal"])
+    args = ("eval", str(manifest), "--ontology", str(workspace / "ontology.tsv"),
+            "--backend", f"scripted:{backend}")
+    code, scripted, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert re.fullmatch(r"P=1\.000 R=1\.000 F1=1\.000 items=1 cost=0\.\d{6}\n", scripted)
+
+    class Live:
+        """The scripted replies, from a backend that is not scripted."""
+
+        def __init__(self, replay):
+            self._replay = replay
+
+        def complete(self, conversation, params):
+            return self._replay.complete(conversation, params)
+
+    build = tabnotate.cli._build_backend
+    monkeypatch.setattr(tabnotate.cli, "_build_backend", lambda spec: Live(build(spec)))
+    code, live, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert re.fullmatch(re.escape(scripted[:-1]) + r" items/s=\d+\.\d\d\n", live)
 
 
 def test_eval_records_item_errors_and_writes_report(workspace, capsys):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import csv
 import io
+import pickle
 import random
 import re
 import string
@@ -12,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tabnotate.core
 from tabnotate.core import (
+    HEAD_SAMPLING,
     DuplicateTerm,
     EmptyLabel,
     EmptyOntologyKind,
@@ -488,6 +492,58 @@ _CSV_ROWS = st.builds(
 )
 def test_read_csv_equals_csv_reader_with_table_invariants(text, headers):
     assert _read_outcome(read_csv, text, headers) == _read_outcome(read_csv_ref, text, headers)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=st.one_of(st.text(alphabet=_CSV_CHARS, max_size=40), _CSV_ROWS),
+    headers=st.booleans(),
+    k=st.integers(1, 10),
+    seed=st.integers(0, 2**32),
+)
+def test_read_csv_table_equals_the_eagerly_built_table(text, headers, k, seed):
+    try:
+        head, rows = read_csv_ref(text, "t", headers)
+    except ValueError:
+        return  # the property above pins every error
+    eager = Table("t", head, rows)
+
+    def read():
+        return read_csv(text, "t", headers)
+
+    table = read()
+    assert table.row_count == eager.row_count == len(rows)
+    assert [table.row(i) for i in range(table.row_count)] == list(rows)
+    for strategy in (HEAD_SAMPLING, SamplingStrategy(SamplingMode.SEEDED_RANDOM, seed)):
+        assert sample_rows(read(), k, strategy) == sample_rows(eager, k, strategy)
+    assert table.rows == eager.rows == rows
+    assert read() == eager and eager == read() and read() != Table("u", head, rows)
+    assert hash(read()) == hash(eager)
+    assert repr(read()) == repr(eager)
+    assert pickle.loads(pickle.dumps(read())) == copy.deepcopy(read()) == eager
+
+
+@pytest.mark.parametrize("text, headers", [("1\n\n2", False), ("h\n1\n\n2", True)])
+def test_blank_line_in_a_one_column_table_is_a_row_of_no_cells(text, headers):
+    for source in (text, text.replace("1", '"1"')):  # split and csv.reader paths
+        with pytest.raises(ValueError, match=r"^row 1 has 0 cells, expected 1$"):
+            read_csv(source, "t", headers=headers)
+
+
+def test_sampling_a_read_table_splits_only_the_sampled_lines(monkeypatch):
+    text = "a,b\n" + "\n".join(f"{i},x{i}" for i in range(1000))
+    table = read_csv(text, "t", headers=True)
+    original, split = tabnotate.core._row, []
+
+    def counting(record):  # a line is a row kept unsplit; a tuple is already split
+        if isinstance(record, str):
+            split.append(record)
+        return original(record)
+
+    monkeypatch.setattr(tabnotate.core, "_row", counting)
+    sample = sample_rows(table, 5, SamplingStrategy(SamplingMode.SEEDED_RANDOM, 3))
+    assert table.row_count == 1000 and table.arity == 2 and not table.is_empty
+    assert len(split) == 5 and sample.rows == tuple(map(original, split))
 
 
 @pytest.mark.parametrize(

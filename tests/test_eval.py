@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tabnotate.core
 from tabnotate.backend import PriceTable, ScriptedBackend, Usage
 from tabnotate.core import (
     EmptyTable,
@@ -21,6 +22,7 @@ from tabnotate.core import (
 )
 from tabnotate.evaluate import (
     EmptyStats,
+    LabeledExample,
     LengthMismatch,
     ManifestError,
     System,
@@ -632,6 +634,8 @@ def test_thread_pool_report_equals_sequential_report(tmp_path):
     sequential, pooled = run(1), run(4)
     assert pooled["config"].pop("jobs") == 4
     assert sequential["config"].pop("jobs") == 1
+    # Measured wall clock differs from run to run; everything else is equal.
+    assert pooled.pop("elapsed_s") > 0 and sequential.pop("elapsed_s") > 0
     assert pooled == sequential
     assert [o["id"] for o in pooled["per_item"]] == [ex.id for ex in examples]
     assert len({o["attempts"] for o in pooled["per_item"]}) > 1
@@ -663,3 +667,77 @@ def test_report_is_invariant_under_item_order(tmp_path_factory, ontology, order)
     for key in ("prompt_tokens", "completion_tokens"):
         assert permuted["usage"][key] == base["usage"][key]
     assert permuted["total_cost"] == pytest.approx(base["total_cost"], abs=1e-12)
+
+
+def test_gold_of_the_wrong_length_fails_only_its_own_item(tmp_path, ontology, monkeypatch):
+    examples = mixed_manifest(tmp_path)
+    wide = replace(examples[5], id="ct0-wide", gold=examples[5].gold + ("author",))
+
+    def run(items):
+        return run_benchmark(
+            items, System.MODEL, ontology=ontology, backend=PromptKeyedBackend(), jobs=1
+        )
+
+    base, report = run(examples), run(examples[:6] + [wide] + examples[6:])
+    outcome = report.per_item[6]
+    assert outcome.error == "item 'ct0-wide': gold lists 3 columns, table has 2"
+    assert outcome.attempts == 0 and outcome.prediction is None and not outcome.correct
+    assert report.per_item[:6] + report.per_item[7:] == base.per_item
+    # The arity comes from the header row alone: no row is built.
+    monkeypatch.setattr(Table, "rows", property(lambda table: pytest.fail("rows were built")))
+    assert run([wide]).per_item[0].error == outcome.error
+
+
+def test_items_split_only_the_rows_they_read(tmp_path, ontology, monkeypatch):
+    """A model item splits its header line and its sampled lines; a
+    levenshtein item splits only the two header lines."""
+    lines = [",".join(ANIMALS_TABLE.headers)]
+    lines += [f"Vulnerable,Panthera leo {i}" for i in range(300)]
+    text = "\n".join(lines)
+    for name in ("left.csv", "right.csv"):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    gold = ("conservationStatus", "binomial")
+    typed = LabeledExample("ct", Task.COLUMN_TYPE, True, gold, table=tmp_path / "left.csv")
+    joined = LabeledExample(
+        "j", Task.JOIN, True, (("Binomial name", "Binomial name"),),
+        left=tmp_path / "left.csv", right=tmp_path / "right.csv",
+    )
+    original, split = tabnotate.core._row, []
+
+    def counting(record):  # a line is a row kept unsplit; a tuple is already split
+        if isinstance(record, str):
+            split.append(record)
+        return original(record)
+
+    monkeypatch.setattr(tabnotate.core, "_row", counting)
+    report = run_benchmark([typed], System.MODEL, ontology=ontology, backend=PromptKeyedBackend())
+    assert report.per_item[0].correct and len(split) == 1 + 5
+    split.clear()
+    assert run_benchmark([joined], System.LEVENSHTEIN).per_item[0].correct
+    assert split == [lines[0]] * 2
+
+
+def test_live_model_reports_measure_elapsed_time(tmp_path, ontology):
+    examples = mixed_manifest(tmp_path)
+    start = time.perf_counter()
+    report = run_benchmark(
+        examples, System.MODEL, ontology=ontology, backend=PromptKeyedBackend(), jobs=2
+    )
+    assert 0 < report.elapsed_s <= time.perf_counter() - start
+    payload = report.to_dict()
+    keys = list(payload)
+    assert keys[keys.index("throughput") + 1] == "elapsed_s"
+    assert payload["elapsed_s"] == report.elapsed_s
+    # ``throughput`` still divides by the metered time.
+    assert report.throughput == len(examples) / report.usage["wall_time"]
+
+
+def test_scripted_and_baseline_reports_have_no_elapsed_time(tmp_path, ontology):
+    examples = mixed_manifest(tmp_path)
+    scripted = run_benchmark(
+        examples[:1], System.MODEL, ontology=ontology,
+        backend=ScriptedBackend(["https://dbpedia.org/ontology/Animal"]),
+    )
+    baseline = run_benchmark(examples[-1:], System.JACCARD)
+    for report in (scripted, baseline):
+        assert report.elapsed_s is None and "elapsed_s" not in report.to_dict()

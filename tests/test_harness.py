@@ -481,10 +481,9 @@ def test_arity_mismatch_without_anchoring_fails(animals_table, ontology):
 
 
 def test_attempt_budget_falls_back_to_nearest(animals_table, ontology):
-    # Both items unknown and max_anchor_attempts=1: that setting has no
-    # effect, so one repair pass still yields in-ontology terms.
+    # Both items unknown: one repair pass still yields in-ontology terms.
     backend = ScriptedBackend(["`dbo:iucnStatus, dbo:binomialName`"])
-    config = PipelineConfig(max_anchor_attempts=1)
+    config = PipelineConfig()
     result, conv, _ = run_column_type_task(animals_table, ontology, backend, config)
     assert result.anchored is True
     for assignment in result.assignments:
@@ -495,7 +494,7 @@ def test_attempt_budget_falls_back_to_nearest(animals_table, ontology):
 
 def test_reask_reply_of_wrong_length_is_padded(animals_table, ontology):
     backend = ScriptedBackend(["no idea", "`dbo:binomial`"])
-    config = PipelineConfig(max_anchor_attempts=1)
+    config = PipelineConfig()
     result, conv, _ = run_column_type_task(animals_table, ontology, backend, config)
     assert result.attempts == 2 and result.anchored is True
     assert result.assignments == (lookup(ontology, TermKind.PROPERTY, "binomial"), UNKNOWN)
