@@ -4,7 +4,9 @@ Everything in this module is immutable after construction and side-effect
 free, so values can be shared freely across worker threads.  The exceptions
 are derived and change no answer: :func:`nearest_term` caches its name index
 and its results on the :class:`Ontology` it searches, and a :class:`Table`
-keeps the rows it splits when :attr:`Table.rows` is first read.
+keeps the rows it splits when :attr:`Table.rows` is first read.  The index
+groups names by tokenized length and packs a group into one int the first
+time a query visits it; a scan then scores every name of the group at once.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import io
 import random
 import re
+import struct
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -127,9 +130,10 @@ class Ontology:
     @cached_property
     def _derived(
         self,
-    ) -> dict[TermKind, tuple[list[tuple[str, str]], dict[str, tuple[OntologyTerm, float]]]]:
-        """Per kind, the ``(local_name, tokenized)`` index in name order and
-        the memo of :func:`nearest_term` results; empty until first use."""
+    ) -> dict[TermKind, tuple[_NameIndex, dict[str, tuple[OntologyTerm, float]]]]:
+        """Per kind, the :class:`_NameIndex` of local names, whose length
+        groups are packed as queries first visit them, and the memo of
+        :func:`nearest_term` results; empty until first use."""
         return {}
 
     def terms(self, kind: TermKind) -> tuple[OntologyTerm, ...]:
@@ -325,27 +329,130 @@ def label_similarity(a: str, b: str) -> float:
     return 1.0 - edit_distance(ta, tb) / denom if denom else 1.0
 
 
-def _nearest(candidates: Iterable[tuple[str, str]], label: str) -> tuple[str, float]:
-    """:func:`nearest_name` over ``(name, tokenize_label(name))`` pairs that
-    come in sorted name order."""
-    query = tokenize_label(label)
-    masks, la = _char_masks(query), len(query)
-    best_name, best = None, -1.0
-    for name, tokens in candidates:
-        lb = len(tokens)
-        denom = max(la, lb) or 1
-        # The score at the least possible distance, |la - lb|, in the same
-        # float arithmetic: a candidate it cannot lift above ``best`` loses.
-        if 1.0 - abs(la - lb) / denom <= best:
-            continue
-        score = 1.0 - _levenshtein(masks, la, tokens) / denom
-        if score > best:
-            best_name, best = name, score
-            if best == 1.0:
-                break
-    if best_name is None:
-        raise ValueError("no names to match against")
-    return best_name, best
+_POPCOUNT = bytes(bin(byte).count("1") for byte in range(256))
+
+
+class _Packed:
+    """Names whose tokenized forms all have one length, packed for a scan
+    of every name at once.
+
+    Name ``i``, in name order, takes slot ``i``: the ``width = 8 * (length
+    // 8 + 1)`` bits from bit ``i * width``.  Its characters fill the low
+    ``length`` bits, so a slot is byte-aligned and keeps at least one spare
+    bit above them.  Bit ``j`` of slot ``i`` is set in ``masks[c]`` where
+    character ``j`` of name ``i`` is ``c``; ``full`` holds every character
+    bit and ``lows`` every slot's bit 0.
+    """
+
+    __slots__ = ("names", "length", "masks", "full", "lows")
+
+    def __init__(self, group: list[tuple[str, str]], length: int) -> None:
+        width = 8 * (length // 8 + 1)
+        self.names = tuple(name for name, _ in group)
+        self.length = length
+        self.lows = ((1 << width * len(group)) - 1) // ((1 << width) - 1)
+        self.full = full = self.lows * ((1 << length) - 1)
+        # Most significant bit first, as ``int(..., 2)`` reads it.  The
+        # padding is "\0", and ``& full`` keeps it out of a name's "\0" mask.
+        text = "".join(tokens.ljust(width, "\0") for _, tokens in group)[::-1]
+        zeros = dict.fromkeys(map(ord, set(text)), "0")
+        self.masks = {
+            char: int(text.translate({**zeros, ord(char): "1"}), 2) & full
+            for char in set("".join(tokens for _, tokens in group))
+        }
+
+    def nearest(self, query: str) -> tuple[int, str]:
+        """Least edit distance from ``query`` to a packed name, and the
+        first name at that distance.
+
+        Each slot runs the recurrence of :func:`_levenshtein`, Myers'
+        bit-vector algorithm (J. ACM 1999) in Hyyrö's (2003) form, with its
+        name as pattern and ``query`` as text, and all slots run in one int:
+        the multiple-pattern packing of Hyyrö, Fredriksson and Navarro
+        ("Increased bit-parallelism for approximate and multiple string
+        matching", ACM JEA 10, 2005).  A carry out of a slot stops in its
+        spare bit, which ``& full`` clears; the shift sets each slot's bit 0,
+        the +1 of the first row.  Complements are taken by ``^ full``: the
+        bits it leaves outside ``full`` reach no character bit but a slot's
+        bit 0, which the shift sets anyway.  A slot's distance is
+        ``len(query) + P - M`` for ``P`` and ``M`` the popcounts of its
+        ``pv`` and ``mv``.
+        """
+        masks, full, lows, length = self.masks, self.full, self.lows, self.length
+        pv, mv = full, 0
+        for char in query:
+            eq = masks.get(char, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (xh | pv) ^ full
+            mh = pv & xh
+            ph = ph << 1 | lows
+            pv = (mh << 1 | (xv | ph) ^ full) & full
+            mv = ph & xv
+        # Each byte of ``pv`` and of ``full ^ mv`` becomes its popcount, and
+        # the bytes of a slot are summed into its lowest field, which then
+        # holds ``length + P - M``.  Any ``slot`` consecutive bytes hold at
+        # most ``length`` character bits, so no sum carries while a field
+        # holds ``2 * length``: a byte below length 128, else eight.
+        slot = length // 8 + 1
+        size = slot * len(self.names)
+        counts = sum(
+            int.from_bytes(bits.to_bytes(size, "little").translate(_POPCOUNT), "little")
+            for bits in (pv, full ^ mv)
+        )
+        field = 1 if 2 * length < 256 else 8
+        if field == 8:
+            wide = bytearray(8 * size)
+            wide[::8] = counts.to_bytes(size, "little")
+            counts = int.from_bytes(wide, "little")
+        total = counts
+        for j in range(1, slot):
+            total += counts >> 8 * field * j
+        data = total.to_bytes(field * size, "little")
+        lanes = data[::slot] if field == 1 else struct.unpack(f"<{size}Q", data)[::slot]
+        low = min(lanes)
+        return len(query) - length + low, self.names[lanes.index(low)]
+
+
+class _NameIndex:
+    """Candidate names, grouped by tokenized length in name order; a group
+    is packed into a :class:`_Packed` the first time a query visits it.
+
+    A packed group is published by one dict assignment, so threads sharing
+    an index never read half of one.
+    """
+
+    def __init__(self, names: Iterable[str]) -> None:
+        groups: dict[int, list[tuple[str, str]]] = {}
+        for name in sorted(names):
+            tokens = tokenize_label(name)
+            groups.setdefault(len(tokens), []).append((name, tokens))
+        self.groups = groups
+        self.packed: dict[int, _Packed] = {}
+
+    def nearest(self, label: str) -> tuple[str, float]:
+        """:func:`nearest_name` over the indexed names."""
+        query = tokenize_label(label)
+        la = len(query)
+        best_name, best = "", -1.0
+        for lb in sorted(self.groups, key=lambda lb: (abs(la - lb), lb)):
+            denom = max(la, lb) or 1
+            # The score at the least possible distance, |la - lb|, in the
+            # same float arithmetic: a group it cannot lift above ``best``,
+            # nor to ``best`` with a smaller first name, loses.
+            bound = 1.0 - abs(la - lb) / denom
+            if bound < best or bound == best and self.groups[lb][0][0] >= best_name:
+                continue
+            packed = self.packed.get(lb)
+            if packed is None:
+                packed = self.packed[lb] = _Packed(self.groups[lb], lb)
+            distance, name = packed.nearest(query)
+            score = 1.0 - distance / denom
+            if score > best or score == best and name < best_name:
+                best_name, best = name, score
+        if best < 0.0:
+            raise ValueError("no names to match against")
+        return best_name, best
 
 
 def nearest_name(names: Iterable[str], label: str) -> tuple[str, float]:
@@ -354,7 +461,7 @@ def nearest_name(names: Iterable[str], label: str) -> tuple[str, float]:
     Ties break toward the lexicographically smallest name.  Raises
     :class:`ValueError` when ``names`` is empty.
     """
-    return _nearest(((name, tokenize_label(name)) for name in sorted(names)), label)
+    return _NameIndex(names).nearest(label)
 
 
 def nearest_term(
@@ -362,18 +469,18 @@ def nearest_term(
 ) -> tuple[OntologyTerm, float]:
     """Term of the requested kind whose local name is :func:`nearest_name`.
 
-    The kind's sorted, tokenized names are indexed on the ontology at the
-    first call, and every result is memoized there.
+    The kind's names are indexed on the ontology at the first call, each
+    length group is packed when a query first visits it, and every result
+    is memoized there.
     """
     derived = ontology._derived
     if kind not in derived:
-        names = sorted(term.local_name for term in ontology.terms(kind))
-        derived[kind] = ([(name, tokenize_label(name)) for name in names], {})
+        derived[kind] = (_NameIndex(term.local_name for term in ontology.terms(kind)), {})
     index, memo = derived[kind]
-    if not index:
+    if not index.groups:
         raise EmptyOntologyKind(f"ontology has no {kind.value} terms")
     if canonical not in memo:
-        name, score = _nearest(index, canonical)
+        name, score = index.nearest(canonical)
         memo[canonical] = (lookup(ontology, kind, name), score)
     return memo[canonical]
 

@@ -291,10 +291,42 @@ def test_edit_distance_equals_full_matrix_on_any_text(a, b):
 _TIED = st.text(alphabet="abC_ ", max_size=6)
 
 
+# Up to ~150 characters: slots past one 64-bit word, tokenized lengths on
+# both sides of the one-byte lane limit at 128, names that tokenize to "",
+# and "\0", the character the scan pads its slots with.
+_LONG_TIED = st.one_of(
+    st.text(alphabet="abC_ é\0", max_size=8),
+    st.text(alphabet="abC_ é\0", min_size=100, max_size=150),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(names=st.lists(_TIED, min_size=1, max_size=8), label=_TIED)
+@given(
+    names=st.one_of(
+        st.lists(_TIED, min_size=1, max_size=8), st.lists(_LONG_TIED, min_size=1, max_size=4)
+    ),
+    label=st.one_of(_TIED, _LONG_TIED),
+)
 def test_nearest_name_equals_reference(names, label):
     assert nearest_name(names, label) == nearest_label_ref(names, label)
+
+
+def test_nearest_name_ties_across_length_groups():
+    # "abc" ties "abce" at 0.75 from the shorter group, which is visited
+    # second with a length bound equal to the best score so far.
+    assert nearest_name(["abce", "abc"], "abcd") == ("abc", 0.75)
+    # "_" tokenizes to "", at distance 1 from "x" like "b", and sorts first.
+    assert nearest_name(["_", "b"], "x") == ("_", 0.0)
+
+
+def test_nearest_term_reads_names_past_the_one_byte_lane_limit():
+    # Against a short label, a name of tokenized length 140 reaches lane
+    # values over 255 (2 * 140 - 2 at most), and 128 is the first wide length.
+    names = ["a" * 140, "ab" * 70, "b" * 139 + "x", "b" * 127 + "x", "b" * 128, "cat"]
+    ontology = make_ontology(properties=names)
+    for label in ["bx", "x", "", "b" * 128, "ab" * 64 + "x"]:
+        term, score = nearest_term(ontology, TermKind.PROPERTY, label)
+        assert (term.local_name, score) == nearest_label_ref(names, label)
 
 
 def test_nearest_name_rejects_no_names():
@@ -302,7 +334,7 @@ def test_nearest_name_rejects_no_names():
         nearest_name([], "x")
 
 
-_LOCAL_NAME = st.from_regex(r"[abC][abC_]{0,5}", fullmatch=True)
+_LOCAL_NAME = st.from_regex(r"[abC][abC_]{0,20}", fullmatch=True)
 
 
 @settings(max_examples=100, deadline=None)
