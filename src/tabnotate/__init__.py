@@ -8,6 +8,7 @@ from .backend import (
     HttpBackend,
     HttpEndpoint,
     MatchFailed,
+    MeteredBackend,
     PriceTable,
     ScriptedBackend,
     Usage,

@@ -188,6 +188,24 @@ class Backend(Protocol):
     ) -> tuple[str, Usage]: ...
 
 
+class MeteredBackend:
+    """Forwards ``complete`` to ``backend`` and sums the usage and the
+    count of the calls that finished, including those of a failed task."""
+
+    def __init__(self, backend: Backend | None) -> None:
+        self._backend = backend
+        self.usage = Usage()
+        self.calls = 0
+
+    def complete(
+        self, conversation: Conversation, params: GenerationParams
+    ) -> tuple[str, Usage]:
+        text, usage = self._backend.complete(conversation, params)  # type: ignore[union-attr]
+        self.usage += usage
+        self.calls += 1
+        return text, usage
+
+
 def _require_user_tail(conversation: Conversation) -> Turn:
     tail = conversation.last
     if tail is None or tail.role is not Role.USER:

@@ -235,7 +235,7 @@ def cmd_classify_table(args: argparse.Namespace) -> int:
         return EXIT_OK
     ontology = _load_ontology_file(args.ontology)
     backend = _build_backend(args.backend)
-    result, _, _ = run_table_class_task(table, ontology, backend, config)
+    result, _ = run_table_class_task(table, ontology, backend, config)
     print(f"{result.term.iri}\t{str(result.anchored).lower()}\t{result.attempts}")
     return EXIT_OK
 
@@ -248,7 +248,7 @@ def cmd_annotate_columns(args: argparse.Namespace) -> int:
         return EXIT_OK
     ontology = _load_ontology_file(args.ontology)
     backend = _build_backend(args.backend)
-    result, _, _ = run_column_type_task(table, ontology, backend, config)
+    result, _ = run_column_type_task(table, ontology, backend, config)
     for index, assignment in enumerate(result.assignments):
         print(f"{index}\t{render_term(assignment, ontology)}")
     return EXIT_OK

@@ -7,6 +7,9 @@ and its results on the :class:`Ontology` it searches, and a :class:`Table`
 keeps the rows it splits when :attr:`Table.rows` is first read.  The index
 groups names by tokenized length and packs a group into one int the first
 time a query visits it; a scan then scores every name of the group at once.
+That scan, :class:`_Packed`, is the package's one edit-distance recurrence:
+:func:`edit_distance` runs it on a single name, and the ``levenshtein``
+join baseline on the right table's headers.
 """
 
 from __future__ import annotations
@@ -277,45 +280,9 @@ def tokenize_label(label: str) -> str:
     return " ".join(text.lower().split())
 
 
-def _char_masks(pattern: str) -> dict[str, int]:
-    """Bit ``i`` of ``masks[c]`` is set where ``pattern[i] == c``."""
-    masks: dict[str, int] = {}
-    for i, char in enumerate(pattern):
-        masks[char] = masks.get(char, 0) | 1 << i
-    return masks
-
-
-def _levenshtein(masks: dict[str, int], m: int, text: str) -> int:
-    """Edit distance between ``text`` and the length-``m`` pattern whose
-    :func:`_char_masks` are ``masks``.
-
-    Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's (2003) form: a
-    column of the dynamic program is held as its vertical +1/-1 deltas in
-    two ints, and the distance is tracked along the last row.
-    """
-    if not m:
-        return len(text)
-    full, last = (1 << m) - 1, 1 << (m - 1)
-    pv, mv, dist = full, 0, m
-    for char in text:
-        eq = masks.get(char, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        ph = ph << 1 | 1
-        pv = (mh << 1 | ~(xv | ph)) & full
-        mv = ph & xv
-    return dist
-
-
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance with unit-cost insert, delete, and substitute."""
-    return _levenshtein(_char_masks(a), len(a), b)
+    return _Packed([(b, b)], len(b)).nearest(a)[0]
 
 
 def label_similarity(a: str, b: str) -> float:
@@ -365,16 +332,16 @@ class _Packed:
         """Least edit distance from ``query`` to a packed name, and the
         first name at that distance.
 
-        Each slot runs the recurrence of :func:`_levenshtein`, Myers'
-        bit-vector algorithm (J. ACM 1999) in Hyyrö's (2003) form, with its
-        name as pattern and ``query`` as text, and all slots run in one int:
-        the multiple-pattern packing of Hyyrö, Fredriksson and Navarro
-        ("Increased bit-parallelism for approximate and multiple string
-        matching", ACM JEA 10, 2005).  A carry out of a slot stops in its
-        spare bit, which ``& full`` clears; the shift sets each slot's bit 0,
-        the +1 of the first row.  Complements are taken by ``^ full``: the
-        bits it leaves outside ``full`` reach no character bit but a slot's
-        bit 0, which the shift sets anyway.  A slot's distance is
+        Each slot runs Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's
+        (2003) form, with its name as pattern and ``query`` as text, and all
+        slots run in one int: the multiple-pattern packing of Hyyrö,
+        Fredriksson and Navarro ("Increased bit-parallelism for approximate
+        and multiple string matching", ACM JEA 10, 2005).  A carry out of a
+        slot stops in its spare bit, which ``& full`` clears; the shift sets
+        each slot's bit 0, the +1 of the first row.  Complements are taken
+        by ``^ full``: the bits it leaves outside ``full`` reach no character
+        bit but a slot's bit 0, which the shift sets anyway.  A slot's
+        distance is
         ``len(query) + P - M`` for ``P`` and ``M`` the popcounts of its
         ``pv`` and ``mv``.
         """

@@ -19,12 +19,11 @@ from typing import Iterable, Sequence
 from .backend import (
     Backend,
     BackendError,
-    Conversation,
-    GenerationParams,
+    MeteredBackend,
     ScriptedBackend,
     Usage,
 )
-from .core import EmptyTable, MissingHeaders, Ontology, Table, _char_masks, _levenshtein, read_csv
+from .core import EmptyTable, MissingHeaders, Ontology, Table, _Packed, read_csv
 from .harness import (
     DEFAULT_PIPELINE_CONFIG,
     JoinPrediction,
@@ -122,16 +121,21 @@ def levenshtein_join(left: Table, right: Table) -> JoinPrediction:
     """Header pair with the smallest edit distance between lowercased names."""
     if left.headers is None or right.headers is None:
         raise MissingHeaders("the edit-distance baseline requires headers")
-    rights = [(r, r.lower()) for r in right.headers]
-    best: tuple[int, str, str] | None = None
+    groups: dict[int, list[tuple[str, str]]] = {}
+    for r in sorted(right.headers):
+        lowered = r.lower()
+        groups.setdefault(len(lowered), []).append((r, lowered))
+    packed = [_Packed(group, lb) for lb, group in sorted(groups.items())]
+    best: tuple[float, str, str] = (float("inf"), "", "")
     for l in left.headers:
-        pattern = l.lower()
-        masks = _char_masks(pattern)
-        for r, lowered in rights:
-            key = (_levenshtein(masks, len(pattern), lowered), l, r)
-            if best is None or key < best:
-                best = key
-    assert best is not None
+        query = l.lower()
+        for group in packed:
+            # A distance is never below the length gap, so a group whose gap
+            # exceeds the best distance can neither beat it nor tie it.
+            if abs(len(query) - group.length) > best[0]:
+                continue
+            distance, r = group.nearest(query)
+            best = min(best, (distance, l, r))
     return JoinPrediction((best[1],), (best[2],))
 
 
@@ -418,24 +422,6 @@ def _aggregate(
     return overall, by_task
 
 
-class _ItemTally:
-    """Forwards ``complete`` to the shared backend and sums the usage and
-    the count of the calls one item finished."""
-
-    def __init__(self, backend: Backend | None) -> None:
-        self._backend = backend
-        self.usage = Usage()
-        self.calls = 0
-
-    def complete(
-        self, conversation: Conversation, params: GenerationParams
-    ) -> tuple[str, Usage]:
-        text, usage = self._backend.complete(conversation, params)  # type: ignore[union-attr]
-        self.usage += usage
-        self.calls += 1
-        return text, usage
-
-
 def _json_ready(task: Task, value: object) -> object:
     """A gold or predicted label in its report shape: lists, not tuples."""
     if task is Task.JOIN:
@@ -462,14 +448,14 @@ def _predict(
         return run.prediction.pairs, run.anchored
     table = _read_table(example.table, example.id, example.headers)
     if example.task is Task.TABLE_CLASS:
-        result, _, _ = run_table_class_task(table, ontology, backend, config)
+        result, _ = run_table_class_task(table, ontology, backend, config)
         return result.term.local_name, result.anchored
     if len(example.gold) != table.arity:  # type: ignore[arg-type]
         raise ManifestError(
             f"item {example.id!r}: gold lists {len(example.gold)} columns, "
             f"table has {table.arity}"
         )
-    result, _, _ = run_column_type_task(table, ontology, backend, config)
+    result, _ = run_column_type_task(table, ontology, backend, config)
     return [_label_of(a) for a in result.assignments], result.anchored
 
 
@@ -485,9 +471,9 @@ def _run_item(
     Usage and attempts come from the calls that reached the backend, so an
     item that fails still reports every call it finished.
     """
-    tally = _ItemTally(backend)
+    meter = MeteredBackend(backend)
     try:
-        raw, anchored = _predict(example, system, ontology, tally, config)
+        raw, anchored = _predict(example, system, ontology, meter, config)
         prediction, error = _json_ready(example.task, raw), None
     except (TaskFailed, BackendError, OSError, ValueError) as exc:
         prediction, anchored, error = None, False, str(exc)
@@ -503,8 +489,8 @@ def _run_item(
         gold=gold,
         correct=correct,
         anchored=anchored,
-        attempts=tally.calls,
-        usage=tally.usage,
+        attempts=meter.calls,
+        usage=meter.usage,
         error=error,
     )
 

@@ -20,7 +20,6 @@ from .backend import (
     Conversation,
     GenerationParams,
     Role,
-    Usage,
     assistant,
     user,
 )
@@ -55,8 +54,8 @@ class InvalidState(RuntimeError):
 class TaskFailed(RuntimeError):
     """The task could not produce a feasible result within budget.
 
-    It carries no usage: callers that need the cost of a failed task meter
-    the calls at the backend, as the benchmark runner does.
+    It carries no usage: to cost a failed task, wrap the backend in a
+    :class:`~tabnotate.backend.MeteredBackend`, as the benchmark runner does.
     """
 
     def __init__(self, task: str, violation: Violation | None, message: str) -> None:
@@ -144,7 +143,6 @@ class JoinPrediction:
 class JoinTaskRun:
     prediction: JoinPrediction
     conversation: Conversation
-    usage: Usage
     attempts: int
     anchored: bool
 
@@ -490,7 +488,7 @@ def _ask_parse_repair(
     backend: Backend,
     config: PipelineConfig,
     conversation: Conversation | None = None,
-) -> tuple[_Value, str, bool, int, Conversation, Usage]:
+) -> tuple[_Value, str, bool, int, Conversation]:
     """Ask, parse, repair: the one loop behind all three tasks.
 
     ``parse`` reads an answer and says whether it had to fix its shape;
@@ -500,11 +498,11 @@ def _ask_parse_repair(
     anchoring on, a fixed or repaired answer then rewrites the final
     assistant turn once.  ``failure`` is the task and what it lacked when
     no answer parses.  Returns the value, the raw response, whether it was
-    anchored, the call count, the conversation and the usage.
+    anchored, the call count and the conversation.
     """
     conv = conversation if conversation is not None else Conversation()
     conv.append(user(prompt))
-    raw_response, total = backend.complete(conv, config.params)
+    raw_response, _ = backend.complete(conv, config.params)
     # An empty completion still occupies an assistant turn; a lone space
     # keeps the turn invariant and parses as unparsable output.
     conv.append(assistant(raw_response or " "))
@@ -521,9 +519,8 @@ def _ask_parse_repair(
                 ) from exc
             retry = Conversation(conv.turns)
             retry.append(user(clarification))
-            raw_response, usage = backend.complete(retry, config.params)
+            raw_response, _ = backend.complete(retry, config.params)
             conv = anchor(conv, raw_response or " ")
-            total += usage
             attempts += 1
 
     value, repaired = repair(parsed)
@@ -531,7 +528,7 @@ def _ask_parse_repair(
     if config.anchoring_enabled and (fixed or repaired):
         conv = anchor(conv, render(value))
         anchored = True
-    return value, raw_response, anchored, attempts, conv, total
+    return value, raw_response, anchored, attempts, conv
 
 
 def run_table_class_task(
@@ -540,10 +537,10 @@ def run_table_class_task(
     backend: Backend,
     config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
     conversation: Conversation | None = None,
-) -> tuple[TableClassResult, Conversation, Usage]:
+) -> tuple[TableClassResult, Conversation]:
     """Ask for the table's ontology class, mitigating infeasible answers."""
     prompt = assemble(table_class_prompt(table, config.allowed_classes, config.prompt_config))
-    terms, raw, anchored, attempts, conv, usage = _ask_parse_repair(
+    terms, raw, anchored, attempts, conv = _ask_parse_repair(
         prompt, LABEL_CLARIFICATION,
         parse=lambda text: ((parse_table_class(text, ontology.namespace_prefixes),), False),
         repair=lambda labels: _nearest_terms(labels, TermKind.CLASS, ontology),
@@ -551,7 +548,7 @@ def run_table_class_task(
         failure=("table-class", f"parsable table class for {table.name!r}"),
         backend=backend, config=config, conversation=conversation,
     )
-    return TableClassResult(terms[0], raw, anchored, attempts), conv, usage
+    return TableClassResult(terms[0], raw, anchored, attempts), conv
 
 
 def run_column_type_task(
@@ -560,10 +557,10 @@ def run_column_type_task(
     backend: Backend,
     config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
     conversation: Conversation | None = None,
-) -> tuple[ColumnTypeResult, Conversation, Usage]:
+) -> tuple[ColumnTypeResult, Conversation]:
     """Ask for one property per column, mitigating infeasible answers."""
     prompt = assemble(column_type_prompt(table, config.prompt_config))
-    terms, raw, anchored, attempts, conv, usage = _ask_parse_repair(
+    terms, raw, anchored, attempts, conv = _ask_parse_repair(
         prompt, LIST_CLARIFICATION,
         parse=lambda text: _parse_type_list(text, table.arity, config.anchoring_enabled),
         repair=lambda labels: _nearest_terms(labels, TermKind.PROPERTY, ontology),
@@ -571,7 +568,7 @@ def run_column_type_task(
         failure=("column-type", f"usable column-type list for {table.name!r}"),
         backend=backend, config=config, conversation=conversation,
     )
-    return ColumnTypeResult(terms, raw, anchored, attempts), conv, usage
+    return ColumnTypeResult(terms, raw, anchored, attempts), conv
 
 
 def run_table_pipeline(
@@ -579,17 +576,15 @@ def run_table_pipeline(
     ontology: Ontology,
     backend: Backend,
     config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
-) -> tuple[TableClassResult, ColumnTypeResult, Usage]:
+) -> tuple[TableClassResult, ColumnTypeResult]:
     """Table class then column types, sharing one conversation so the
     class finding informs the type answers (unless context flow is off)."""
-    class_result, conv, usage_class = run_table_class_task(
-        table, ontology, backend, config
-    )
+    class_result, conv = run_table_class_task(table, ontology, backend, config)
     followup = conv if config.context_flow else None
-    column_result, _, usage_columns = run_column_type_task(
+    column_result, _ = run_column_type_task(
         table, ontology, backend, config, conversation=followup
     )
-    return class_result, column_result, usage_class + usage_columns
+    return class_result, column_result
 
 
 def _render_join(prediction: JoinPrediction) -> str:
@@ -643,9 +638,9 @@ def run_join_task_detailed(
         )
         return JoinPrediction(*repaired), repaired != names
 
-    prediction, _, anchored, attempts, conv, usage = _ask_parse_repair(
+    prediction, _, anchored, attempts, conv = _ask_parse_repair(
         prompt, JOIN_CLARIFICATION, parse=parse, repair=repair, render=_render_join,
         failure=("join", f"usable join between {left.name!r} and {right.name!r}"),
         backend=backend, config=config,
     )
-    return JoinTaskRun(prediction, conv, usage, attempts, anchored)
+    return JoinTaskRun(prediction, conv, attempts, anchored)

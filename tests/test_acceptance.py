@@ -124,8 +124,8 @@ def _fig4_transcript() -> ScriptedBackend:
 def _run_fig4(ontology, anchoring: bool):
     config = PipelineConfig(anchoring_enabled=anchoring)
     backend = _fig4_transcript()
-    class_result, conv, _ = run_table_class_task(ANIMALS_TABLE, ontology, backend, config)
-    column_result, conv, _ = run_column_type_task(
+    class_result, conv = run_table_class_task(ANIMALS_TABLE, ontology, backend, config)
+    column_result, conv = run_column_type_task(
         ANIMALS_TABLE, ontology, backend, config, conversation=conv
     )
     labels = tuple(
@@ -303,7 +303,7 @@ def test_criterion_5_constraint_totality(ontology):
         try:
             if lane in (0, 1):
                 table = ANIMALS_TABLE if lane == 0 else EV_TABLE
-                result, _, _ = run_table_class_task(table, ontology, backend, config)
+                result, _ = run_table_class_task(table, ontology, backend, config)
                 assert (
                     lookup(ontology, TermKind.CLASS, result.term.local_name)
                     is result.term
@@ -311,7 +311,7 @@ def test_criterion_5_constraint_totality(ontology):
                 assert result.attempts <= max_calls
             elif lane in (2, 3):
                 table = ANIMALS_TABLE if lane == 2 else EV_TABLE
-                result, _, _ = run_column_type_task(table, ontology, backend, config)
+                result, _ = run_column_type_task(table, ontology, backend, config)
                 assert len(result.assignments) == table.arity
                 for assignment in result.assignments:
                     if isinstance(assignment, UnknownType):

@@ -218,16 +218,20 @@ def test_jaccard_join_positional_names_without_headers():
 # Few distinct cells and header letters, so scores tie and the tie-break decides.
 _CELL = st.sampled_from(["", "a", "b", "c"])
 _HEADER = st.text(alphabet="aAbé", max_size=3)
+# Long names, some holding "İ", whose lowercase form is one character longer.
+_LONG_HEADER = st.text(alphabet="aAbİi", min_size=60, max_size=150)
 
 
 @st.composite
-def _baseline_table(draw, name: str, headers: bool | None = None, rows: bool = True):
+def _baseline_table(
+    draw, name: str, headers: bool | None = None, rows: bool = True, header=_HEADER
+):
     arity = draw(st.integers(1, 5))
     with_headers = draw(st.booleans()) if headers is None else headers
     row = st.lists(_CELL, min_size=arity, max_size=arity).map(tuple)
     return Table(
         name,
-        draw(st.lists(_HEADER, min_size=arity, max_size=arity)) if with_headers else None,
+        draw(st.lists(header, min_size=arity, max_size=arity)) if with_headers else None,
         tuple(draw(st.lists(row, min_size=1, max_size=6))) if rows else (),
     )
 
@@ -240,8 +244,8 @@ def test_jaccard_join_equals_reference(left, right):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    left=_baseline_table("l", headers=True, rows=False),
-    right=_baseline_table("r", headers=True, rows=False),
+    left=_baseline_table("l", headers=True, rows=False, header=_HEADER | _LONG_HEADER),
+    right=_baseline_table("r", headers=True, rows=False, header=_HEADER | _LONG_HEADER),
 )
 def test_levenshtein_join_equals_reference(left, right):
     assert levenshtein_join(left, right).pairs == (best_levenshtein_pair_ref(left, right),)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tabnotate.backend import (
     BackendExhausted,
     Conversation,
+    MeteredBackend,
     Role,
     ScriptedBackend,
     assistant,
@@ -92,7 +93,7 @@ def test_parse_table_class_reads_every_namespace_spelling(ev_table):
     )
     for response in ("http://dbpedia.org/ontology/Person", "I think dbo:Person fits."):
         backend = ScriptedBackend([response])
-        result, conv, _ = run_table_class_task(ev_table, ontology, backend)
+        result, conv = run_table_class_task(ev_table, ontology, backend)
         assert result.term.local_name == "Person"
         assert result.attempts == 1 and result.anchored is False
         assert conv.last.text == response
@@ -279,7 +280,7 @@ def test_bare_class_anchored_to_iri(ev_table, ontology):
     assert expected_name == "Hospital"
     for response in ("`Hostpital`", "`dbo:Hostpital`", "I think `Hostpital` fits."):
         backend = ScriptedBackend([response])
-        result, conv, _ = run_table_class_task(ev_table, ontology, backend)
+        result, conv = run_table_class_task(ev_table, ontology, backend)
         assert result.term.local_name == expected_name
         assert result.anchored is True
         assert conv.last.text == "https://dbpedia.org/ontology/Hospital"
@@ -287,7 +288,7 @@ def test_bare_class_anchored_to_iri(ev_table, ontology):
 
 def test_iri_class_anchored_to_iri(ev_table, ontology):
     backend = ScriptedBackend(["https://dbpedia.org/ontology/Hostpital"])
-    result, conv, _ = run_table_class_task(ev_table, ontology, backend)
+    result, conv = run_table_class_task(ev_table, ontology, backend)
     assert result.term.local_name == "Hospital" and result.attempts == 1
     assert conv.last.text == "https://dbpedia.org/ontology/Hospital"
 
@@ -296,7 +297,7 @@ def test_misspelt_property_becomes_nearest(animals_table, ontology):
     expected_name = _nearest_name(ontology, TermKind.PROPERTY, "iucnStatus")
     assert expected_name == "conservationStatus"
     backend = ScriptedBackend(["`dbo:iucnStatus, dbo:binomial`"])
-    result, conv, _ = run_column_type_task(animals_table, ontology, backend)
+    result, conv = run_column_type_task(animals_table, ontology, backend)
     assert [a.local_name for a in result.assignments] == [expected_name, "binomial"]
     assert conv.last.text == "`dbo:conservationStatus, dbo:binomial`"
 
@@ -305,7 +306,7 @@ def test_empty_label_does_not_overwrite_its_neighbour(ev_table, ontology):
     backend = ScriptedBackend(
         ["`dbo:manufacturer, Unknown, , dbo:vehicleIdentificationNumber`"]
     )
-    result, conv, _ = run_column_type_task(ev_table, ontology, backend)
+    result, conv = run_column_type_task(ev_table, ontology, backend)
     filled = lookup(ontology, TermKind.PROPERTY, _nearest_name(ontology, TermKind.PROPERTY, ""))
     assert result.assignments == (
         lookup(ontology, TermKind.PROPERTY, "manufacturer"),
@@ -320,7 +321,7 @@ def test_empty_label_does_not_overwrite_its_neighbour(ev_table, ontology):
 
 def test_leading_empty_label_anchored_cleanly(animals_table, ontology):
     backend = ScriptedBackend(["`, dbo:binomial`"])
-    result, conv, _ = run_column_type_task(animals_table, ontology, backend)
+    result, conv = run_column_type_task(animals_table, ontology, backend)
     filled = lookup(ontology, TermKind.PROPERTY, _nearest_name(ontology, TermKind.PROPERTY, ""))
     assert result.assignments == (filled, lookup(ontology, TermKind.PROPERTY, "binomial"))
     assert conv.last.text == "`dbo:author, dbo:binomial`"
@@ -345,7 +346,8 @@ def test_pipeline_happy_path(ev_table, ontology):
             "`dbo:manufacturer, dbo:model, dbo:postalCode, dbo:vehicleIdentificationNumber`",
         ]
     )
-    class_result, column_result, usage = run_table_pipeline(ev_table, ontology, backend)
+    meter = MeteredBackend(backend)
+    class_result, column_result = run_table_pipeline(ev_table, ontology, meter)
     assert class_result.term.local_name == "ElectricVehicle"
     assert class_result.anchored is False and class_result.attempts == 1
     assert [a.local_name for a in column_result.assignments] == [
@@ -355,13 +357,11 @@ def test_pipeline_happy_path(ev_table, ontology):
         "vehicleIdentificationNumber",
     ]
     assert column_result.anchored is False
-    assert usage.prompt_tokens > 0 and usage.cost > 0
+    assert meter.usage.prompt_tokens > 0 and meter.usage.cost > 0
 
 
 def test_pipeline_anchors_unknown_property(animals_table, ontology):
-    class_result, column_result, _ = run_table_pipeline(
-        animals_table, ontology, fig4_backend()
-    )
+    class_result, column_result = run_table_pipeline(animals_table, ontology, fig4_backend())
     assert class_result.term.local_name == "Animal"
     assert column_result.anchored is True
     assert [a.local_name for a in column_result.assignments] == [
@@ -372,12 +372,12 @@ def test_pipeline_anchors_unknown_property(animals_table, ontology):
 
 def test_pipeline_conversation_is_violation_free(animals_table, ontology):
     config = PipelineConfig()
-    class_result, conv, _ = run_table_class_task(
+    class_result, conv = run_table_class_task(
         animals_table, ontology, fig4_backend(), config
     )
     backend = fig4_backend()
     backend.complete(Conversation([user("warm")]), config.params)  # consume entry 1
-    column_result, conv, _ = run_column_type_task(
+    column_result, conv = run_column_type_task(
         animals_table, ontology, backend, config, conversation=conv
     )
     assistant_turns = [t for t in conv.turns if t.role is Role.ASSISTANT]
@@ -391,8 +391,8 @@ def test_pipeline_conversation_is_violation_free(animals_table, ontology):
 def test_pipeline_no_anchoring_keeps_dirty_history(animals_table, ontology):
     config = PipelineConfig(anchoring_enabled=False)
     backend = fig4_backend()
-    _, conv, _ = run_table_class_task(animals_table, ontology, backend, config)
-    column_result, conv, _ = run_column_type_task(
+    _, conv = run_table_class_task(animals_table, ontology, backend, config)
+    column_result, conv = run_column_type_task(
         animals_table, ontology, backend, config, conversation=conv
     )
     assert column_result.anchored is False
@@ -404,8 +404,8 @@ def test_pipeline_no_anchoring_keeps_dirty_history(animals_table, ontology):
 
 
 def test_pipeline_anchored_and_plain_conversations_differ(animals_table, ontology):
-    _, conv_anchored, _ = _run_fig4_columns(animals_table, ontology, anchoring=True)
-    _, conv_plain, _ = _run_fig4_columns(animals_table, ontology, anchoring=False)
+    _, conv_anchored = _run_fig4_columns(animals_table, ontology, anchoring=True)
+    _, conv_plain = _run_fig4_columns(animals_table, ontology, anchoring=False)
     assert [t.text for t in conv_anchored.turns] != [t.text for t in conv_plain.turns]
 
 
@@ -417,7 +417,7 @@ def _run_fig4_columns(table, ontology, anchoring: bool):
 
 def test_unknown_class_anchored(ev_table, ontology):
     backend = ScriptedBackend(["https://dbpedia.org/ontology/ElectricCar"])
-    result, conv, _ = run_table_class_task(ev_table, ontology, backend)
+    result, conv = run_table_class_task(ev_table, ontology, backend)
     assert result.anchored is True
     assert result.term.local_name == "ElectricVehicle"
     assert conv.last.text == "https://dbpedia.org/ontology/ElectricVehicle"
@@ -429,7 +429,7 @@ def test_unparsable_retry_is_spliced(ev_table, ontology):
         ["I will not answer in the requested format.",
          "https://dbpedia.org/ontology/ElectricVehicle"]
     )
-    result, conv, _ = run_table_class_task(ev_table, ontology, backend)
+    result, conv = run_table_class_task(ev_table, ontology, backend)
     assert result.term.local_name == "ElectricVehicle"
     assert result.attempts == 2
     assert result.anchored is True
@@ -455,7 +455,7 @@ def test_unparsable_without_anchoring_fails_fast(ev_table, ontology):
 
 def test_arity_mismatch_padded(animals_table, ontology):
     backend = ScriptedBackend(["`dbo:conservationStatus`"])
-    result, conv, _ = run_column_type_task(animals_table, ontology, backend)
+    result, conv = run_column_type_task(animals_table, ontology, backend)
     assert result.anchored is True
     assert result.assignments[0].local_name == "conservationStatus"
     assert isinstance(result.assignments[1], UnknownType)
@@ -464,7 +464,7 @@ def test_arity_mismatch_padded(animals_table, ontology):
 
 def test_arity_mismatch_truncated(animals_table, ontology):
     backend = ScriptedBackend(["`dbo:conservationStatus, dbo:binomial, dbo:author`"])
-    result, _, _ = run_column_type_task(animals_table, ontology, backend)
+    result, _ = run_column_type_task(animals_table, ontology, backend)
     assert result.anchored is True
     assert [a.local_name for a in result.assignments] == [
         "conservationStatus",
@@ -484,7 +484,7 @@ def test_attempt_budget_falls_back_to_nearest(animals_table, ontology):
     # Both items unknown: one repair pass still yields in-ontology terms.
     backend = ScriptedBackend(["`dbo:iucnStatus, dbo:binomialName`"])
     config = PipelineConfig()
-    result, conv, _ = run_column_type_task(animals_table, ontology, backend, config)
+    result, conv = run_column_type_task(animals_table, ontology, backend, config)
     assert result.anchored is True
     for assignment in result.assignments:
         assert lookup(ontology, TermKind.PROPERTY, assignment.local_name) is assignment
@@ -495,7 +495,7 @@ def test_attempt_budget_falls_back_to_nearest(animals_table, ontology):
 def test_reask_reply_of_wrong_length_is_padded(animals_table, ontology):
     backend = ScriptedBackend(["no idea", "`dbo:binomial`"])
     config = PipelineConfig()
-    result, conv, _ = run_column_type_task(animals_table, ontology, backend, config)
+    result, conv = run_column_type_task(animals_table, ontology, backend, config)
     assert result.attempts == 2 and result.anchored is True
     assert result.assignments == (lookup(ontology, TermKind.PROPERTY, "binomial"), UNKNOWN)
     assert len(conv) == 2
@@ -504,13 +504,12 @@ def test_reask_reply_of_wrong_length_is_padded(animals_table, ontology):
 
 def test_pipeline_deterministic(animals_table, ontology):
     def run():
-        class_result, column_result, usage = run_table_pipeline(
-            animals_table, ontology, fig4_backend()
-        )
+        meter = MeteredBackend(fig4_backend())
+        class_result, column_result = run_table_pipeline(animals_table, ontology, meter)
         return (
             class_result.term.iri,
             tuple(repr(a) for a in column_result.assignments),
-            usage,
+            meter.usage,
         )
 
     assert run() == run()
@@ -519,8 +518,8 @@ def test_pipeline_deterministic(animals_table, ontology):
 def test_context_flow_shares_conversation(animals_table, ontology):
     config = PipelineConfig()
     backend = fig4_backend()
-    _, conv, _ = run_table_class_task(animals_table, ontology, backend, config)
-    _, conv2, _ = run_column_type_task(
+    _, conv = run_table_class_task(animals_table, ontology, backend, config)
+    _, conv2 = run_column_type_task(
         animals_table, ontology, backend, config, conversation=conv
     )
     assert len(conv2) == 4  # two user/assistant exchanges in one history
@@ -538,14 +537,14 @@ def test_task_prompt_satisfies_instruction_guard(ev_table, ontology):
         [TranscriptEntry("https://dbpedia.org/ontology/ElectricVehicle",
                          match="select one DBpedia.org ontology")]
     )
-    result, _, _ = run_table_class_task(ev_table, ontology, backend)
+    result, _ = run_table_class_task(ev_table, ontology, backend)
     assert result.term.local_name == "ElectricVehicle"
 
 
 def test_class_task_no_anchoring_nearest_fallback(ev_table, ontology):
     backend = ScriptedBackend(["https://dbpedia.org/ontology/ElectricCar"])
     config = PipelineConfig(anchoring_enabled=False)
-    result, conv, _ = run_table_class_task(ev_table, ontology, backend, config)
+    result, conv = run_table_class_task(ev_table, ontology, backend, config)
     assert result.term.local_name == "ElectricVehicle"
     assert result.anchored is False
     assert conv.last.text == "https://dbpedia.org/ontology/ElectricCar"
@@ -554,10 +553,9 @@ def test_class_task_no_anchoring_nearest_fallback(ev_table, ontology):
 def test_context_flow_off_shrinks_column_prompt(animals_table, ontology):
     def usage_for(context_flow: bool) -> int:
         config = PipelineConfig(context_flow=context_flow)
-        _, _, usage = run_table_pipeline(
-            animals_table, ontology, fig4_backend(), config
-        )
-        return usage.prompt_tokens
+        meter = MeteredBackend(fig4_backend())
+        run_table_pipeline(animals_table, ontology, meter, config)
+        return meter.usage.prompt_tokens
 
     assert usage_for(True) > usage_for(False)
 
@@ -659,7 +657,7 @@ def _assert_label_task_matches_oracle(table, ontology, kind, responses, anchorin
         with pytest.raises(TaskFailed):
             run(table, ontology, backend, config)
         return
-    result, conv, _ = run(table, ontology, backend, config)
+    result, conv = run(table, ontology, backend, config)
     labels = (result.term,) if arity is None else result.assignments
     assert len(labels) == len(expected)
     for label, name in zip(labels, expected):
@@ -720,12 +718,12 @@ def test_label_anchoring_is_idempotent(
     table = ev_table if wide else animals_table
     run = run_table_class_task if kind is TermKind.CLASS else run_column_type_task
     try:
-        result, conv, _ = run(table, ontology, ScriptedBackend(list(responses)))
+        result, conv = run(table, ontology, ScriptedBackend(list(responses)))
     except TaskFailed:
         return
     # The anchored turn, asked again, needs no repair and is kept as it is.
     final = conv.last.text
-    again, again_conv, _ = run(table, ontology, ScriptedBackend([final]))
+    again, again_conv = run(table, ontology, ScriptedBackend([final]))
     assert again.anchored is False and again.attempts == 1
     if kind is TermKind.CLASS:
         assert again.term == result.term

@@ -1,0 +1,28 @@
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import tabnotate
+
+SOURCES = sorted(Path(tabnotate.__file__).parent.glob("*.py"))
+
+
+def test_package_imports_only_the_standard_library():
+    assert SOURCES
+    outside = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [
+                (path.name, module)
+                for module in modules
+                if module.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
