@@ -5,8 +5,10 @@ free, so values can be shared freely across worker threads.  The exceptions
 are derived and change no answer: :func:`nearest_term` caches its name index
 and its results on the :class:`Ontology` it searches, and a :class:`Table`
 keeps the rows it splits when :attr:`Table.rows` is first read.  The index
-groups names by tokenized length and packs a group into one int the first
-time a query visits it; a scan then scores every name of the group at once.
+tokenizes a kind's names in one pass, groups them by tokenized length, and
+packs a group into one int the first time a query visits it; a packed group
+builds a character's mask the first time a scan reads that character, and a
+scan scores every name of the group at once.
 That scan, :class:`_Packed`, is the package's one edit-distance recurrence:
 :func:`edit_distance` runs it on a single name, and the ``levenshtein``
 join baseline on the right table's headers.
@@ -134,9 +136,11 @@ class Ontology:
     def _derived(
         self,
     ) -> dict[TermKind, tuple[_NameIndex, dict[str, tuple[OntologyTerm, float]]]]:
-        """Per kind, the :class:`_NameIndex` of local names, whose length
-        groups are packed as queries first visit them, and the memo of
-        :func:`nearest_term` results; empty until first use."""
+        """Per kind, the :class:`_NameIndex` of local names, tokenized in
+        one pass, whose length groups are packed as queries first visit
+        them and whose character masks are built as scans first read them,
+        and the memo of :func:`nearest_term` results; empty until first
+        use."""
         return {}
 
     def terms(self, kind: TermKind) -> tuple[OntologyTerm, ...]:
@@ -249,7 +253,10 @@ def lookup(ontology: Ontology, kind: TermKind, canonical: str) -> OntologyTerm |
     return bucket.get(canonical.lower())
 
 
-_CASE_BOUNDARY_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+# Before an upper-case letter that follows a lower-case letter or a digit, or
+# follows a capital and precedes a lower-case letter.  The capital is tested
+# first, since most positions fail it.
+_CASE_BOUNDARY_RE = re.compile(r"(?=[A-Z])(?:(?<=[a-z0-9])|(?<=[A-Z])(?=.[a-z]))", re.S)
 
 
 def _splits_before(text: str, i: int) -> bool:
@@ -257,6 +264,16 @@ def _splits_before(text: str, i: int) -> bool:
     prev, char, nxt = text[i - 1], text[i], text[i + 1 : i + 2]
     return char.isupper() and (
         prev.islower() or prev.isdigit() or (prev.isupper() and nxt.islower())
+    )
+
+
+def _split_cases(text: str) -> str:
+    """``text`` with a space inserted at every case boundary."""
+    if text.isascii():
+        return _CASE_BOUNDARY_RE.sub(" ", text)
+    return "".join(
+        " " + char if i and _splits_before(text, i) else char
+        for i, char in enumerate(text)
     )
 
 
@@ -269,15 +286,22 @@ def tokenize_label(label: str) -> str:
     ``iucn status`` and ``ISO3166Code`` gives ``iso3166 code``.  Every
     other character is kept.
     """
-    text = label.replace("_", " ")
-    if text.isascii():
-        text = _CASE_BOUNDARY_RE.sub(" ", text)
-    else:
-        text = "".join(
-            " " + char if i and _splits_before(text, i) else char
-            for i, char in enumerate(text)
-        )
-    return " ".join(text.lower().split())
+    return " ".join(_split_cases(label.replace("_", " ")).lower().split())
+
+
+def _tokenize_names(names: list[str]) -> list[str]:
+    """:func:`tokenize_label` of each name, in one pass.
+
+    The names are tokenized as one text, a name a line: ``"\\n"`` is
+    neither cased nor a digit, so no case boundary spans one, and
+    lowercasing never makes one.  A list with a name that holds a
+    ``"\\n"`` is tokenized name by name.
+    """
+    text = "\n".join(names)
+    if text.count("\n") != len(names) - 1:
+        return list(map(tokenize_label, names))
+    lines = _split_cases(text.replace("_", " ")).lower().split("\n")
+    return [" ".join(line.split()) for line in lines]
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -307,26 +331,34 @@ class _Packed:
     // 8 + 1)`` bits from bit ``i * width``.  Its characters fill the low
     ``length`` bits, so a slot is byte-aligned and keeps at least one spare
     bit above them.  Bit ``j`` of slot ``i`` is set in ``masks[c]`` where
-    character ``j`` of name ``i`` is ``c``; ``full`` holds every character
-    bit and ``lows`` every slot's bit 0.
+    character ``j`` of name ``i`` is ``c``; a character's mask is built the
+    first time a scan reads it, and is 0 for a character no name holds.
+    ``full`` holds every character bit and ``lows`` every slot's bit 0.
     """
 
-    __slots__ = ("names", "length", "masks", "full", "lows")
+    __slots__ = ("names", "length", "masks", "full", "lows", "_text", "_zeros")
 
     def __init__(self, group: list[tuple[str, str]], length: int) -> None:
         width = 8 * (length // 8 + 1)
         self.names = tuple(name for name, _ in group)
         self.length = length
         self.lows = ((1 << width * len(group)) - 1) // ((1 << width) - 1)
-        self.full = full = self.lows * ((1 << length) - 1)
+        self.full = self.lows * ((1 << length) - 1)
         # Most significant bit first, as ``int(..., 2)`` reads it.  The
         # padding is "\0", and ``& full`` keeps it out of a name's "\0" mask.
-        text = "".join(tokens.ljust(width, "\0") for _, tokens in group)[::-1]
-        zeros = dict.fromkeys(map(ord, set(text)), "0")
-        self.masks = {
-            char: int(text.translate({**zeros, ord(char): "1"}), 2) & full
-            for char in set("".join(tokens for _, tokens in group))
-        }
+        self._text = "".join(tokens.ljust(width, "\0") for _, tokens in group)[::-1]
+        self._zeros = dict.fromkeys(map(ord, set(self._text)), "0")
+        self.masks: dict[str, int] = {}
+
+    def _mask(self, char: str) -> int:
+        """Build ``masks[char]`` and publish it by one dict assignment, so
+        threads sharing the group at worst build the same int twice."""
+        mask = 0
+        if ord(char) in self._zeros:
+            bits = self._text.translate({**self._zeros, ord(char): "1"})
+            mask = int(bits, 2) & self.full
+        self.masks[char] = mask
+        return mask
 
     def nearest(self, query: str) -> tuple[int, str]:
         """Least edit distance from ``query`` to a packed name, and the
@@ -348,7 +380,7 @@ class _Packed:
         masks, full, lows, length = self.masks, self.full, self.lows, self.length
         pv, mv = full, 0
         for char in query:
-            eq = masks.get(char, 0)
+            eq = masks[char] if char in masks else self._mask(char)
             xv = eq | mv
             xh = (((eq & pv) + pv) ^ pv) | eq
             ph = mv | (xh | pv) ^ full
@@ -382,17 +414,18 @@ class _Packed:
 
 
 class _NameIndex:
-    """Candidate names, grouped by tokenized length in name order; a group
-    is packed into a :class:`_Packed` the first time a query visits it.
+    """Candidate names, tokenized in one pass (see :func:`_tokenize_names`)
+    and grouped by tokenized length in name order; a group is packed into a
+    :class:`_Packed` the first time a query visits it.
 
-    A packed group is published by one dict assignment, so threads sharing
-    an index never read half of one.
+    A packed group, like each of its masks, is published by one dict
+    assignment, so threads sharing an index never read half of one.
     """
 
     def __init__(self, names: Iterable[str]) -> None:
         groups: dict[int, list[tuple[str, str]]] = {}
-        for name in sorted(names):
-            tokens = tokenize_label(name)
+        ordered = sorted(names)
+        for name, tokens in zip(ordered, _tokenize_names(ordered)):
             groups.setdefault(len(tokens), []).append((name, tokens))
         self.groups = groups
         self.packed: dict[int, _Packed] = {}
@@ -437,8 +470,9 @@ def nearest_term(
     """Term of the requested kind whose local name is :func:`nearest_name`.
 
     The kind's names are indexed on the ontology at the first call, each
-    length group is packed when a query first visits it, and every result
-    is memoized there.
+    length group is packed when a query first visits it, each of its
+    character masks is built when a scan first reads that character, and
+    every result is memoized there.
     """
     derived = ontology._derived
     if kind not in derived:

@@ -378,6 +378,66 @@ def test_nearest_term_shared_by_threads_gives_sequential_answers(ontology):
     assert results == [expected] * 8
 
 
+# Every separator ``tokenize_label`` knows, "\n" (which joins the names of a
+# batch), both cases, digits, and letters outside ASCII: ``"İ".lower()`` is
+# two characters, ``ǅ`` is titlecase, and ``Σ`` lowercases by its context.
+_NAME_SOUP = "aBc1_ \t\x1c\néİǅΣ"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.one_of(
+        st.lists(st.text(alphabet="aBcD01", min_size=1, max_size=12), max_size=12),
+        st.lists(st.text(alphabet="aBcD01_ \t\x1c", max_size=12), max_size=12),
+        st.lists(st.text(alphabet=_NAME_SOUP, max_size=12), max_size=12),
+        st.lists(st.text(alphabet="aBc_ \n", max_size=12), min_size=1, max_size=12),
+    )
+)
+def test_name_index_stores_each_names_tokenize_label(names):
+    # ASCII lists take the batch path through the regex, lists with a
+    # non-ASCII name the batch path through ``str`` case tests, and lists
+    # with a name holding "\n" the per-name path.
+    index = tabnotate.core._NameIndex(names)
+    stored = [pair for group in index.groups.values() for pair in group]
+    assert sorted(stored) == sorted((name, tokenize_label(name)) for name in names)
+    assert all(len(tokens) == lb for lb, group in index.groups.items() for _, tokens in group)
+
+
+def test_packed_groups_build_masks_only_for_query_characters(ontology):
+    fresh = Ontology.from_terms([*ontology.terms(TermKind.CLASS), *ontology.terms(TermKind.PROPERTY)])
+    asked: set[str] = set()
+    for label in ["vin", "iucnStatus", "ZIP", "modelYear"]:
+        nearest_term(fresh, TermKind.PROPERTY, label)
+        asked |= set(tokenize_label(label))
+        index, _ = fresh._derived[TermKind.PROPERTY]
+        assert index.packed
+        for packed in index.packed.values():
+            assert set(packed.masks) <= asked
+    # An eager group would hold a mask for every character of its names.
+    assert any(
+        set("".join(tokens for _, tokens in index.groups[lb])) - set(packed.masks)
+        for lb, packed in index.packed.items()
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    names=st.lists(_LOCAL_NAME, min_size=1, max_size=12, unique_by=str.lower),
+    labels=st.lists(_TIED, min_size=2, max_size=8),
+)
+def test_nearest_term_answers_do_not_depend_on_query_order(names, labels):
+    # Masks built for earlier queries must not change a later answer.
+    text = "".join(f"P\thttps://dbpedia.org/ontology/{name}\n" for name in names)
+    forward, backward = (load_ontology(text, OntologyFormat.TAB_SEPARATED_KIND_IRI) for _ in "ab")
+    ahead = {label: nearest_term(forward, TermKind.PROPERTY, label) for label in labels}
+    behind = {label: nearest_term(backward, TermKind.PROPERTY, label) for label in labels[::-1]}
+    assert {label: (term.local_name, score) for label, (term, score) in ahead.items()} == {
+        label: (term.local_name, score) for label, (term, score) in behind.items()
+    }
+    for label, (term, score) in ahead.items():
+        assert (term.local_name, score) == nearest_label_ref(names, label)
+
+
 def test_nearest_term_memo_is_kept_per_kind():
     onto = make_ontology(classes=["Animal"], properties=["animalName"])
     assert nearest_term(onto, TermKind.CLASS, "animal")[0].kind is TermKind.CLASS

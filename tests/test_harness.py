@@ -12,6 +12,7 @@ from tabnotate.backend import (
     MeteredBackend,
     Role,
     ScriptedBackend,
+    Usage,
     assistant,
     user,
 )
@@ -407,6 +408,44 @@ def test_pipeline_anchored_and_plain_conversations_differ(animals_table, ontolog
     _, conv_anchored = _run_fig4_columns(animals_table, ontology, anchoring=True)
     _, conv_plain = _run_fig4_columns(animals_table, ontology, anchoring=False)
     assert [t.text for t in conv_anchored.turns] != [t.text for t in conv_plain.turns]
+
+
+class HistoryKeyedBackend:
+    """Answers from the whole conversation: a misspelt class first, then,
+    while an earlier assistant turn still holds it, an infeasible property,
+    and otherwise feasible ones.  Records the assistant turns of each call."""
+
+    def __init__(self) -> None:
+        self.histories: list[tuple[str, ...]] = []
+
+    def complete(self, conversation, params):
+        history = tuple(t.text for t in conversation.turns if t.role is Role.ASSISTANT)
+        self.histories.append(history)
+        if "DBPedia.org Property" not in conversation.last.text:
+            text = "https://dbpedia.org/ontology/Animl"
+        elif any("Animl" in turn for turn in history):
+            text = "`dbo:iucnStatus, dbo:binomial`"
+        else:
+            text = "`dbo:conservationStatus, dbo:binomial`"
+        return text, Usage()
+
+
+@pytest.mark.parametrize("anchoring", [True, False])
+def test_anchoring_keeps_a_mistake_from_reaching_the_next_turn(animals_table, ontology, anchoring):
+    backend = HistoryKeyedBackend()
+    config = PipelineConfig(anchoring_enabled=anchoring)
+    class_result, column_result = run_table_pipeline(animals_table, ontology, backend, config)
+    assert class_result.term.local_name == "Animal"
+    assert class_result.raw_response == "https://dbpedia.org/ontology/Animl"
+    assert [a.local_name for a in column_result.assignments] == ["conservationStatus", "binomial"]
+    assert len(backend.histories) == 2 and backend.histories[0] == ()
+    if anchoring:
+        assert backend.histories[1] == ("https://dbpedia.org/ontology/Animal",)
+        assert column_result.raw_response == "`dbo:conservationStatus, dbo:binomial`"
+        assert column_result.anchored is False and column_result.attempts == 1
+    else:
+        assert backend.histories[1] == ("https://dbpedia.org/ontology/Animl",)
+        assert column_result.raw_response == "`dbo:iucnStatus, dbo:binomial`"
 
 
 def _run_fig4_columns(table, ontology, anchoring: bool):
