@@ -238,136 +238,60 @@ def parse_column_types(response: str, n: int) -> tuple[str, ...]:
     )
 
 
-class _Cursor:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str, pos: int = 0) -> None:
-        self.text = text
-        self.pos = pos
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def rest(self) -> str:
-        return self.text[self.pos:]
-
-
-def _unparsable_join(text: str) -> ParseError:
-    return ParseError(Violation(ViolationKind.UNPARSABLE_OUTPUT, text))
-
-
-_QUOTED_RES = {
-    quote: re.compile(quote + r"((?:\\[\\'\"]|\\(?![\\'\"])|[^\\" + quote + "])*)" + quote)
-    for quote in ("'", '"')
-}
+# A quoted name, a list of them, and the join answer's two shapes.
+# ``(?:\s*,)?\s*\]`` rather than ``\s*,?\s*\]`` keeps a failing match linear
+# in a run of whitespace.
+_NAME = "|".join(quote + r"(?:\\.|[^\\" + quote + "])*" + quote for quote in "'\"")
+_LIST = rf"(?:{_NAME}|\[\s*(?:{_NAME})(?:\s*,\s*(?:{_NAME}))*(?:\s*,)?\s*\])"
+_NAME_RE = re.compile(_NAME, re.DOTALL)
+_LEFT_RIGHT_RE = re.compile(rf"\s*({_LIST})\s*,\s*right_on\s*=\s*({_LIST})", re.DOTALL)
+_LONE_LIST_RE = re.compile(rf"\s*({_LIST})", re.DOTALL)
+_TAIL_RE = re.compile(r"[\s).;]*")
 _ESCAPE_RE = re.compile(r"\\([\\'\"])")
-
-
-def _parse_quoted(cur: _Cursor) -> str:
-    """A quoted name.  ``\\\\``, ``\\'`` and ``\\"`` are escapes; any other
-    backslash is literal."""
-    match = _QUOTED_RES[cur.peek()].match(cur.text, cur.pos)
-    if match is None:
-        raise _unparsable_join(cur.rest())
-    cur.pos = match.end()
-    return _ESCAPE_RE.sub(r"\1", match.group(1))
-
-
-def _parse_name_list(cur: _Cursor) -> list[str]:
-    cur.skip_ws()
-    head = cur.peek()
-    if head in ("'", '"'):
-        return [_parse_quoted(cur)]
-    if head != "[":
-        raise _unparsable_join(cur.rest())
-    cur.pos += 1
-    names: list[str] = []
-    while True:
-        cur.skip_ws()
-        if cur.peek() == "]":
-            cur.pos += 1
-            break
-        if cur.peek() not in ("'", '"'):
-            raise _unparsable_join(cur.rest())
-        names.append(_parse_quoted(cur))
-        cur.skip_ws()
-        if cur.peek() == ",":
-            cur.pos += 1
-        elif cur.peek() == "]":
-            cur.pos += 1
-            break
-        else:
-            raise _unparsable_join(cur.rest())
-    if not names:
-        raise _unparsable_join(cur.rest())
-    return names
-
-
 _LEFT_ON_RE = re.compile(r"left_on\s*=")
-_RIGHT_ON_RE = re.compile(r"\s*,\s*right_on\s*=")
 _LONE_ON_RE = re.compile(r"\bon\s*=")
 
 
 def parse_join_completion(response: str) -> tuple[list[str], list[str]]:
-    """Column names from the completion of ``pd.merge(df1, df2, left_on=``.
+    r"""Column names from the completion of ``pd.merge(df1, df2, left_on=``.
 
-    Accepts quoted names or bracketed lists for ``left_on``/``right_on``,
-    a lone ``on=`` (same columns both sides), and tolerates an echoed full
-    merge call plus a trailing ``)``.
+    The answer's grammar: a name is quoted with ``'`` or ``"``, and inside
+    it ``\\``, ``\'`` and ``\"`` are escapes while any other backslash is
+    literal.  A LIST is one name or ``[`` comma-separated names ``]`` with an
+    optional trailing comma.  The answer is ``LIST, right_on=LIST`` read
+    from its start, else from just after its first ``left_on=`` (so an
+    echoed merge call is fine).  Only when it neither starts with a LIST
+    nor holds ``left_on=``, a lone ``on=`` followed by one LIST names the
+    same columns on both sides.  Whitespace may surround every token.
+    After the lists, once whitespace and backticks are stripped from both
+    ends, only ``)``, ``.``, ``;`` and whitespace may remain.  A
+    ```` ``` ```` fence around the answer is dropped.
     """
     text = response.strip()
     if text.startswith("```"):
         lines = [ln for ln in text.splitlines() if not ln.startswith("```")]
         text = "\n".join(lines).strip()
     text = text.strip("`").strip()
-    if not text:
-        raise _unparsable_join(response)
-
-    left_match = _LEFT_ON_RE.search(text)
-    if text[0] in ("'", '"', "["):
+    tries: list[tuple[re.Pattern[str], int]] = []
+    if text[:1] in ("'", '"', "["):
         # A bare completion; one of its names may itself hold ``left_on=``.
-        try:
-            return _parse_on_lists(text, 0)
-        except ParseError:
-            if left_match is None:
-                raise
-    if left_match is not None:
-        return _parse_on_lists(text, left_match.end())
-    lone = _LONE_ON_RE.search(text)
-    if lone is None:
-        raise _unparsable_join(text)
-    cur = _Cursor(text, lone.end())
-    left = _parse_name_list(cur)
-    _parse_end(cur)
-    return left, list(left)
+        tries.append((_LEFT_RIGHT_RE, 0))
+    left_on = _LEFT_ON_RE.search(text)
+    if left_on is not None:
+        tries.append((_LEFT_RIGHT_RE, left_on.end()))
+    elif not tries and (lone := _LONE_ON_RE.search(text)) is not None:
+        tries.append((_LONE_LIST_RE, lone.end()))
+    for pattern, pos in tries:
+        match = pattern.match(text, pos)
+        if match and _TAIL_RE.fullmatch(text[match.end():].strip().strip("`")):
+            # A lone ``on=`` has one group, read for both sides.
+            return _names(match.group(1)), _names(match.group(pattern.groups))
+    raise ParseError(Violation(ViolationKind.UNPARSABLE_OUTPUT, response))
 
 
-def _parse_on_lists(text: str, pos: int) -> tuple[list[str], list[str]]:
-    cur = _Cursor(text, pos)
-    left = _parse_name_list(cur)
-    right = _parse_right_names(cur)
-    _parse_end(cur)
-    return left, right
-
-
-def _parse_end(cur: _Cursor) -> None:
-    trailing = cur.rest().strip().strip("`").strip()
-    while trailing and trailing[0] in ").;":
-        trailing = trailing[1:].lstrip()
-    if trailing:
-        raise _unparsable_join(trailing)
-
-
-def _parse_right_names(cur: _Cursor) -> list[str]:
-    match = _RIGHT_ON_RE.match(cur.text, cur.pos)
-    if match is None:
-        raise _unparsable_join(cur.rest())
-    cur.pos = match.end()
-    return _parse_name_list(cur)
+def _names(names: str) -> list[str]:
+    """The unescaped names of a LIST."""
+    return [_ESCAPE_RE.sub(r"\1", name.group()[1:-1]) for name in _NAME_RE.finditer(names)]
 
 
 def _resolve(

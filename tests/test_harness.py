@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,69 @@ def test_parse_join_completion_round_trip():
             text = f"{lrepr}, right_on={rrepr})"
         parsed_left, parsed_right = parse_join_completion(text)
         assert parsed_left == left and parsed_right == right
+
+
+_WHITESPACE = [chr(code) for code in range(sys.maxunicode + 1) if chr(code).isspace()]
+_GAP = st.text(st.sampled_from(_WHITESPACE), max_size=2)
+_TICKS = st.sampled_from(["", "`", "``"])
+_CLOSING = st.text(st.sampled_from([")", ";", "."] + _WHITESPACE), max_size=4)
+_JOIN_NAME = st.lists(
+    st.one_of(
+        st.sampled_from(["'", '"', "\\", "]", ",", "left_on=", "on=", "é", "列", "a"]),
+        st.characters(),
+    ),
+    max_size=6,
+).map("".join)
+
+
+@st.composite
+def _spelled_list(draw, names: list[str]) -> str:
+    def quoted(name: str) -> str:
+        mark = draw(st.sampled_from(["'", '"']))
+        return mark + name.replace("\\", "\\\\").replace(mark, "\\" + mark) + mark
+
+    if len(names) == 1 and draw(st.booleans()):
+        return quoted(names[0])
+    items = [draw(_GAP) + quoted(name) + draw(_GAP) for name in names]
+    trailing = "," + draw(_GAP) if draw(st.booleans()) else ""
+    return "[" + ",".join(items) + trailing + "]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), left=st.lists(_JOIN_NAME, min_size=1, max_size=4))
+def test_parse_join_completion_reads_every_valid_spelling(data, left):
+    draw = data.draw
+    right = draw(st.lists(_JOIN_NAME, min_size=len(left), max_size=len(left)))
+    # A lone ``on=`` is read only when no ``left_on=`` comes first.
+    if "left_on" not in "".join(left) and draw(st.booleans()):
+        right = left
+        echo = draw(st.sampled_from(["", "pd.merge(df1, df2, "]))
+        text = (draw(_GAP) + echo + draw(_GAP) + "on" + draw(_GAP) + "=" + draw(_GAP)
+                + draw(_spelled_list(left)))
+    else:
+        echo = draw(st.sampled_from(["", "pd.merge(df1, df2, left_on="]))
+        text = (draw(_GAP) + echo + draw(_GAP) + draw(_spelled_list(left)) + draw(_GAP)
+                + "," + draw(_GAP) + "right_on" + draw(_GAP) + "=" + draw(_GAP)
+                + draw(_spelled_list(right)))
+    # Backticks may open and close the tail, not sit inside it.
+    text += draw(_GAP) + draw(_TICKS) + draw(_CLOSING) + draw(_TICKS) + draw(_GAP)
+    # A fence drops whole lines, so it is drawn only around one-line names.
+    if len(("".join(left + right) + ".").splitlines()) == 1 and draw(st.booleans()):
+        text = "```" + draw(st.sampled_from(["", "python"])) + "\n" + text + "\n```"
+    assert parse_join_completion(text) == (left, right)
+
+
+def test_join_parser_rejects_long_answers_in_linear_time():
+    for text in (
+        "['a'" + " " * 200_000 + "x",
+        "'a'" + " " * 200_000 + ", right_on=" + " " * 200_000 + "x",
+        "['n'" + ", 'n'" * 49_999 + ", x]",
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_join_completion(text)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"took {elapsed:.2f}s, budget 2.0s"
 
 
 # ---------------------------------------------------------------- checks
@@ -1007,7 +1072,8 @@ def test_rendered_join_parses_back_when_a_name_holds_left_on():
 # ------------------------------------------------------- parser totality
 
 _SYNTAX = ["'", '"', "[", "]", ",", " ", "\n", ")", "`", "```", "left_on=", "right_on=",
-           "on=", "a", "B_1", "dbo:", "http://dbpedia.org/ontology/", "Unknown"]
+           "on=", "a", "B_1", "dbo:", "http://dbpedia.org/ontology/", "Unknown", "\\",
+           '"x"', "\x1c", "\xa0"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -1019,5 +1085,6 @@ def test_parsers_raise_only_parse_error(text, n):
     for parse in (parse_table_class, lambda t: parse_column_types(t, n), parse_join_completion):
         try:
             parse(text)
-        except ParseError:
-            pass
+        except ParseError as exc:
+            if exc.violation.kind is ViolationKind.UNPARSABLE_OUTPUT:
+                assert exc.violation.offending_text == text
