@@ -6,6 +6,7 @@ joins).  Infeasible outputs are repaired by rewriting the offending
 assistant turn with a feasible answer (a synthesized history that keeps
 later tasks from inheriting the mistake) or, when nothing parsed at all,
 by one clarification re-ask whose answer is spliced over the bad turn.
+Each task result lists what was repaired as :class:`Violation` data.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ class TableClassResult:
     raw_response: str
     anchored: bool
     attempts: int
+    violations: tuple[Violation, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,7 @@ class ColumnTypeResult:
     raw_response: str
     anchored: bool
     attempts: int
+    violations: tuple[Violation, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,7 @@ class JoinTaskRun:
     conversation: Conversation
     attempts: int
     anchored: bool
+    violations: tuple[Violation, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -260,26 +264,30 @@ def parse_join_completion(response: str) -> tuple[list[str], list[str]]:
     literal.  A LIST is one name or ``[`` comma-separated names ``]`` with an
     optional trailing comma.  The answer is ``LIST, right_on=LIST`` read
     from its start, else from just after its first ``left_on=`` (so an
-    echoed merge call is fine).  Only when it neither starts with a LIST
-    nor holds ``left_on=``, a lone ``on=`` followed by one LIST names the
-    same columns on both sides.  Whitespace may surround every token.
-    After the lists, once whitespace and backticks are stripped from both
-    ends, only ``)``, ``.``, ``;`` and whitespace may remain.  A
-    ```` ``` ```` fence around the answer is dropped.
+    echoed merge call is fine).  Failing both, when it does not start with
+    a LIST, a lone ``on=`` before any ``left_on=`` and followed by one LIST
+    names the same columns on both sides.  Whitespace may surround every
+    token.  After the lists, once whitespace and backticks are stripped
+    from both ends, only ``)``, ``.``, ``;`` and whitespace may remain.  A
+    ```` ``` ```` fence around the answer drops its first line and a last
+    line that starts with ```` ``` ````.
     """
     text = response.strip()
     if text.startswith("```"):
-        lines = [ln for ln in text.splitlines() if not ln.startswith("```")]
-        text = "\n".join(lines).strip()
+        # Line breaks inside a quoted name are kept as they are.
+        lines = text.splitlines(keepends=True)[1:]
+        if lines and lines[-1].startswith("```"):
+            lines.pop()
+        text = "".join(lines).strip()
     text = text.strip("`").strip()
-    tries: list[tuple[re.Pattern[str], int]] = []
-    if text[:1] in ("'", '"', "["):
-        # A bare completion; one of its names may itself hold ``left_on=``.
-        tries.append((_LEFT_RIGHT_RE, 0))
-    left_on = _LEFT_ON_RE.search(text)
-    if left_on is not None:
+    # A bare completion; one of its names may itself hold ``left_on=``.
+    bare = text[:1] in ("'", '"', "[")
+    tries: list[tuple[re.Pattern[str], int]] = [(_LEFT_RIGHT_RE, 0)] if bare else []
+    if (left_on := _LEFT_ON_RE.search(text)) is not None:
         tries.append((_LEFT_RIGHT_RE, left_on.end()))
-    elif not tries and (lone := _LONE_ON_RE.search(text)) is not None:
+    # A lone ``on=`` comes before any ``left_on=``, which is then in a name.
+    end = len(text) if left_on is None else left_on.start()
+    if not bare and (lone := _LONE_ON_RE.search(text, 0, end)) is not None:
         tries.append((_LONE_LIST_RE, lone.end()))
     for pattern, pos in tries:
         match = pattern.match(text, pos)
@@ -295,34 +303,46 @@ def _names(names: str) -> list[str]:
 
 
 def _resolve(
-    label: str, kind: TermKind, ontology: Ontology
-) -> tuple[str, OntologyTerm | UnknownType | None]:
-    """A parsed label's canonical form and exact term, ``None`` if infeasible.
-
-    A property label may also be Unknown, which is always feasible.
+    labels: Sequence[str], kind: TermKind, ontology: Ontology, repair: bool = False
+) -> tuple[tuple[OntologyTerm | UnknownType | None, ...], tuple[Violation, ...]]:
+    """Each parsed label's exact term, and a violation for each label that
+    has none, in order.  Such a label's term is its nearest term when
+    ``repair`` is set, else ``None``.  A property label may also be Unknown,
+    which is always feasible.
     """
-    try:
-        canonical = normalize_label(label, ontology)
-    except EmptyLabel:
-        canonical = ""
-    if kind is TermKind.PROPERTY and canonical.lower() == "unknown":
-        return canonical, UNKNOWN
-    return canonical, lookup(ontology, kind, canonical)
+    terms, violations = [], []
+    for index, label in enumerate(labels):
+        try:
+            canonical = normalize_label(label, ontology)
+        except EmptyLabel:
+            canonical = ""
+        if kind is TermKind.PROPERTY and canonical.lower() == "unknown":
+            term = UNKNOWN
+        elif (term := lookup(ontology, kind, canonical)) is None:
+            violations.append(
+                Violation(ViolationKind.UNKNOWN_CLASS, label) if kind is TermKind.CLASS
+                else Violation(ViolationKind.UNKNOWN_PROPERTY, label, position=index)
+            )
+            if repair:
+                term = nearest_term(ontology, kind, canonical)[0]
+        terms.append(term)
+    return tuple(terms), tuple(violations)
+
+
+def _missing_columns(names: Sequence[str], table: Table) -> tuple[Violation, ...]:
+    """A violation for each name missing from the table's headers, in order."""
+    return tuple(Violation(ViolationKind.NONEXISTENT_COLUMN, name, position=index)
+                 for index, name in enumerate(names) if name not in table.headers)
 
 
 def check_table_class(candidate: str, ontology: Ontology) -> Violation | None:
     """Feasibility check for a parsed table-class candidate."""
-    if _resolve(candidate, TermKind.CLASS, ontology)[1] is None:
-        return Violation(ViolationKind.UNKNOWN_CLASS, candidate)
-    return None
+    return next(iter(_resolve((candidate,), TermKind.CLASS, ontology)[1]), None)
 
 
 def check_column_types(items: Sequence[str], ontology: Ontology) -> Violation | None:
     """Feasibility check for a parsed column-type list; Unknown is always fine."""
-    for index, item in enumerate(items):
-        if _resolve(item, TermKind.PROPERTY, ontology)[1] is None:
-            return Violation(ViolationKind.UNKNOWN_PROPERTY, item, position=index)
-    return None
+    return next(iter(_resolve(items, TermKind.PROPERTY, ontology)[1]), None)
 
 
 def check_join(
@@ -339,11 +359,8 @@ def check_join(
             ViolationKind.ARITY_MISMATCH,
             f"left_on names {len(left_names)} columns, right_on {len(right_names)}",
         )
-    for names, headers in ((left_names, left.headers), (right_names, right.headers)):
-        for index, name in enumerate(names):
-            if name not in headers:
-                return Violation(ViolationKind.NONEXISTENT_COLUMN, name, position=index)
-    return None
+    missing = _missing_columns(left_names, left) + _missing_columns(right_names, right)
+    return next(iter(missing), None)
 
 
 def anchor(conversation: Conversation, replacement: str) -> Conversation:
@@ -371,58 +388,31 @@ def render_term(term: OntologyTerm | UnknownType, ontology: Ontology) -> str:
     return term.local_name
 
 
-def _parse_type_list(text: str, arity: int, pad: bool) -> tuple[tuple[str, ...], bool]:
-    """Labels in ``text`` and whether their count had to be fixed.
-
-    With ``pad`` set, a list of the wrong length is padded with Unknown or
-    truncated.
-    """
-    try:
-        return parse_column_types(text, arity), False
-    except ParseError as exc:
-        if not pad or exc.items is None:
-            raise
-        return exc.items[:arity] + ("Unknown",) * (arity - len(exc.items)), True
-
-
-def _nearest_terms(
-    labels: Sequence[str], kind: TermKind, ontology: Ontology
-) -> tuple[tuple[OntologyTerm | UnknownType, ...], bool]:
-    """Each label's exact term, or its nearest term when it has none, and
-    whether any label was infeasible."""
-    resolved = [_resolve(label, kind, ontology) for label in labels]
-    terms = tuple(
-        nearest_term(ontology, kind, canonical)[0] if term is None else term
-        for canonical, term in resolved
-    )
-    return terms, any(term is None for _, term in resolved)
-
-
-_Parsed = TypeVar("_Parsed")
 _Value = TypeVar("_Value")
 
 
 def _ask_parse_repair(
     prompt: str,
     clarification: str,
-    parse: Callable[[str], tuple[_Parsed, bool]],
-    repair: Callable[[_Parsed], tuple[_Value, bool]],
+    read: Callable[[str], tuple[_Value, tuple[Violation, ...]]],
     render: Callable[[_Value], str],
     failure: tuple[str, str],
     backend: Backend,
     config: PipelineConfig,
     conversation: Conversation | None = None,
-) -> tuple[_Value, str, bool, int, Conversation]:
-    """Ask, parse, repair: the one loop behind all three tasks.
+) -> tuple[_Value, str, bool, int, tuple[Violation, ...], Conversation]:
+    """Ask, read, anchor: the one loop behind all three tasks.
 
-    ``parse`` reads an answer and says whether it had to fix its shape;
-    ``repair`` makes every item feasible in one pass and says whether any
-    was not; ``render`` writes a value in canonical form.  An unparsable
-    answer gets one clarification re-ask spliced over the bad turn.  With
-    anchoring on, a fixed or repaired answer then rewrites the final
-    assistant turn once.  ``failure`` is the task and what it lacked when
-    no answer parses.  Returns the value, the raw response, whether it was
-    anchored, the call count and the conversation.
+    ``read`` parses an answer, makes every item feasible in one pass and
+    returns the value with the violations it fixed, in order; it raises
+    :class:`ParseError` when nothing usable parsed.  ``render`` writes a
+    value in canonical form.  An unparsable answer gets one clarification
+    re-ask spliced over the bad turn, and its violation leads the list.
+    With anchoring on, an answer that ``read`` fixed then rewrites the final
+    assistant turn once.  ``failure`` is the task and what it lacked when no
+    answer parses.  Returns the value, the raw response, whether it was
+    anchored (anchoring on and any violation), the call count, the
+    violations and the conversation.
     """
     conv = conversation if conversation is not None else Conversation()
     conv.append(user(prompt))
@@ -430,10 +420,10 @@ def _ask_parse_repair(
     # An empty completion still occupies an assistant turn; a lone space
     # keeps the turn invariant and parses as unparsable output.
     conv.append(assistant(raw_response or " "))
-    attempts = 1
+    attempts, reasked = 1, ()
     while True:
         try:
-            parsed, fixed = parse(conv.last.text)
+            value, violations = read(conv.last.text)
             break
         except ParseError as exc:
             if not config.anchoring_enabled or attempts > 1:
@@ -445,14 +435,13 @@ def _ask_parse_repair(
             retry.append(user(clarification))
             raw_response, _ = backend.complete(retry, config.params)
             conv = anchor(conv, raw_response or " ")
-            attempts += 1
+            attempts, reasked = attempts + 1, (exc.violation,)
 
-    value, repaired = repair(parsed)
-    anchored = attempts > 1
-    if config.anchoring_enabled and (fixed or repaired):
+    if config.anchoring_enabled and violations:
         conv = anchor(conv, render(value))
-        anchored = True
-    return value, raw_response, anchored, attempts, conv
+    violations = reasked + violations
+    anchored = config.anchoring_enabled and bool(violations)
+    return value, raw_response, anchored, attempts, violations, conv
 
 
 def run_table_class_task(
@@ -464,15 +453,17 @@ def run_table_class_task(
 ) -> tuple[TableClassResult, Conversation]:
     """Ask for the table's ontology class, mitigating infeasible answers."""
     prompt = assemble(table_class_prompt(table, config.allowed_classes, config.prompt_config))
-    terms, raw, anchored, attempts, conv = _ask_parse_repair(
+    terms, raw, anchored, attempts, violations, conv = _ask_parse_repair(
         prompt, LABEL_CLARIFICATION,
-        parse=lambda text: ((parse_table_class(text, ontology.namespace_prefixes),), False),
-        repair=lambda labels: _nearest_terms(labels, TermKind.CLASS, ontology),
+        read=lambda text: _resolve(
+            (parse_table_class(text, ontology.namespace_prefixes),), TermKind.CLASS, ontology,
+            repair=True,
+        ),
         render=lambda terms: render_term(terms[0], ontology),
         failure=("table-class", f"parsable table class for {table.name!r}"),
         backend=backend, config=config, conversation=conversation,
     )
-    return TableClassResult(terms[0], raw, anchored, attempts), conv
+    return TableClassResult(terms[0], raw, anchored, attempts, violations), conv
 
 
 def run_column_type_task(
@@ -484,15 +475,25 @@ def run_column_type_task(
 ) -> tuple[ColumnTypeResult, Conversation]:
     """Ask for one property per column, mitigating infeasible answers."""
     prompt = assemble(column_type_prompt(table, config.prompt_config))
-    terms, raw, anchored, attempts, conv = _ask_parse_repair(
-        prompt, LIST_CLARIFICATION,
-        parse=lambda text: _parse_type_list(text, table.arity, config.anchoring_enabled),
-        repair=lambda labels: _nearest_terms(labels, TermKind.PROPERTY, ontology),
+
+    def read(text: str) -> tuple[tuple[OntologyTerm | UnknownType, ...], tuple[Violation, ...]]:
+        try:
+            labels, fixed = parse_column_types(text, table.arity), ()
+        except ParseError as exc:
+            if not config.anchoring_enabled or exc.items is None:
+                raise
+            labels = exc.items[:table.arity] + ("Unknown",) * (table.arity - len(exc.items))
+            fixed = (exc.violation,)
+        terms, violations = _resolve(labels, TermKind.PROPERTY, ontology, repair=True)
+        return terms, fixed + violations
+
+    terms, raw, anchored, attempts, violations, conv = _ask_parse_repair(
+        prompt, LIST_CLARIFICATION, read=read,
         render=lambda terms: "`" + ", ".join(render_term(t, ontology) for t in terms) + "`",
         failure=("column-type", f"usable column-type list for {table.name!r}"),
         backend=backend, config=config, conversation=conversation,
     )
-    return ColumnTypeResult(terms, raw, anchored, attempts), conv
+    return ColumnTypeResult(terms, raw, anchored, attempts, violations), conv
 
 
 def run_table_pipeline(
@@ -544,27 +545,24 @@ def run_join_task_detailed(
     notes = context_notes if config.context_flow else None
     prompt = assemble(join_prompt(left, right, config.prompt_config, notes))
 
-    def parse(text: str) -> tuple[tuple[list[str], list[str]], bool]:
-        left_names, right_names = parse_join_completion(text)
-        n = min(len(left_names), len(right_names))
-        if n == max(len(left_names), len(right_names)):
-            return (left_names, right_names), False
-        if not config.anchoring_enabled:
-            raise ParseError(check_join(left_names, right_names, left, right))
-        return (left_names[:n], right_names[:n]), True
+    def read(text: str) -> tuple[JoinPrediction, tuple[Violation, ...]]:
+        names = parse_join_completion(text)
+        n = min(map(len, names))
+        fixed = () if n == max(map(len, names)) else (check_join(*names, left, right),)
+        if fixed and not config.anchoring_enabled:
+            raise ParseError(fixed[0])
+        names = [list(side[:n]) for side in names]
+        violations = fixed
+        for side, table in zip(names, (left, right)):
+            missing = _missing_columns(side, table)
+            for violation in missing:
+                side[violation.position] = nearest_name(table.headers, violation.offending_text)[0]
+            violations += missing
+        return JoinPrediction(*names), violations
 
-    def repair(names: tuple[list[str], list[str]]) -> tuple[JoinPrediction, bool]:
-        # A missing name becomes a header, so the names changed exactly when
-        # one was missing.
-        repaired = tuple(
-            [name if name in side else nearest_name(side, name)[0] for name in side_names]
-            for side_names, side in zip(names, (left.headers, right.headers))
-        )
-        return JoinPrediction(*repaired), repaired != names
-
-    prediction, _, anchored, attempts, conv = _ask_parse_repair(
-        prompt, JOIN_CLARIFICATION, parse=parse, repair=repair, render=_render_join,
+    prediction, _, anchored, attempts, violations, conv = _ask_parse_repair(
+        prompt, JOIN_CLARIFICATION, read=read, render=_render_join,
         failure=("join", f"usable join between {left.name!r} and {right.name!r}"),
         backend=backend, config=config,
     )
-    return JoinTaskRun(prediction, conv, attempts, anchored)
+    return JoinTaskRun(prediction, conv, attempts, anchored, violations)

@@ -222,8 +222,7 @@ def _spelled_list(draw, names: list[str]) -> str:
 def test_parse_join_completion_reads_every_valid_spelling(data, left):
     draw = data.draw
     right = draw(st.lists(_JOIN_NAME, min_size=len(left), max_size=len(left)))
-    # A lone ``on=`` is read only when no ``left_on=`` comes first.
-    if "left_on" not in "".join(left) and draw(st.booleans()):
+    if draw(st.booleans()):
         right = left
         echo = draw(st.sampled_from(["", "pd.merge(df1, df2, "]))
         text = (draw(_GAP) + echo + draw(_GAP) + "on" + draw(_GAP) + "=" + draw(_GAP)
@@ -235,8 +234,7 @@ def test_parse_join_completion_reads_every_valid_spelling(data, left):
                 + draw(_spelled_list(right)))
     # Backticks may open and close the tail, not sit inside it.
     text += draw(_GAP) + draw(_TICKS) + draw(_CLOSING) + draw(_TICKS) + draw(_GAP)
-    # A fence drops whole lines, so it is drawn only around one-line names.
-    if len(("".join(left + right) + ".").splitlines()) == 1 and draw(st.booleans()):
+    if draw(st.booleans()):
         text = "```" + draw(st.sampled_from(["", "python"])) + "\n" + text + "\n```"
     assert parse_join_completion(text) == (left, right)
 
@@ -570,6 +568,7 @@ def test_arity_mismatch_truncated(animals_table, ontology):
     backend = ScriptedBackend(["`dbo:conservationStatus, dbo:binomial, dbo:author`"])
     result, _ = run_column_type_task(animals_table, ontology, backend)
     assert result.anchored is True
+    assert [v.kind for v in result.violations] == [ViolationKind.ARITY_MISMATCH]
     assert [a.local_name for a in result.assignments] == [
         "conservationStatus",
         "binomial",
@@ -651,6 +650,9 @@ def test_class_task_no_anchoring_nearest_fallback(ev_table, ontology):
     result, conv = run_table_class_task(ev_table, ontology, backend, config)
     assert result.term.local_name == "ElectricVehicle"
     assert result.anchored is False
+    assert result.violations == (
+        Violation(ViolationKind.UNKNOWN_CLASS, "https://dbpedia.org/ontology/ElectricCar"),
+    )
     assert conv.last.text == "https://dbpedia.org/ontology/ElectricCar"
 
 
@@ -721,33 +723,48 @@ def _class_answer(draw) -> str:
     return wrap.format(draw(_label(TABLE_CLASS_LIST)))
 
 
-def _oracle_name(label: str, kind: TermKind, ontology) -> str:
-    """Expected local name."""
+def _oracle_name(label: str, kind: TermKind, ontology) -> tuple[str, bool]:
+    """Expected local name, and whether the label names a term exactly."""
     try:
         canonical = normalize_label(label, ontology)
     except EmptyLabel:
         canonical = ""
     if kind is TermKind.PROPERTY and canonical.lower() == "unknown":
-        return "Unknown"
+        return "Unknown", True
     term = lookup(ontology, kind, canonical)
     if term is not None:
-        return term.local_name
-    return _nearest_name(ontology, kind, canonical)
+        return term.local_name, True
+    return _nearest_name(ontology, kind, canonical), False
 
 
 def _oracle(responses, kind: TermKind, arity, ontology, anchoring: bool):
-    """Expected names per label, or ``None`` when the task must fail."""
-    for response in responses[: 2 if anchoring else 1]:
+    """Expected names per label and violations in order, or ``None`` when
+    the task must fail."""
+    violations = []
+    # An empty completion is read as the lone space that holds its turn.
+    for response in [r or " " for r in responses[: 2 if anchoring else 1]]:
         try:
             if arity is None:
                 labels = (parse_table_class(response),)
             else:
                 labels = parse_column_types(response, arity)
         except ParseError as exc:
+            # An unparsable first turn, or a list of the wrong length.
+            violations.append(exc.violation)
             if not (anchoring and exc.items is not None):
                 continue
             labels = exc.items[:arity] + ("Unknown",) * (arity - len(exc.items))
-        return tuple(_oracle_name(label, kind, ontology) for label in labels)
+        names = []
+        for index, label in enumerate(labels):
+            name, exact = _oracle_name(label, kind, ontology)
+            names.append(name)
+            if exact:
+                continue
+            violations.append(
+                Violation(ViolationKind.UNKNOWN_CLASS, label) if arity is None
+                else Violation(ViolationKind.UNKNOWN_PROPERTY, label, position=index)
+            )
+        return tuple(names), tuple(violations)
     return None
 
 
@@ -762,6 +779,9 @@ def _assert_label_task_matches_oracle(table, ontology, kind, responses, anchorin
             run(table, ontology, backend, config)
         return
     result, conv = run(table, ontology, backend, config)
+    expected, violations = expected
+    assert result.violations == violations
+    assert result.anchored == (anchoring and bool(violations))
     labels = (result.term,) if arity is None else result.assignments
     assert len(labels) == len(expected)
     for label, name in zip(labels, expected):
@@ -829,6 +849,7 @@ def test_label_anchoring_is_idempotent(
     final = conv.last.text
     again, again_conv = run(table, ontology, ScriptedBackend([final]))
     assert again.anchored is False and again.attempts == 1
+    assert again.violations == ()
     if kind is TermKind.CLASS:
         assert again.term == result.term
     else:
@@ -979,27 +1000,43 @@ def _join_answer(draw, left_headers: list[str], right_headers: list[str]) -> str
     return shape.format(names(left_headers), names(right_headers))
 
 
-def _oracle_header(name: str, headers: list[str]) -> str:
-    """Expected header."""
+def _oracle_header(name: str, headers: list[str]) -> tuple[str, bool]:
+    """Expected header, and whether the name is a header."""
     if name in headers:
-        return name
-    return nearest_label_ref(headers, name)[0]
+        return name, True
+    return nearest_label_ref(headers, name)[0], False
 
 
 def _join_oracle(responses, left_headers, right_headers, anchoring: bool):
-    """Expected (left, right) names, or ``None`` when the task must fail."""
-    for response in responses[: 2 if anchoring else 1]:
+    """Expected (left, right) names and violations in order, or ``None``
+    when the task must fail."""
+    violations = []
+    for response in [r or " " for r in responses[: 2 if anchoring else 1]]:
         try:
             left_names, right_names = parse_join_completion(response)
-        except ParseError:
+        except ParseError as exc:
+            violations.append(exc.violation)
             continue
-        if len(left_names) != len(right_names) and not anchoring:
-            return None
+        if len(left_names) != len(right_names):
+            if not anchoring:
+                return None
+            violations.append(Violation(
+                ViolationKind.ARITY_MISMATCH,
+                f"left_on names {len(left_names)} columns, right_on {len(right_names)}",
+            ))
         n = min(len(left_names), len(right_names))
-        return (
-            [_oracle_header(name, left_headers) for name in left_names[:n]],
-            [_oracle_header(name, right_headers) for name in right_names[:n]],
-        )
+        expected = ([], [])
+        for side, names, headers in zip(
+            expected, (left_names, right_names), (left_headers, right_headers)
+        ):
+            for index, name in enumerate(names[:n]):
+                header, exact = _oracle_header(name, headers)
+                side.append(header)
+                if not exact:
+                    violations.append(
+                        Violation(ViolationKind.NONEXISTENT_COLUMN, name, position=index)
+                    )
+        return expected, tuple(violations)
     return None
 
 
@@ -1021,7 +1058,10 @@ def test_join_repair_matches_oracle(data, left_headers, right_headers, anchoring
             run_join_task_detailed(left, right, backend, config)
         return
     run = run_join_task_detailed(left, right, backend, config)
+    expected, violations = expected
     assert (list(run.prediction.left_cols), list(run.prediction.right_cols)) == expected
+    assert run.violations == violations
+    assert run.anchored == (anchoring and bool(violations))
     if not anchoring:
         assert len(run.conversation) == 2
         assert run.conversation.last.text == (responses[0] or " ")
@@ -1034,6 +1074,7 @@ def test_join_repair_matches_oracle(data, left_headers, right_headers, anchoring
     again = run_join_task_detailed(left, right, ScriptedBackend([final]), config)
     assert again.prediction == run.prediction
     assert again.anchored is False and again.conversation.last.text == final
+    assert again.violations == ()
 
 
 def test_join_header_with_both_quotes_is_anchored_to_a_parsable_turn():

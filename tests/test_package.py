@@ -26,3 +26,9 @@ def test_package_imports_only_the_standard_library():
                 if module.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_package_parses_at_the_python_floor():
+    # pyproject.toml promises Python >= 3.10.
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=(3, 10))
