@@ -3,26 +3,31 @@
 Two backends share one contract: the scripted backend replays a recorded
 transcript deterministically (the test and benchmark workhorse), and the
 HTTP backend talks to any chat-completions-compatible endpoint.
+
+The HTTP stack is imported where it is used: ``http.client`` and ``ssl``
+when the first :class:`HttpBackend` is built, ``selectors`` when a kept
+connection is reused and ``email.utils`` when a ``Retry-After`` holds a
+date.  A run that builds no HTTP backend never loads them, and
+:func:`tabnotate.evaluate.run_benchmark` loads its thread pool only on its
+first parallel run.
 """
 
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import math
 import random
-import selectors
-import ssl
 import threading
 import time
 import weakref
 from dataclasses import dataclass
-from datetime import timezone
-from email.utils import parsedate_to_datetime
 from enum import Enum
-from typing import Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 from urllib.parse import urlsplit
+
+if TYPE_CHECKING:
+    import http.client
 
 
 class BackendError(Exception):
@@ -325,6 +330,9 @@ def _retry_after(value: str) -> float | None:
     value = value.strip()
     if value.isascii() and value.isdigit():
         return float(value)
+    from datetime import timezone
+    from email.utils import parsedate_to_datetime
+
     try:
         when = parsedate_to_datetime(value)
     except (TypeError, ValueError):
@@ -361,6 +369,11 @@ class HttpBackend:
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ) -> None:
+        # Imported on the constructing thread, not in a pool thread, and
+        # never by a run that builds no HTTP backend.
+        import http.client
+        import ssl
+
         url = urlsplit(endpoint.url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(
@@ -400,6 +413,8 @@ class HttpBackend:
         if held is None:
             held = self._local.held = _Held(self._connect())
         elif held.conn.sock is not None:
+            import selectors
+
             # A selector, not select.select, which fails on descriptors >= 1024.
             with selectors.DefaultSelector() as idle:
                 idle.register(held.conn.sock, selectors.EVENT_READ)
@@ -410,6 +425,8 @@ class HttpBackend:
     def complete(
         self, conversation: Conversation, params: GenerationParams
     ) -> tuple[str, Usage]:
+        import http.client
+
         _require_user_tail(conversation)
         body = self.request_body(conversation, params)
         headers = {"Content-Type": "application/json"}

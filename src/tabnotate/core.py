@@ -591,7 +591,9 @@ def sample_rows(table: Table, k: int, strategy: SamplingStrategy = HEAD_SAMPLING
 
     Head sampling takes the leading rows; seeded-random sampling draws
     distinct indices with a dedicated generator and keeps original order,
-    so equal seeds give equal samples.
+    so equal seeds give equal samples.  Sampled lines of a table that
+    :func:`read_csv` kept as lines stay unsplit until the sample's rows
+    are read.
     """
     if k < 1:
         raise ValueError("sample size must be >= 1")
@@ -600,7 +602,9 @@ def sample_rows(table: Table, k: int, strategy: SamplingStrategy = HEAD_SAMPLING
         indices = range(min(k, n))
     else:
         indices = sorted(random.Random(strategy.seed).sample(range(n), k))
-    return Table(name=table.name, headers=table.headers, rows=map(table.row, indices))
+    picked = map(table._rows.__getitem__, indices)
+    rows = _Lines(picked) if isinstance(table._rows, _Lines) else picked
+    return Table(name=table.name, headers=table.headers, rows=rows)
 
 
 def to_csv(table: Table) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -537,6 +536,8 @@ def run_benchmark(
     live = system is System.MODEL and not isinstance(backend, ScriptedBackend)
     parallel = live and jobs > 1 and len(examples) > 1
     if parallel:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run, examples))
     else:

@@ -417,13 +417,13 @@ def _ask_parse_repair(
     conv = conversation if conversation is not None else Conversation()
     conv.append(user(prompt))
     raw_response, _ = backend.complete(conv, config.params)
-    # An empty completion still occupies an assistant turn; a lone space
-    # keeps the turn invariant and parses as unparsable output.
+    # An empty completion still occupies an assistant turn: a lone space
+    # holds it, and the raw response is what is read.
     conv.append(assistant(raw_response or " "))
     attempts, reasked = 1, ()
     while True:
         try:
-            value, violations = read(conv.last.text)
+            value, violations = read(raw_response)
             break
         except ParseError as exc:
             if not config.anchoring_enabled or attempts > 1:

@@ -138,25 +138,22 @@ def _record(cells: tuple[str, ...]) -> str:
     return to_csv(Table(name="", headers=None, rows=(row,)))
 
 
-_Rows = tuple[tuple[str, ...], ...]
-
-
-def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, _Rows]:
-    """(metadata header line, sampled rows); :func:`_fit` serializes the rows."""
+def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, Table]:
+    """(metadata header line, sample); :func:`_fit` serializes its rows."""
     if table.is_empty:
         raise EmptyTable(f"table {table.name!r} has no rows and no headers")
     sample = sample_rows(table, config.sample_k, config.strategy)
     metadata = None
     if sample.headers is not None and config.include_metadata:
         metadata = _record(sample.headers)
-    return metadata, sample.rows
+    return metadata, sample
 
 
 def _records_that_can_fit(
-    build: Callable[..., PromptComponents], samples: list[_Rows]
+    build: Callable[..., PromptComponents], samples: list[Table]
 ) -> list[list[str]]:
-    """Each table's sampled rows as CSV records, up to the first row count
-    n >= 1 that cannot fit.
+    """Each sample's rows as CSV records, up to the first row count n >= 1
+    that cannot fit; no later row is read.
 
     n rows cannot fit when the tables' first n records, with their line
     breaks, take more than the room that the prompt of empty bodies leaves
@@ -167,21 +164,21 @@ def _records_that_can_fit(
     room = CHAR_BUDGET - len(assemble(build(*[""] * len(samples))))
     records: list[list[str]] = [[] for _ in samples]
     used = 0
-    for n in range(max(map(len, samples))):
+    for n in range(max(sample.row_count for sample in samples)):
         if n and used > room:
             break
-        for rows, kept in zip(samples, records):
-            if n < len(rows):
-                kept.append(_record(rows[n]))
+        for sample, kept in zip(samples, records):
+            if n < sample.row_count:
+                kept.append(_record(sample.row(n)))
                 used += len(kept[-1]) + (n > 0)
     return records
 
 
-def _fit(build: Callable[..., PromptComponents], samples: list[_Rows]) -> PromptComponents:
+def _fit(build: Callable[..., PromptComponents], samples: list[Table]) -> PromptComponents:
     """Prompt from ``build`` with the most sample rows that fit the budget.
 
     ``build`` takes one data body per table, and ``samples`` holds each
-    table's sampled rows.  Every table keeps the same row count n >= 1,
+    table's sample.  Every table keeps the same row count n >= 1,
     found by bisection since the prompt never shrinks as n grows; if n = 1
     is too long, the lines of the rows are capped, halving the cap until it
     fits.  Headers are not in the bodies, so they are never cut: a table
@@ -220,12 +217,12 @@ def _fence(metadata: str | None, body: str) -> str:
 
 def _one_table_prompt(table: Table, config: PromptConfig, **parts: str | None) -> PromptComponents:
     """``parts`` plus the fitted sample of ``table`` as one fenced block."""
-    metadata, rows = _sample_parts(table, config)
+    metadata, sample = _sample_parts(table, config)
     return _fit(
         lambda body: PromptComponents(
             **parts, data_sample=_fence(metadata, body) if metadata or body else None
         ),
-        [rows],
+        [sample],
     )
 
 
@@ -276,8 +273,8 @@ def join_prompt(
     example classes detected earlier in the pipeline) become a paragraph
     above the frames.
     """
-    left_metadata, left_rows = _sample_parts(left, config)
-    right_metadata, right_rows = _sample_parts(right, config)
+    left_metadata, left_sample = _sample_parts(left, config)
+    right_metadata, right_sample = _sample_parts(right, config)
 
     def build(left_body: str, right_body: str) -> PromptComponents:
         return PromptComponents(
@@ -290,4 +287,4 @@ def join_prompt(
             prefix=JOIN_PREFIX if config.include_prefix else None,
         )
 
-    return _fit(build, [left_rows, right_rows])
+    return _fit(build, [left_sample, right_sample])

@@ -635,7 +635,8 @@ def test_sampling_a_read_table_splits_only_the_sampled_lines(monkeypatch):
     monkeypatch.setattr(tabnotate.core, "_row", counting)
     sample = sample_rows(table, 5, SamplingStrategy(SamplingMode.SEEDED_RANDOM, 3))
     assert table.row_count == 1000 and table.arity == 2 and not table.is_empty
-    assert len(split) == 5 and sample.rows == tuple(map(original, split))
+    assert sample.row_count == 5 and split == []
+    assert sample.rows == tuple(map(original, split)) and len(split) == 5
 
 
 @pytest.mark.parametrize(

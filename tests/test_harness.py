@@ -547,6 +547,17 @@ def test_unparsable_twice_fails(ev_table, ontology):
     assert excinfo.value.violation.kind is ViolationKind.UNPARSABLE_OUTPUT
 
 
+def test_empty_reply_is_read_as_empty(ev_table, registration_table, ontology):
+    empty = Violation(ViolationKind.UNPARSABLE_OUTPUT, "")
+    backend = ScriptedBackend(["", "https://dbpedia.org/ontology/ElectricVehicle"])
+    result, conv = run_table_class_task(ev_table, ontology, backend)
+    assert result.violations == (empty,)
+    assert result.term.local_name == "ElectricVehicle" and len(conv) == 2
+    with pytest.raises(TaskFailed) as excinfo:
+        run_join_task_detailed(ev_table, registration_table, ScriptedBackend(["", ""]))
+    assert excinfo.value.violation == empty
+
+
 def test_unparsable_without_anchoring_fails_fast(ev_table, ontology):
     backend = ScriptedBackend(["no idea", "unused"])
     config = PipelineConfig(anchoring_enabled=False)
@@ -741,8 +752,7 @@ def _oracle(responses, kind: TermKind, arity, ontology, anchoring: bool):
     """Expected names per label and violations in order, or ``None`` when
     the task must fail."""
     violations = []
-    # An empty completion is read as the lone space that holds its turn.
-    for response in [r or " " for r in responses[: 2 if anchoring else 1]]:
+    for response in responses[: 2 if anchoring else 1]:
         try:
             if arity is None:
                 labels = (parse_table_class(response),)
@@ -1011,7 +1021,7 @@ def _join_oracle(responses, left_headers, right_headers, anchoring: bool):
     """Expected (left, right) names and violations in order, or ``None``
     when the task must fail."""
     violations = []
-    for response in [r or " " for r in responses[: 2 if anchoring else 1]]:
+    for response in responses[: 2 if anchoring else 1]:
         try:
             left_names, right_names = parse_join_completion(response)
         except ParseError as exc:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +33,37 @@ def test_package_parses_at_the_python_floor():
     # pyproject.toml promises Python >= 3.10.
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=(3, 10))
+
+
+# Loaded only by the HTTP backend and by a parallel run_benchmark.
+HTTP_AND_POOL = {"http.client", "ssl", "email.utils", "selectors", "concurrent.futures"}
+
+
+def _loaded_by(statements: str) -> set[str]:
+    """Modules a fresh interpreter loads from ``import tabnotate`` through
+    ``statements``; ``site`` has already loaded its own before the count."""
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(tabnotate.__file__).parent.parent)!r})\n"
+        "before = set(sys.modules)\n"
+        "import tabnotate\n"
+        f"{statements}\n"
+        "print(*set(sys.modules) - before)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True
+    )
+    return set(run.stdout.split())
+
+
+def test_import_loads_no_http_stack_or_thread_pool():
+    loaded = _loaded_by("")
+    assert "tabnotate.backend" in loaded
+    assert loaded & HTTP_AND_POOL == set()
+
+
+def test_building_an_http_backend_loads_http_client():
+    loaded = _loaded_by(
+        "tabnotate.HttpBackend(tabnotate.HttpEndpoint(url='http://127.0.0.1:1/v1', model='m'))"
+    )
+    assert "http.client" in loaded

@@ -363,7 +363,7 @@ def test_trimmed_prompt_is_the_untrimmed_prompt_of_fewer_rows(table, k, builder)
 
 def _every_record(build, samples: list) -> list[list[str]]:
     """The reference: every sampled row serialized, with no cutoff."""
-    return [[tabnotate.prompt._record(row) for row in rows] for rows in samples]
+    return [[tabnotate.prompt._record(row) for row in sample.rows] for sample in samples]
 
 
 _FRAME_CHARS = "abé019 ,;\"'\n…-"
