@@ -4,7 +4,9 @@ Everything in this module is immutable after construction and side-effect
 free, so values can be shared freely across worker threads.  The exceptions
 are derived and change no answer: :func:`nearest_term` caches its name index
 and its results on the :class:`Ontology` it searches, and a :class:`Table`
-keeps the rows it splits when :attr:`Table.rows` is first read.  The index
+keeps the rows it splits when :attr:`Table.rows` is first read;
+:meth:`Table.column_sets`, which gives each column's distinct cells, splits
+no row and keeps nothing.  The index
 tokenizes a kind's names in one pass, groups them by tokenized length, and
 packs a group into one int the first time a query visits it; a packed group
 builds a character's mask the first time a scan reads that character, and a
@@ -490,6 +492,12 @@ class _Lines(list):
     """Quote-free CSV lines that a :class:`Table` keeps as its rows."""
 
 
+# Rows that :meth:`Table.column_sets` reads at a time: enough that one split
+# and one stride slice per column serve many rows, few enough that the cells
+# of a chunk stay a small list.
+_CHUNK_ROWS = 256
+
+
 def _row(record: str | tuple[str, ...]) -> tuple[str, ...]:
     """A row's cells: a line is split now, and a blank line is ``()``."""
     if isinstance(record, tuple):
@@ -504,7 +512,8 @@ class Table:
     A table may be header-only (no rows).  Tables are immutable and compare,
     hash and print as ``(name, headers, rows)``.  Rows that :func:`read_csv`
     keeps as lines are split only when read: :attr:`row_count` and
-    :meth:`row` split no other line, and :attr:`rows` splits them all.
+    :meth:`row` split no other line, :meth:`column_sets` splits none, and
+    :attr:`rows` splits them all.
     """
 
     def __init__(
@@ -547,6 +556,27 @@ class Table:
         if isinstance(self._rows, _Lines):
             vars(self)["_rows"] = tuple(map(_row, self._rows))
         return self._rows  # type: ignore[return-value]
+
+    def column_sets(self) -> list[set[str]]:
+        """Each column's distinct cells, ``""`` included, in column order.
+
+        Rows are read :data:`_CHUNK_ROWS` at a time as one flat list of
+        cells, of which column ``i`` is every ``arity``-th cell from cell
+        ``i``.  Kept lines give that list by one split of the chunk joined
+        with ``","``, since each line holds exactly ``arity - 1`` commas and
+        no quote; no row is split and nothing is kept on the table.
+        """
+        arity, records = self.arity, self._rows
+        sets: list[set[str]] = [set() for _ in range(arity)]
+        for start in range(0, len(records), _CHUNK_ROWS):
+            chunk = records[start : start + _CHUNK_ROWS]
+            if isinstance(records, _Lines):
+                cells = ",".join(chunk).split(",")
+            else:
+                cells = [cell for row in chunk for cell in row]
+            for i, values in enumerate(sets):
+                values.update(cells[i::arity])
+        return sets
 
     @property
     def row_count(self) -> int:

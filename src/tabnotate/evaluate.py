@@ -141,14 +141,17 @@ def levenshtein_join(left: Table, right: Table) -> JoinPrediction:
 def jaccard_join(left: Table, right: Table) -> JoinPrediction:
     """Column pair whose distinct value sets overlap most.
 
-    Empty cells are ignored.  Ties break lexicographically by column name
-    (positional index when headers are absent).
+    The sets come from :meth:`Table.column_sets`, which splits no row of a
+    table that :func:`read_csv` kept as lines.  Empty cells are ignored.
+    Ties break lexicographically by column name (positional index when
+    headers are absent).
     """
     if not left.row_count or not right.row_count:
         raise EmptyTable("the value-overlap baseline requires rows on both sides")
     left_names, right_names = _column_names(left), _column_names(right)
-    left_sets = [set(column) - {""} for column in zip(*left.rows)]
-    right_sets = [set(column) - {""} for column in zip(*right.rows)]
+    left_sets, right_sets = left.column_sets(), right.column_sets()
+    for values in (*left_sets, *right_sets):
+        values.discard("")
     best: tuple[float, str, str] | None = None
     for i, lname in enumerate(left_names):
         for j, rname in enumerate(right_names):

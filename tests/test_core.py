@@ -606,6 +606,8 @@ def test_read_csv_table_equals_the_eagerly_built_table(text, headers, k, seed):
     table = read()
     assert table.row_count == eager.row_count == len(rows)
     assert [table.row(i) for i in range(table.row_count)] == list(rows)
+    columns = [{row[i] for row in rows} for i in range(eager.arity)]
+    assert table.column_sets() == eager.column_sets() == columns
     for strategy in (HEAD_SAMPLING, SamplingStrategy(SamplingMode.SEEDED_RANDOM, seed)):
         assert sample_rows(read(), k, strategy) == sample_rows(eager, k, strategy)
     assert table.rows == eager.rows == rows
