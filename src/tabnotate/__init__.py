@@ -49,11 +49,10 @@ from .evaluate import (
 )
 from .harness import (
     UNKNOWN,
-    ColumnTypeResult,
     JoinPrediction,
     PipelineConfig,
-    TableClassResult,
     TaskFailed,
+    TaskRun,
     Violation,
     ViolationKind,
     anchor,

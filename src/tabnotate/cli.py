@@ -97,12 +97,11 @@ _OPTIONS: dict[str, dict] = {
         help="print the assembled prompt and exit without calling any backend",
     ),
     "--classes": dict(metavar="PATH", help="restrict answers to these class names"),
-    "--baseline": dict(
-        choices=["none", "jaccard", "levenshtein"],
-        default="none",
-        help="use a similarity baseline instead of the model",
+    "--system": dict(
+        choices=[s.value for s in System],
+        default=System.MODEL.value,
+        help="the model, or a similarity baseline for join items",
     ),
-    "--system": dict(choices=[s.value for s in System], default=System.MODEL.value),
     "--jobs": dict(type=int, default=4, metavar="N"),
 }
 
@@ -133,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         (
             "predict-join", "predict the join column pair",
             [("left_csv", "LEFT.csv"), ("right_csv", "RIGHT.csv")],
-            ("--headers", "--no-prefix", "--dump-prompt", "--baseline"),
+            ("--headers", "--no-prefix", "--dump-prompt", "--system"),
             cmd_predict_join,
         ),
         (
@@ -235,8 +234,8 @@ def cmd_classify_table(args: argparse.Namespace) -> int:
         return EXIT_OK
     ontology = _load_ontology_file(args.ontology)
     backend = _build_backend(args.backend)
-    result, _ = run_table_class_task(table, ontology, backend, config)
-    print(f"{result.term.iri}\t{str(result.anchored).lower()}\t{result.attempts}")
+    run = run_table_class_task(table, ontology, backend, config)
+    print(f"{run.value.iri}\t{str(run.anchored).lower()}\t{run.attempts}")
     return EXIT_OK
 
 
@@ -248,8 +247,8 @@ def cmd_annotate_columns(args: argparse.Namespace) -> int:
         return EXIT_OK
     ontology = _load_ontology_file(args.ontology)
     backend = _build_backend(args.backend)
-    result, _ = run_column_type_task(table, ontology, backend, config)
-    for index, assignment in enumerate(result.assignments):
+    run = run_column_type_task(table, ontology, backend, config)
+    for index, assignment in enumerate(run.value):
         print(f"{index}\t{render_term(assignment, ontology)}")
     return EXIT_OK
 
@@ -261,13 +260,14 @@ def cmd_predict_join(args: argparse.Namespace) -> int:
     if args.dump_prompt:
         print(assemble(join_prompt(left, right, config.prompt_config)))
         return EXIT_OK
-    if args.baseline == "jaccard":
+    system = System(args.system)
+    if system is System.JACCARD:
         prediction = jaccard_join(left, right)
-    elif args.baseline == "levenshtein":
+    elif system is System.LEVENSHTEIN:
         prediction = levenshtein_join(left, right)
     else:
         backend = _build_backend(args.backend)
-        prediction = run_join_task_detailed(left, right, backend, config).prediction
+        prediction = run_join_task_detailed(left, right, backend, config).value
     print(f"{','.join(prediction.left_cols)}\t{','.join(prediction.right_cols)}")
     return EXIT_OK
 

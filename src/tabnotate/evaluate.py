@@ -364,7 +364,7 @@ def _aggregate(
     """Combine per-item records into overall and per-task metrics.
 
     Classification groups use support-weighted multiclass metrics; joins
-    use pair-level micro precision/recall.  With several task groups the
+    use pair-level micro precision/recall over distinct predicted pairs.  With several task groups the
     overall numbers are the groups' metrics weighted by their gold
     instance counts (items, columns, or gold pairs).
     """
@@ -381,12 +381,10 @@ def _aggregate(
             column_pairs.extend(zip(preds, golds))
         else:
             gold_pairs = {tuple(p) for p in outcome.gold}  # type: ignore[union-attr]
-            predicted_pairs = (
-                [tuple(p) for p in outcome.prediction] if outcome.prediction else []
-            )
+            predicted_pairs = {tuple(p) for p in outcome.prediction or ()}  # type: ignore[attr-defined]
             join_counts.gold += len(gold_pairs)
             join_counts.predicted += len(predicted_pairs)
-            join_counts.correct += sum(1 for p in predicted_pairs if p in gold_pairs)
+            join_counts.correct += len(predicted_pairs & gold_pairs)
 
     groups: list[tuple[str, WeightedMetrics, int]] = []
     if class_pairs:
@@ -447,18 +445,18 @@ def _predict(
         if system is System.LEVENSHTEIN:
             return levenshtein_join(left, right).pairs, False
         run = run_join_task_detailed(left, right, backend, config)
-        return run.prediction.pairs, run.anchored
+        return run.value.pairs, run.anchored
     table = _read_table(example.table, example.id, example.headers)
     if example.task is Task.TABLE_CLASS:
-        result, _ = run_table_class_task(table, ontology, backend, config)
-        return result.term.local_name, result.anchored
+        run = run_table_class_task(table, ontology, backend, config)
+        return run.value.local_name, run.anchored
     if len(example.gold) != table.arity:  # type: ignore[arg-type]
         raise ManifestError(
             f"item {example.id!r}: gold lists {len(example.gold)} columns, "
             f"table has {table.arity}"
         )
-    result, _ = run_column_type_task(table, ontology, backend, config)
-    return [_label_of(a) for a in result.assignments], result.anchored
+    run = run_column_type_task(table, ontology, backend, config)
+    return [_label_of(a) for a in run.value], run.anchored
 
 
 def _run_item(

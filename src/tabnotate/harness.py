@@ -6,7 +6,8 @@ joins).  Infeasible outputs are repaired by rewriting the offending
 assistant turn with a feasible answer (a synthesized history that keeps
 later tasks from inheriting the mistake) or, when nothing parsed at all,
 by one clarification re-ask whose answer is spliced over the bad turn.
-Each task result lists what was repaired as :class:`Violation` data.
+Every task returns a :class:`TaskRun`, which lists what was repaired as
+:class:`Violation` data.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Generic, Mapping, Sequence, TypeVar
 
 from .backend import (
     Backend,
@@ -106,22 +107,22 @@ class UnknownType:
 UNKNOWN = UnknownType()
 
 
-@dataclass(frozen=True)
-class TableClassResult:
-    term: OntologyTerm
-    raw_response: str
-    anchored: bool
-    attempts: int
-    violations: tuple[Violation, ...] = ()
+_Value = TypeVar("_Value")
 
 
 @dataclass(frozen=True)
-class ColumnTypeResult:
-    assignments: tuple[OntologyTerm | UnknownType, ...]
+class TaskRun(Generic[_Value]):
+    """One task's answer: its feasible ``value``, the last raw response,
+    whether the final assistant turn was anchored (anchoring on and any
+    violation), the model calls made, the violations fixed in order, and
+    the conversation as it ends."""
+
+    value: _Value
     raw_response: str
     anchored: bool
     attempts: int
-    violations: tuple[Violation, ...] = ()
+    violations: tuple[Violation, ...]
+    conversation: Conversation
 
 
 @dataclass(frozen=True)
@@ -140,15 +141,6 @@ class JoinPrediction:
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(zip(self.left_cols, self.right_cols))
-
-
-@dataclass(frozen=True)
-class JoinTaskRun:
-    prediction: JoinPrediction
-    conversation: Conversation
-    attempts: int
-    anchored: bool
-    violations: tuple[Violation, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -388,9 +380,6 @@ def render_term(term: OntologyTerm | UnknownType, ontology: Ontology) -> str:
     return term.local_name
 
 
-_Value = TypeVar("_Value")
-
-
 def _ask_parse_repair(
     prompt: str,
     clarification: str,
@@ -400,7 +389,7 @@ def _ask_parse_repair(
     backend: Backend,
     config: PipelineConfig,
     conversation: Conversation | None = None,
-) -> tuple[_Value, str, bool, int, tuple[Violation, ...], Conversation]:
+) -> TaskRun[_Value]:
     """Ask, read, anchor: the one loop behind all three tasks.
 
     ``read`` parses an answer, makes every item feasible in one pass and
@@ -410,9 +399,7 @@ def _ask_parse_repair(
     re-ask spliced over the bad turn, and its violation leads the list.
     With anchoring on, an answer that ``read`` fixed then rewrites the final
     assistant turn once.  ``failure`` is the task and what it lacked when no
-    answer parses.  Returns the value, the raw response, whether it was
-    anchored (anchoring on and any violation), the call count, the
-    violations and the conversation.
+    answer parses.
     """
     conv = conversation if conversation is not None else Conversation()
     conv.append(user(prompt))
@@ -441,7 +428,7 @@ def _ask_parse_repair(
         conv = anchor(conv, render(value))
     violations = reasked + violations
     anchored = config.anchoring_enabled and bool(violations)
-    return value, raw_response, anchored, attempts, violations, conv
+    return TaskRun(value, raw_response, anchored, attempts, violations, conv)
 
 
 def run_table_class_task(
@@ -450,20 +437,21 @@ def run_table_class_task(
     backend: Backend,
     config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
     conversation: Conversation | None = None,
-) -> tuple[TableClassResult, Conversation]:
+) -> TaskRun[OntologyTerm]:
     """Ask for the table's ontology class, mitigating infeasible answers."""
     prompt = assemble(table_class_prompt(table, config.allowed_classes, config.prompt_config))
-    terms, raw, anchored, attempts, violations, conv = _ask_parse_repair(
-        prompt, LABEL_CLARIFICATION,
-        read=lambda text: _resolve(
-            (parse_table_class(text, ontology.namespace_prefixes),), TermKind.CLASS, ontology,
-            repair=True,
-        ),
-        render=lambda terms: render_term(terms[0], ontology),
+
+    def read(text: str) -> tuple[OntologyTerm, tuple[Violation, ...]]:
+        label = parse_table_class(text, ontology.namespace_prefixes)
+        (term,), violations = _resolve((label,), TermKind.CLASS, ontology, repair=True)
+        return term, violations
+
+    return _ask_parse_repair(
+        prompt, LABEL_CLARIFICATION, read=read,
+        render=lambda term: render_term(term, ontology),
         failure=("table-class", f"parsable table class for {table.name!r}"),
         backend=backend, config=config, conversation=conversation,
     )
-    return TableClassResult(terms[0], raw, anchored, attempts, violations), conv
 
 
 def run_column_type_task(
@@ -472,7 +460,7 @@ def run_column_type_task(
     backend: Backend,
     config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
     conversation: Conversation | None = None,
-) -> tuple[ColumnTypeResult, Conversation]:
+) -> TaskRun[tuple[OntologyTerm | UnknownType, ...]]:
     """Ask for one property per column, mitigating infeasible answers."""
     prompt = assemble(column_type_prompt(table, config.prompt_config))
 
@@ -487,13 +475,12 @@ def run_column_type_task(
         terms, violations = _resolve(labels, TermKind.PROPERTY, ontology, repair=True)
         return terms, fixed + violations
 
-    terms, raw, anchored, attempts, violations, conv = _ask_parse_repair(
+    return _ask_parse_repair(
         prompt, LIST_CLARIFICATION, read=read,
         render=lambda terms: "`" + ", ".join(render_term(t, ontology) for t in terms) + "`",
         failure=("column-type", f"usable column-type list for {table.name!r}"),
         backend=backend, config=config, conversation=conversation,
     )
-    return ColumnTypeResult(terms, raw, anchored, attempts, violations), conv
 
 
 def run_table_pipeline(
@@ -501,15 +488,12 @@ def run_table_pipeline(
     ontology: Ontology,
     backend: Backend,
     config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
-) -> tuple[TableClassResult, ColumnTypeResult]:
+) -> tuple[TaskRun[OntologyTerm], TaskRun[tuple[OntologyTerm | UnknownType, ...]]]:
     """Table class then column types, sharing one conversation so the
     class finding informs the type answers (unless context flow is off)."""
-    class_result, conv = run_table_class_task(table, ontology, backend, config)
-    followup = conv if config.context_flow else None
-    column_result, _ = run_column_type_task(
-        table, ontology, backend, config, conversation=followup
-    )
-    return class_result, column_result
+    class_run = run_table_class_task(table, ontology, backend, config)
+    followup = class_run.conversation if config.context_flow else None
+    return class_run, run_column_type_task(table, ontology, backend, config, conversation=followup)
 
 
 def _render_join(prediction: JoinPrediction) -> str:
@@ -532,7 +516,7 @@ def run_join_task_detailed(
     backend: Backend,
     config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
     context_notes: str | None = None,
-) -> JoinTaskRun:
+) -> TaskRun[JoinPrediction]:
     """Ask for the join columns, mitigating infeasible answers.
 
     With anchoring on, ``left_on`` and ``right_on`` lists of different
@@ -560,9 +544,8 @@ def run_join_task_detailed(
             violations += missing
         return JoinPrediction(*names), violations
 
-    prediction, _, anchored, attempts, violations, conv = _ask_parse_repair(
+    return _ask_parse_repair(
         prompt, JOIN_CLARIFICATION, read=read, render=_render_join,
         failure=("join", f"usable join between {left.name!r} and {right.name!r}"),
         backend=backend, config=config,
     )
-    return JoinTaskRun(prediction, conv, attempts, anchored, violations)

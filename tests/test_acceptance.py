@@ -124,16 +124,16 @@ def _fig4_transcript() -> ScriptedBackend:
 def _run_fig4(ontology, anchoring: bool):
     config = PipelineConfig(anchoring_enabled=anchoring)
     backend = _fig4_transcript()
-    class_result, conv = run_table_class_task(ANIMALS_TABLE, ontology, backend, config)
-    column_result, conv = run_column_type_task(
-        ANIMALS_TABLE, ontology, backend, config, conversation=conv
+    class_result = run_table_class_task(ANIMALS_TABLE, ontology, backend, config)
+    column_result = run_column_type_task(
+        ANIMALS_TABLE, ontology, backend, config, conversation=class_result.conversation
     )
     labels = tuple(
         "Unknown" if isinstance(a, UnknownType) else a.local_name
-        for a in column_result.assignments
+        for a in column_result.value
     )
-    texts = tuple(t.text for t in conv.turns)
-    return class_result, column_result, labels, texts, conv
+    texts = tuple(t.text for t in column_result.conversation.turns)
+    return class_result, column_result, labels, texts, column_result.conversation
 
 
 def test_criterion_3_anchoring_replay(ontology):
@@ -142,7 +142,7 @@ def test_criterion_3_anchoring_replay(ontology):
     plain_runs = set()
     for _ in range(10):
         class_result, column_result, labels, texts, conv = _run_fig4(ontology, True)
-        assert class_result.term.local_name == "Animal"
+        assert class_result.value.local_name == "Animal"
         assert column_result.anchored is True
         assert labels == ("conservationStatus", "binomial")
         for turn_text in texts:
@@ -303,17 +303,17 @@ def test_criterion_5_constraint_totality(ontology):
         try:
             if lane in (0, 1):
                 table = ANIMALS_TABLE if lane == 0 else EV_TABLE
-                result, _ = run_table_class_task(table, ontology, backend, config)
+                result = run_table_class_task(table, ontology, backend, config)
                 assert (
-                    lookup(ontology, TermKind.CLASS, result.term.local_name)
-                    is result.term
+                    lookup(ontology, TermKind.CLASS, result.value.local_name)
+                    is result.value
                 )
                 assert result.attempts <= max_calls
             elif lane in (2, 3):
                 table = ANIMALS_TABLE if lane == 2 else EV_TABLE
-                result, _ = run_column_type_task(table, ontology, backend, config)
-                assert len(result.assignments) == table.arity
-                for assignment in result.assignments:
+                result = run_column_type_task(table, ontology, backend, config)
+                assert len(result.value) == table.arity
+                for assignment in result.value:
                     if isinstance(assignment, UnknownType):
                         continue
                     assert (
@@ -324,7 +324,7 @@ def test_criterion_5_constraint_totality(ontology):
                 run = run_join_task_detailed(
                     EV_TABLE, CAR_REGISTRATION_TABLE, backend, config
                 )
-                prediction = run.prediction
+                prediction = run.value
                 assert len(prediction.left_cols) == len(prediction.right_cols)
                 for name in prediction.left_cols:
                     assert name in EV_TABLE.headers

@@ -212,7 +212,7 @@ def test_predict_join_levenshtein_baseline(workspace, capsys):
     code, out, _ = run_cli(
         capsys,
         "predict-join", str(left), str(right),
-        "--headers", "--baseline", "levenshtein",
+        "--headers", "--system", "levenshtein",
     )
     assert code == 0
     assert out == "id\tident\n"
@@ -226,7 +226,7 @@ def test_predict_join_jaccard_rowless(workspace, capsys):
     code, _, err = run_cli(
         capsys,
         "predict-join", str(left), str(right),
-        "--headers", "--baseline", "jaccard",
+        "--headers", "--system", "jaccard",
     )
     assert code == 1
     assert "rows" in err
@@ -448,7 +448,7 @@ _OWN_OPTIONS = {
     "classify-table": {"--ontology", "--headers", "--no-demonstration", "--no-prefix",
                        "--dump-prompt", "--classes"},
     "annotate-columns": {"--ontology", "--headers", "--no-demonstration", "--dump-prompt"},
-    "predict-join": {"--headers", "--no-prefix", "--dump-prompt", "--baseline"},
+    "predict-join": {"--headers", "--no-prefix", "--dump-prompt", "--system"},
     "eval": {"--ontology", "--no-demonstration", "--no-prefix", "--report", "--system",
              "--jobs"},
 }
@@ -630,7 +630,7 @@ def big_csv(workspace):
     [
         ["classify-table", "{big}", "--headers", "--dump-prompt"],
         ["annotate-columns", "{big}", "--headers", "--dump-prompt"],
-        ["predict-join", "{big}", "{reg}", "--headers", "--baseline", "jaccard"],
+        ["predict-join", "{big}", "{reg}", "--headers", "--system", "jaccard"],
     ],
 )
 def test_oversized_csv_field_is_a_usage_error(workspace, big_csv, capsys, argv):

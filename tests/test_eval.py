@@ -504,6 +504,30 @@ def test_model_join_reports_a_repair_as_anchored(tmp_path):
     assert item.anchored is True
 
 
+@pytest.mark.parametrize(
+    "answer",
+    [
+        "['id', 'id'], right_on=['ident', 'ident'])",
+        # Repair maps both misspellings on each side to the same header.
+        "['idd', 'iid'], right_on=['identt', 'idnt'])",
+    ],
+)
+def test_a_repeated_join_pair_counts_once(tmp_path, answer):
+    (tmp_path / "l.csv").write_text("id,name\n1,x\n", encoding="utf-8")
+    (tmp_path / "r.csv").write_text("ident,title\n1,y\n", encoding="utf-8")
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(
+        json.dumps({"id": "j", "task": "join", "left": "l.csv", "right": "r.csv",
+                    "headers": True, "gold": [["id", "ident"]]}) + "\n",
+        encoding="utf-8",
+    )
+    backend = ScriptedBackend([answer])
+    report = run_benchmark(load_manifest(manifest), System.MODEL, backend=backend)
+    assert report.per_item[0].prediction == [["id", "ident"], ["id", "ident"]]
+    assert report.metrics == WeightedMetrics(1.0, 1.0, 1.0)
+    assert report.by_task["join"]["instances"] == 1
+
+
 def test_oversized_csv_field_fails_its_item_alone(tmp_path):
     write_csv(tmp_path / "ev.csv", EV_TABLE)
     write_csv(tmp_path / "reg.csv", CAR_REGISTRATION_TABLE)

@@ -46,6 +46,7 @@ from tabnotate.harness import (
     parse_column_types,
     parse_join_completion,
     parse_table_class,
+    render_term,
     run_column_type_task,
     run_join_task_detailed,
     run_table_class_task,
@@ -96,10 +97,10 @@ def test_parse_table_class_reads_every_namespace_spelling(ev_table):
     )
     for response in ("http://dbpedia.org/ontology/Person", "I think dbo:Person fits."):
         backend = ScriptedBackend([response])
-        result, conv = run_table_class_task(ev_table, ontology, backend)
-        assert result.term.local_name == "Person"
+        result = run_table_class_task(ev_table, ontology, backend)
+        assert result.value.local_name == "Person"
         assert result.attempts == 1 and result.anchored is False
-        assert conv.last.text == response
+        assert result.conversation.last.text == response
     prefixes = {"ex:": "https://example.org/onto/"}
     assert parse_table_class("I think ex:Person fits.", prefixes) == "ex:Person"
     assert parse_table_class("Not dbo:City but `Town`.", prefixes) == "Town"
@@ -344,51 +345,51 @@ def test_bare_class_anchored_to_iri(ev_table, ontology):
     assert expected_name == "Hospital"
     for response in ("`Hostpital`", "`dbo:Hostpital`", "I think `Hostpital` fits."):
         backend = ScriptedBackend([response])
-        result, conv = run_table_class_task(ev_table, ontology, backend)
-        assert result.term.local_name == expected_name
+        result = run_table_class_task(ev_table, ontology, backend)
+        assert result.value.local_name == expected_name
         assert result.anchored is True
-        assert conv.last.text == "https://dbpedia.org/ontology/Hospital"
+        assert result.conversation.last.text == "https://dbpedia.org/ontology/Hospital"
 
 
 def test_iri_class_anchored_to_iri(ev_table, ontology):
     backend = ScriptedBackend(["https://dbpedia.org/ontology/Hostpital"])
-    result, conv = run_table_class_task(ev_table, ontology, backend)
-    assert result.term.local_name == "Hospital" and result.attempts == 1
-    assert conv.last.text == "https://dbpedia.org/ontology/Hospital"
+    result = run_table_class_task(ev_table, ontology, backend)
+    assert result.value.local_name == "Hospital" and result.attempts == 1
+    assert result.conversation.last.text == "https://dbpedia.org/ontology/Hospital"
 
 
 def test_misspelt_property_becomes_nearest(animals_table, ontology):
     expected_name = _nearest_name(ontology, TermKind.PROPERTY, "iucnStatus")
     assert expected_name == "conservationStatus"
     backend = ScriptedBackend(["`dbo:iucnStatus, dbo:binomial`"])
-    result, conv = run_column_type_task(animals_table, ontology, backend)
-    assert [a.local_name for a in result.assignments] == [expected_name, "binomial"]
-    assert conv.last.text == "`dbo:conservationStatus, dbo:binomial`"
+    result = run_column_type_task(animals_table, ontology, backend)
+    assert [a.local_name for a in result.value] == [expected_name, "binomial"]
+    assert result.conversation.last.text == "`dbo:conservationStatus, dbo:binomial`"
 
 
 def test_empty_label_does_not_overwrite_its_neighbour(ev_table, ontology):
     backend = ScriptedBackend(
         ["`dbo:manufacturer, Unknown, , dbo:vehicleIdentificationNumber`"]
     )
-    result, conv = run_column_type_task(ev_table, ontology, backend)
+    result = run_column_type_task(ev_table, ontology, backend)
     filled = lookup(ontology, TermKind.PROPERTY, _nearest_name(ontology, TermKind.PROPERTY, ""))
-    assert result.assignments == (
+    assert result.value == (
         lookup(ontology, TermKind.PROPERTY, "manufacturer"),
         UNKNOWN,
         filled,
         lookup(ontology, TermKind.PROPERTY, "vehicleIdentificationNumber"),
     )
-    assert conv.last.text == (
+    assert result.conversation.last.text == (
         "`dbo:manufacturer, Unknown, dbo:author, dbo:vehicleIdentificationNumber`"
     )
 
 
 def test_leading_empty_label_anchored_cleanly(animals_table, ontology):
     backend = ScriptedBackend(["`, dbo:binomial`"])
-    result, conv = run_column_type_task(animals_table, ontology, backend)
+    result = run_column_type_task(animals_table, ontology, backend)
     filled = lookup(ontology, TermKind.PROPERTY, _nearest_name(ontology, TermKind.PROPERTY, ""))
-    assert result.assignments == (filled, lookup(ontology, TermKind.PROPERTY, "binomial"))
-    assert conv.last.text == "`dbo:author, dbo:binomial`"
+    assert result.value == (filled, lookup(ontology, TermKind.PROPERTY, "binomial"))
+    assert result.conversation.last.text == "`dbo:author, dbo:binomial`"
 
 
 # ---------------------------------------------------------- table pipeline
@@ -412,9 +413,9 @@ def test_pipeline_happy_path(ev_table, ontology):
     )
     meter = MeteredBackend(backend)
     class_result, column_result = run_table_pipeline(ev_table, ontology, meter)
-    assert class_result.term.local_name == "ElectricVehicle"
+    assert class_result.value.local_name == "ElectricVehicle"
     assert class_result.anchored is False and class_result.attempts == 1
-    assert [a.local_name for a in column_result.assignments] == [
+    assert [a.local_name for a in column_result.value] == [
         "manufacturer",
         "model",
         "postalCode",
@@ -426,9 +427,9 @@ def test_pipeline_happy_path(ev_table, ontology):
 
 def test_pipeline_anchors_unknown_property(animals_table, ontology):
     class_result, column_result = run_table_pipeline(animals_table, ontology, fig4_backend())
-    assert class_result.term.local_name == "Animal"
+    assert class_result.value.local_name == "Animal"
     assert column_result.anchored is True
-    assert [a.local_name for a in column_result.assignments] == [
+    assert [a.local_name for a in column_result.value] == [
         "conservationStatus",
         "binomial",
     ]
@@ -436,15 +437,15 @@ def test_pipeline_anchors_unknown_property(animals_table, ontology):
 
 def test_pipeline_conversation_is_violation_free(animals_table, ontology):
     config = PipelineConfig()
-    class_result, conv = run_table_class_task(
+    class_result = run_table_class_task(
         animals_table, ontology, fig4_backend(), config
     )
     backend = fig4_backend()
     backend.complete(Conversation([user("warm")]), config.params)  # consume entry 1
-    column_result, conv = run_column_type_task(
-        animals_table, ontology, backend, config, conversation=conv
+    column_result = run_column_type_task(
+        animals_table, ontology, backend, config, conversation=class_result.conversation
     )
-    assistant_turns = [t for t in conv.turns if t.role is Role.ASSISTANT]
+    assistant_turns = [t for t in column_result.conversation.turns if t.role is Role.ASSISTANT]
     assert len(assistant_turns) == 2
     assert check_table_class(parse_table_class(assistant_turns[0].text), ontology) is None
     parsed = parse_column_types(assistant_turns[1].text, animals_table.arity)
@@ -455,21 +456,21 @@ def test_pipeline_conversation_is_violation_free(animals_table, ontology):
 def test_pipeline_no_anchoring_keeps_dirty_history(animals_table, ontology):
     config = PipelineConfig(anchoring_enabled=False)
     backend = fig4_backend()
-    _, conv = run_table_class_task(animals_table, ontology, backend, config)
-    column_result, conv = run_column_type_task(
-        animals_table, ontology, backend, config, conversation=conv
+    class_result = run_table_class_task(animals_table, ontology, backend, config)
+    column_result = run_column_type_task(
+        animals_table, ontology, backend, config, conversation=class_result.conversation
     )
     assert column_result.anchored is False
-    assert [a.local_name for a in column_result.assignments] == [
+    assert [a.local_name for a in column_result.value] == [
         "conservationStatus",
         "binomial",
     ]
-    assert "iucnStatus" in conv.turns[-1].text
+    assert "iucnStatus" in column_result.conversation.turns[-1].text
 
 
 def test_pipeline_anchored_and_plain_conversations_differ(animals_table, ontology):
-    _, conv_anchored = _run_fig4_columns(animals_table, ontology, anchoring=True)
-    _, conv_plain = _run_fig4_columns(animals_table, ontology, anchoring=False)
+    conv_anchored = _run_fig4_columns(animals_table, ontology, anchoring=True).conversation
+    conv_plain = _run_fig4_columns(animals_table, ontology, anchoring=False).conversation
     assert [t.text for t in conv_anchored.turns] != [t.text for t in conv_plain.turns]
 
 
@@ -498,9 +499,9 @@ def test_anchoring_keeps_a_mistake_from_reaching_the_next_turn(animals_table, on
     backend = HistoryKeyedBackend()
     config = PipelineConfig(anchoring_enabled=anchoring)
     class_result, column_result = run_table_pipeline(animals_table, ontology, backend, config)
-    assert class_result.term.local_name == "Animal"
+    assert class_result.value.local_name == "Animal"
     assert class_result.raw_response == "https://dbpedia.org/ontology/Animl"
-    assert [a.local_name for a in column_result.assignments] == ["conservationStatus", "binomial"]
+    assert [a.local_name for a in column_result.value] == ["conservationStatus", "binomial"]
     assert len(backend.histories) == 2 and backend.histories[0] == ()
     if anchoring:
         assert backend.histories[1] == ("https://dbpedia.org/ontology/Animal",)
@@ -519,10 +520,10 @@ def _run_fig4_columns(table, ontology, anchoring: bool):
 
 def test_unknown_class_anchored(ev_table, ontology):
     backend = ScriptedBackend(["https://dbpedia.org/ontology/ElectricCar"])
-    result, conv = run_table_class_task(ev_table, ontology, backend)
+    result = run_table_class_task(ev_table, ontology, backend)
     assert result.anchored is True
-    assert result.term.local_name == "ElectricVehicle"
-    assert conv.last.text == "https://dbpedia.org/ontology/ElectricVehicle"
+    assert result.value.local_name == "ElectricVehicle"
+    assert result.conversation.last.text == "https://dbpedia.org/ontology/ElectricVehicle"
     assert result.raw_response == "https://dbpedia.org/ontology/ElectricCar"
 
 
@@ -531,13 +532,13 @@ def test_unparsable_retry_is_spliced(ev_table, ontology):
         ["I will not answer in the requested format.",
          "https://dbpedia.org/ontology/ElectricVehicle"]
     )
-    result, conv = run_table_class_task(ev_table, ontology, backend)
-    assert result.term.local_name == "ElectricVehicle"
+    result = run_table_class_task(ev_table, ontology, backend)
+    assert result.value.local_name == "ElectricVehicle"
     assert result.attempts == 2
     assert result.anchored is True
     # The clarification exchange is spliced over the bad turn: two turns total.
-    assert len(conv) == 2
-    assert conv.last.text == "https://dbpedia.org/ontology/ElectricVehicle"
+    assert len(result.conversation) == 2
+    assert result.conversation.last.text == "https://dbpedia.org/ontology/ElectricVehicle"
 
 
 def test_unparsable_twice_fails(ev_table, ontology):
@@ -550,9 +551,9 @@ def test_unparsable_twice_fails(ev_table, ontology):
 def test_empty_reply_is_read_as_empty(ev_table, registration_table, ontology):
     empty = Violation(ViolationKind.UNPARSABLE_OUTPUT, "")
     backend = ScriptedBackend(["", "https://dbpedia.org/ontology/ElectricVehicle"])
-    result, conv = run_table_class_task(ev_table, ontology, backend)
+    result = run_table_class_task(ev_table, ontology, backend)
     assert result.violations == (empty,)
-    assert result.term.local_name == "ElectricVehicle" and len(conv) == 2
+    assert result.value.local_name == "ElectricVehicle" and len(result.conversation) == 2
     with pytest.raises(TaskFailed) as excinfo:
         run_join_task_detailed(ev_table, registration_table, ScriptedBackend(["", ""]))
     assert excinfo.value.violation == empty
@@ -568,19 +569,19 @@ def test_unparsable_without_anchoring_fails_fast(ev_table, ontology):
 
 def test_arity_mismatch_padded(animals_table, ontology):
     backend = ScriptedBackend(["`dbo:conservationStatus`"])
-    result, conv = run_column_type_task(animals_table, ontology, backend)
+    result = run_column_type_task(animals_table, ontology, backend)
     assert result.anchored is True
-    assert result.assignments[0].local_name == "conservationStatus"
-    assert isinstance(result.assignments[1], UnknownType)
-    assert conv.last.text == "`dbo:conservationStatus, Unknown`"
+    assert result.value[0].local_name == "conservationStatus"
+    assert isinstance(result.value[1], UnknownType)
+    assert result.conversation.last.text == "`dbo:conservationStatus, Unknown`"
 
 
 def test_arity_mismatch_truncated(animals_table, ontology):
     backend = ScriptedBackend(["`dbo:conservationStatus, dbo:binomial, dbo:author`"])
-    result, _ = run_column_type_task(animals_table, ontology, backend)
+    result = run_column_type_task(animals_table, ontology, backend)
     assert result.anchored is True
     assert [v.kind for v in result.violations] == [ViolationKind.ARITY_MISMATCH]
-    assert [a.local_name for a in result.assignments] == [
+    assert [a.local_name for a in result.value] == [
         "conservationStatus",
         "binomial",
     ]
@@ -598,22 +599,22 @@ def test_attempt_budget_falls_back_to_nearest(animals_table, ontology):
     # Both items unknown: one repair pass still yields in-ontology terms.
     backend = ScriptedBackend(["`dbo:iucnStatus, dbo:binomialName`"])
     config = PipelineConfig()
-    result, conv = run_column_type_task(animals_table, ontology, backend, config)
+    result = run_column_type_task(animals_table, ontology, backend, config)
     assert result.anchored is True
-    for assignment in result.assignments:
+    for assignment in result.value:
         assert lookup(ontology, TermKind.PROPERTY, assignment.local_name) is assignment
-    parsed = parse_column_types(conv.last.text, animals_table.arity)
+    parsed = parse_column_types(result.conversation.last.text, animals_table.arity)
     assert check_column_types(parsed, ontology) is None
 
 
 def test_reask_reply_of_wrong_length_is_padded(animals_table, ontology):
     backend = ScriptedBackend(["no idea", "`dbo:binomial`"])
     config = PipelineConfig()
-    result, conv = run_column_type_task(animals_table, ontology, backend, config)
+    result = run_column_type_task(animals_table, ontology, backend, config)
     assert result.attempts == 2 and result.anchored is True
-    assert result.assignments == (lookup(ontology, TermKind.PROPERTY, "binomial"), UNKNOWN)
-    assert len(conv) == 2
-    assert conv.last.text == "`dbo:binomial, Unknown`"
+    assert result.value == (lookup(ontology, TermKind.PROPERTY, "binomial"), UNKNOWN)
+    assert len(result.conversation) == 2
+    assert result.conversation.last.text == "`dbo:binomial, Unknown`"
 
 
 def test_pipeline_deterministic(animals_table, ontology):
@@ -621,8 +622,8 @@ def test_pipeline_deterministic(animals_table, ontology):
         meter = MeteredBackend(fig4_backend())
         class_result, column_result = run_table_pipeline(animals_table, ontology, meter)
         return (
-            class_result.term.iri,
-            tuple(repr(a) for a in column_result.assignments),
+            class_result.value.iri,
+            tuple(repr(a) for a in column_result.value),
             meter.usage,
         )
 
@@ -632,10 +633,10 @@ def test_pipeline_deterministic(animals_table, ontology):
 def test_context_flow_shares_conversation(animals_table, ontology):
     config = PipelineConfig()
     backend = fig4_backend()
-    _, conv = run_table_class_task(animals_table, ontology, backend, config)
-    _, conv2 = run_column_type_task(
+    conv = run_table_class_task(animals_table, ontology, backend, config).conversation
+    conv2 = run_column_type_task(
         animals_table, ontology, backend, config, conversation=conv
-    )
+    ).conversation
     assert len(conv2) == 4  # two user/assistant exchanges in one history
 
 
@@ -651,20 +652,20 @@ def test_task_prompt_satisfies_instruction_guard(ev_table, ontology):
         [TranscriptEntry("https://dbpedia.org/ontology/ElectricVehicle",
                          match="select one DBpedia.org ontology")]
     )
-    result, _ = run_table_class_task(ev_table, ontology, backend)
-    assert result.term.local_name == "ElectricVehicle"
+    result = run_table_class_task(ev_table, ontology, backend)
+    assert result.value.local_name == "ElectricVehicle"
 
 
 def test_class_task_no_anchoring_nearest_fallback(ev_table, ontology):
     backend = ScriptedBackend(["https://dbpedia.org/ontology/ElectricCar"])
     config = PipelineConfig(anchoring_enabled=False)
-    result, conv = run_table_class_task(ev_table, ontology, backend, config)
-    assert result.term.local_name == "ElectricVehicle"
+    result = run_table_class_task(ev_table, ontology, backend, config)
+    assert result.value.local_name == "ElectricVehicle"
     assert result.anchored is False
     assert result.violations == (
         Violation(ViolationKind.UNKNOWN_CLASS, "https://dbpedia.org/ontology/ElectricCar"),
     )
-    assert conv.last.text == "https://dbpedia.org/ontology/ElectricCar"
+    assert result.conversation.last.text == "https://dbpedia.org/ontology/ElectricCar"
 
 
 def test_context_flow_off_shrinks_column_prompt(animals_table, ontology):
@@ -675,6 +676,56 @@ def test_context_flow_off_shrinks_column_prompt(animals_table, ontology):
         return meter.usage.prompt_tokens
 
     assert usage_for(True) > usage_for(False)
+
+
+# ------------------------------------------------ the shared result contract
+
+# Per task: a clean answer, then one that needs a repair.
+_CONTRACT_ANSWERS = {
+    "table-class": (
+        "https://dbpedia.org/ontology/ElectricVehicle",
+        "https://dbpedia.org/ontology/ElectricCar",
+    ),
+    "column-type": (
+        "`dbo:manufacturer, dbo:model, dbo:postalCode, dbo:vehicleIdentificationNumber`",
+        "`dbo:manufacturer, dbo:modl, Unknown, dbo:vehicleIdentificationNumber`",
+    ),
+    "join": (
+        "'VIN_prefix', right_on='vehicle_id_number')",
+        "'VIN_prefix', right_on='zipcode')",
+    ),
+}
+
+
+@pytest.mark.parametrize("task", sorted(_CONTRACT_ANSWERS))
+@pytest.mark.parametrize(
+    ("answer", "anchoring"),
+    [("clean", True), ("clean", False), ("repaired", True), ("repaired", False),
+     ("reasked", True)],
+)
+def test_every_runner_returns_one_result_contract(
+    ev_table, registration_table, ontology, task, answer, anchoring
+):
+    clean, repaired = _CONTRACT_ANSWERS[task]
+    replies = {"clean": [clean], "repaired": [repaired], "reasked": ["", clean]}[answer]
+    meter = MeteredBackend(ScriptedBackend(replies))
+    config = PipelineConfig(anchoring_enabled=anchoring)
+    if task == "table-class":
+        run = run_table_class_task(ev_table, ontology, meter, config)
+        rendered = render_term(run.value, ontology)
+    elif task == "column-type":
+        run = run_column_type_task(ev_table, ontology, meter, config)
+        rendered = "`" + ", ".join(render_term(t, ontology) for t in run.value) + "`"
+    else:
+        run = run_join_task_detailed(ev_table, registration_table, meter, config)
+        rendered = _render_join(run.value)
+    assert run.attempts == meter.calls == len(replies)
+    assert bool(run.violations) == (answer != "clean")
+    assert run.anchored == (config.anchoring_enabled and bool(run.violations))
+    assert run.raw_response == replies[-1]
+    last = run.conversation.last
+    assert last.role is Role.ASSISTANT
+    assert last.text == (rendered if run.anchored else run.raw_response or " ")
 
 
 # ------------------------------------------------- repair against the oracle
@@ -788,11 +839,11 @@ def _assert_label_task_matches_oracle(table, ontology, kind, responses, anchorin
         with pytest.raises(TaskFailed):
             run(table, ontology, backend, config)
         return
-    result, conv = run(table, ontology, backend, config)
+    result = run(table, ontology, backend, config)
     expected, violations = expected
     assert result.violations == violations
     assert result.anchored == (anchoring and bool(violations))
-    labels = (result.term,) if arity is None else result.assignments
+    labels = (result.value,) if arity is None else result.value
     assert len(labels) == len(expected)
     for label, name in zip(labels, expected):
         if label is UNKNOWN:
@@ -800,10 +851,10 @@ def _assert_label_task_matches_oracle(table, ontology, kind, responses, anchorin
         else:
             assert label.local_name == name
     if not anchoring:
-        assert len(conv) == 2
-        assert conv.last.text == (responses[0] or " ")
+        assert len(result.conversation) == 2
+        assert result.conversation.last.text == (responses[0] or " ")
         return
-    for turn in conv.turns:
+    for turn in result.conversation.turns:
         if turn.role is not Role.ASSISTANT:
             continue
         if arity is None:
@@ -852,19 +903,16 @@ def test_label_anchoring_is_idempotent(
     table = ev_table if wide else animals_table
     run = run_table_class_task if kind is TermKind.CLASS else run_column_type_task
     try:
-        result, conv = run(table, ontology, ScriptedBackend(list(responses)))
+        result = run(table, ontology, ScriptedBackend(list(responses)))
     except TaskFailed:
         return
     # The anchored turn, asked again, needs no repair and is kept as it is.
-    final = conv.last.text
-    again, again_conv = run(table, ontology, ScriptedBackend([final]))
+    final = result.conversation.last.text
+    again = run(table, ontology, ScriptedBackend([final]))
     assert again.anchored is False and again.attempts == 1
     assert again.violations == ()
-    if kind is TermKind.CLASS:
-        assert again.term == result.term
-    else:
-        assert again.assignments == result.assignments
-    assert again_conv.last.text == final
+    assert again.value == result.value
+    assert again.conversation.last.text == final
 
 
 # ------------------------------------------------------------------- join
@@ -872,7 +920,7 @@ def test_label_anchoring_is_idempotent(
 
 def test_join_task_paper_example(ev_table, registration_table, ontology):
     backend = ScriptedBackend(["'VIN_prefix', right_on='vehicle_id_number')"])
-    prediction = run_join_task_detailed(ev_table, registration_table, backend).prediction
+    prediction = run_join_task_detailed(ev_table, registration_table, backend).value
     assert prediction.left_cols == ("VIN_prefix",)
     assert prediction.right_cols == ("vehicle_id_number",)
 
@@ -883,7 +931,7 @@ def test_join_task_anchors_missing_column(ev_table, registration_table):
     backend = ScriptedBackend(["'VIN_prefix', right_on='zipcode')"])
     run = run_join_task_detailed(ev_table, registration_table, backend)
     assert run.attempts == 1 and run.anchored is True
-    assert run.prediction.pairs == (("VIN_prefix", nearest),)
+    assert run.value.pairs == (("VIN_prefix", nearest),)
     assert len(run.conversation) == 2
     assert run.conversation.last.text == "'VIN_prefix', right_on='vehicle_id_number')"
 
@@ -892,7 +940,7 @@ def test_join_arity_mismatch_truncated(ev_table, registration_table):
     backend = ScriptedBackend(["['VIN_prefix', 'ZIP'], right_on=['vehicle_id_number'])"])
     run = run_join_task_detailed(ev_table, registration_table, backend)
     assert run.attempts == 1 and run.anchored is True
-    assert run.prediction.pairs == (("VIN_prefix", "vehicle_id_number"),)
+    assert run.value.pairs == (("VIN_prefix", "vehicle_id_number"),)
     assert run.conversation.last.text == "'VIN_prefix', right_on='vehicle_id_number')"
 
 
@@ -909,7 +957,7 @@ def test_join_unparsable_reask_is_spliced(ev_table, registration_table):
     run = run_join_task_detailed(ev_table, registration_table, Recorder())
     assert run.attempts == 2 and run.anchored is True
     assert asked[1].endswith(JOIN_PREFIX)
-    assert run.prediction.pairs == (("VIN_prefix", "vehicle_id_number"),)
+    assert run.value.pairs == (("VIN_prefix", "vehicle_id_number"),)
     # The clarification exchange is spliced over the bad turn: two turns total.
     assert len(run.conversation) == 2
     assert run.conversation.last.text == answers[1]
@@ -939,7 +987,7 @@ def test_join_without_anchoring(ev_table, registration_table):
     config = PipelineConfig(anchoring_enabled=False)
     answer = "'VIN_prefix', right_on='zipcode')"
     run = run_join_task_detailed(ev_table, registration_table, ScriptedBackend([answer]), config)
-    assert run.prediction.pairs == (("VIN_prefix", "vehicle_id_number"),)
+    assert run.value.pairs == (("VIN_prefix", "vehicle_id_number"),)
     assert run.anchored is False
     assert len(run.conversation) == 2 and run.conversation.last.text == answer
     backend = ScriptedBackend(["['VIN_prefix', 'ZIP'], right_on=['vehicle_id_number'])", "unused"])
@@ -962,7 +1010,7 @@ def test_join_task_context_notes(ev_table, registration_table):
         registration_table,
         backend,
         context_notes="df1 is an ElectricVehicle table.",
-    ).prediction
+    ).value
     assert prediction.left_cols == ("VIN_prefix",)
 
 
@@ -1069,7 +1117,7 @@ def test_join_repair_matches_oracle(data, left_headers, right_headers, anchoring
         return
     run = run_join_task_detailed(left, right, backend, config)
     expected, violations = expected
-    assert (list(run.prediction.left_cols), list(run.prediction.right_cols)) == expected
+    assert (list(run.value.left_cols), list(run.value.right_cols)) == expected
     assert run.violations == violations
     assert run.anchored == (anchoring and bool(violations))
     if not anchoring:
@@ -1082,7 +1130,7 @@ def test_join_repair_matches_oracle(data, left_headers, right_headers, anchoring
     # Anchoring is idempotent: the anchored turn, asked again, needs no repair.
     final = run.conversation.last.text
     again = run_join_task_detailed(left, right, ScriptedBackend([final]), config)
-    assert again.prediction == run.prediction
+    assert again.value == run.value
     assert again.anchored is False and again.conversation.last.text == final
     assert again.violations == ()
 
@@ -1091,7 +1139,7 @@ def test_join_header_with_both_quotes_is_anchored_to_a_parsable_turn():
     left = Table("left", ("a'b\"c", "zz"), (("v", "v"),))
     right = Table("right", ("k",), (("w",),))
     run = run_join_task_detailed(left, right, ScriptedBackend(["'ab', right_on='k')"]))
-    assert run.prediction.pairs == (("a'b\"c", "k"),)
+    assert run.value.pairs == (("a'b\"c", "k"),)
     assert run.conversation.last.text == "\"a'b\\\"c\", right_on='k')"
     assert parse_join_completion(run.conversation.last.text) == (["a'b\"c"], ["k"])
 
