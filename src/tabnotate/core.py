@@ -637,16 +637,29 @@ def sample_rows(table: Table, k: int, strategy: SamplingStrategy = HEAD_SAMPLING
     return Table(name=table.name, headers=table.headers, rows=rows)
 
 
+class _Line:
+    """A file object whose ``write`` returns the line it is given, so that
+    ``csv.writer(_Line, ...).writerow`` returns the record it wrote."""
+
+    write = staticmethod(str)
+
+
+def csv_record(cells: Iterable[str]) -> str:
+    """One RFC 4180 record without its line terminator.
+
+    The writer is made per call, so threads never share one.  Its
+    terminator is ``"\n"`` (and then dropped) because the writer quotes a
+    cell that holds a character of its terminator: a cell holding ``"\n"``
+    is quoted, one holding only ``"\r"`` is not.
+    """
+    return csv.writer(_Line, lineterminator="\n").writerow(cells)[:-1]
+
+
 def to_csv(table: Table) -> str:
-    """RFC 4180 serialization: header line first, no trailing newline."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if table.headers is not None:
-        writer.writerow(table.headers)
-    for row in table.rows:
-        writer.writerow(row)
-    text = buf.getvalue()
-    return text[:-1] if text.endswith("\n") else text
+    """RFC 4180 serialization: the :func:`csv_record` of the header and of
+    each row, one a line, with no trailing newline."""
+    rows = table.rows if table.headers is None else (table.headers, *table.rows)
+    return "\n".join(map(csv_record, rows))
 
 
 def _records(text: str) -> list[tuple[str, ...]] | _Lines:

@@ -8,7 +8,6 @@ The golden files under the test fixtures pin the exact rendering.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,8 +16,8 @@ from .core import (
     HEAD_SAMPLING,
     SamplingStrategy,
     Table,
+    csv_record,
     sample_rows,
-    to_csv,
 )
 
 TABLE_CLASS_INSTRUCTION_WITH_LIST = (
@@ -133,9 +132,8 @@ def _cut(text: str, limit: int) -> str:
 
 
 def _record(cells: tuple[str, ...]) -> str:
-    """One CSV record without its line terminator, long cells cut."""
-    row = tuple(_cut(cell, MAX_CELL_CHARS) for cell in cells)
-    return to_csv(Table(name="", headers=None, rows=(row,)))
+    """One CSV record as :func:`to_csv` writes it, long cells cut."""
+    return csv_record(_cut(cell, MAX_CELL_CHARS) for cell in cells)
 
 
 def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, Table]:
@@ -149,61 +147,40 @@ def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, Table
     return metadata, sample
 
 
-def _records_that_can_fit(
-    build: Callable[..., PromptComponents], samples: list[Table]
-) -> list[list[str]]:
-    """Each sample's rows as CSV records, up to the first row count n >= 1
-    that cannot fit; no later row is read.
-
-    n rows cannot fit when the tables' first n records, with their line
-    breaks, take more than the room that the prompt of empty bodies leaves
-    in ``CHAR_BUDGET``: a prompt holds every body whole, so from n rows on
-    it is over budget whatever else it holds.  :func:`_fit` therefore keeps
-    the same rows as it would from every record.
-    """
-    room = CHAR_BUDGET - len(assemble(build(*[""] * len(samples))))
-    records: list[list[str]] = [[] for _ in samples]
-    used = 0
-    for n in range(max(sample.row_count for sample in samples)):
-        if n and used > room:
-            break
-        for sample, kept in zip(samples, records):
-            if n < sample.row_count:
-                kept.append(_record(sample.row(n)))
-                used += len(kept[-1]) + (n > 0)
-    return records
-
-
 def _fit(build: Callable[..., PromptComponents], samples: list[Table]) -> PromptComponents:
     """Prompt from ``build`` with the most sample rows that fit the budget.
 
     ``build`` takes one data body per table, and ``samples`` holds each
-    table's sample.  Every table keeps the same row count n >= 1,
-    found by bisection since the prompt never shrinks as n grows; if n = 1
-    is too long, the lines of the rows are capped, halving the cap until it
-    fits.  Headers are not in the bodies, so they are never cut: a table
-    whose header rows alone exceed ``CHAR_BUDGET`` goes over it, as does
-    any budget below the fixed parts.
+    table's sample.  Every table keeps the same row count n >= 1 (all its
+    rows if it has fewer), the largest that fits.  Around a body of one or
+    more records the builders add only fixed text, so a prompt's length is
+    that fixed part, measured once, plus the bodies' characters.  The rows
+    are therefore serialized in one pass, row i of every table at a time,
+    that stops at the first i >= 1 whose rows no longer fit and keeps
+    n = i; no later row is read.  If n = 1 is too long, the lines of the
+    rows are capped, halving the cap until it fits.  Headers are not in
+    the bodies, so they are never cut: a table whose header rows alone
+    exceed ``CHAR_BUDGET`` goes over it, as does any budget below the fixed
+    parts.
     """
-    serialized = _records_that_can_fit(build, samples)
-
-    def bodies(n: int) -> list[str]:
-        return ["\n".join(records[:n]) for records in serialized]
-
-    def too_long(components: PromptComponents) -> bool:
-        return len(assemble(components)) > CHAR_BUDGET
-
-    most = max(len(records) for records in serialized)
-    components = build(*bodies(most))
-    if not too_long(components):
-        return components
-    fitting = bisect_left(range(1, most), True, key=lambda n: too_long(build(*bodies(n))))
-    kept = bodies(max(fitting, 1))
-    components = build(*kept)
-    cap = max((len(line) for body in kept for line in body.splitlines()), default=0)
-    while too_long(components) and cap > 8:
+    probes = ["x" if sample.row_count else "" for sample in samples]
+    used = len(assemble(build(*probes))) - len("".join(probes))
+    records: list[list[str]] = [[] for _ in samples]
+    kept = max(sample.row_count for sample in samples)
+    for i in range(kept):
+        for sample, serialized in zip(samples, records):
+            if i < sample.row_count:
+                serialized.append(_record(sample.row(i)))
+                used += len(serialized[-1]) + (i > 0)
+        if i and used > CHAR_BUDGET:
+            kept = i
+            break
+    bodies = ["\n".join(serialized[:kept]) for serialized in records]
+    components = build(*bodies)
+    cap = max((len(line) for body in bodies for line in body.splitlines()), default=0)
+    while len(assemble(components)) > CHAR_BUDGET and cap > 8:
         cap = max(8, cap // 2)
-        capped = ("\n".join(_cut(line, cap) for line in body.splitlines()) for body in kept)
+        capped = ("\n".join(_cut(line, cap) for line in body.splitlines()) for body in bodies)
         components = build(*capped)
     return components
 

@@ -155,3 +155,46 @@ def read_csv_ref(text: str, name: str, headers: bool):
         if len(row) != arity:
             raise ValueError(f"row {i} has {len(row)} cells, expected {arity}")
     return head, tuple(records)
+
+
+def fit_ref(build, samples):
+    """What ``prompt._fit`` returns, by trying every row count.
+
+    Every sampled row is written by its own ``csv.writer``, cells over
+    ``MAX_CELL_CHARS`` cut to one less and the marker.  Each table keeps
+    its first n rows (all, if it has fewer) for the largest n >= 1 whose
+    prompt fits ``CHAR_BUDGET``, or one row if none does; then, while the
+    prompt is too long, every line of the bodies is cut to a cap that starts
+    at the longest line and halves, down to 8.  A prompt holds each body
+    whole, so no n whose bodies alone pass the budget is tried.
+    """
+    from tabnotate import prompt
+
+    def cut(text: str, limit: int) -> str:
+        return text if len(text) <= limit else text[: limit - 1] + prompt.TRUNCATION_MARKER
+
+    def record(row) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([cut(c, prompt.MAX_CELL_CHARS) for c in row])
+        return buf.getvalue().removesuffix("\n")
+
+    def fits(components) -> bool:
+        return len(prompt.assemble(components)) <= prompt.CHAR_BUDGET
+
+    records = [[record(row) for row in sample.rows] for sample in samples]
+    fitting = [1]
+    for n in range(1, max(map(len, records)) + 1):
+        bodies = ["\n".join(kept[:n]) for kept in records]
+        if sum(map(len, bodies)) > prompt.CHAR_BUDGET:
+            break
+        if fits(build(*bodies)):
+            fitting.append(n)
+    bodies = ["\n".join(kept[: max(fitting)]) for kept in records]
+    components = build(*bodies)
+    cap = max((len(line) for body in bodies for line in body.splitlines()), default=0)
+    while not fits(components) and cap > 8:
+        cap = max(8, cap // 2)
+        components = build(
+            *("\n".join(cut(line, cap) for line in body.splitlines()) for body in bodies)
+        )
+    return components

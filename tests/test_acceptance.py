@@ -442,7 +442,8 @@ def test_criterion_7_end_to_end_report(tmp_path, ontology):
     assert report.total_cost > 0.0
 
     # Re-aggregate the per-item records exactly as documented: group
-    # metrics weighted by gold-instance counts.
+    # metrics weighted by gold-instance counts, each distinct join pair
+    # counted once.
     class_pairs: list[tuple[str, str]] = []
     column_pairs: list[tuple[str, str]] = []
     join_correct = join_pred = join_gold = 0
@@ -453,7 +454,7 @@ def test_criterion_7_end_to_end_report(tmp_path, ontology):
             column_pairs.extend(zip(outcome.prediction, outcome.gold))
         else:
             gold = {tuple(p) for p in outcome.gold}
-            predicted = [tuple(p) for p in (outcome.prediction or [])]
+            predicted = {tuple(p) for p in (outcome.prediction or [])}
             join_gold += len(gold)
             join_pred += len(predicted)
             join_correct += sum(1 for p in predicted if p in gold)

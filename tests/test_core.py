@@ -11,7 +11,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tabnotate.core
@@ -510,6 +510,29 @@ def test_to_csv_single_cell():
 
 def test_to_csv_quotes_commas():
     assert to_csv(Table("t", None, (("a,b",),))) == '"a,b"'
+
+
+_CSV_CELL = st.text(alphabet='ab ,"\n\ré', max_size=6)
+
+
+@st.composite
+def _csv_tables(draw) -> Table:
+    arity = draw(st.integers(1, 4))
+    row = st.lists(_CSV_CELL, min_size=arity, max_size=arity).map(tuple)
+    return Table("t", draw(st.none() | row), tuple(draw(st.lists(row, max_size=5))))
+
+
+@settings(max_examples=300, deadline=None)
+@example(table=Table("t", None, (("",),)))
+@example(table=Table("t", ("",), (("",), ("\r",))))
+@given(table=_csv_tables())
+def test_to_csv_is_the_csv_writer_text_less_its_final_newline(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if table.headers is not None:
+        writer.writerow(table.headers)
+    writer.writerows(table.rows)
+    assert to_csv(table) == buf.getvalue().removesuffix("\n")
 
 
 def test_csv_round_trip_on_nasty_cells():

@@ -28,6 +28,7 @@ from tabnotate.prompt import (
 )
 
 from make_goldens import GOLDEN_DIR, golden_name
+from reference import fit_ref
 
 # ------------------------------------------------------------- assemble
 
@@ -361,11 +362,6 @@ def test_trimmed_prompt_is_the_untrimmed_prompt_of_fewer_rows(table, k, builder)
         assert len(longer) > CHAR_BUDGET
 
 
-def _every_record(build, samples: list) -> list[list[str]]:
-    """The reference: every sampled row serialized, with no cutoff."""
-    return [[tabnotate.prompt._record(row) for row in sample.rows] for sample in samples]
-
-
 _FRAME_CHARS = "abé019 ,;\"'\n…-"
 
 
@@ -390,15 +386,25 @@ _WIDE_HEADERS = Table("h", tuple(f"{c}" + "h" * 300 for c in range(80)), (("1",)
 
 
 @settings(max_examples=200, deadline=None)
-@example(left=_WIDE_HEADERS, right=_WIDE_HEADERS, k=5, metadata=True, strategy=HEAD_SAMPLING)
+@example(
+    left=_WIDE_HEADERS,
+    right=_WIDE_HEADERS,
+    k=5,
+    metadata=True,
+    strategy=HEAD_SAMPLING,
+    budget=CHAR_BUDGET,
+)
 @given(
     left=_frames(),
     right=_frames(),
     k=st.sampled_from([1, 5, 50, 500]),
     metadata=st.booleans(),
     strategy=st.sampled_from([HEAD_SAMPLING, SamplingStrategy(SamplingMode.SEEDED_RANDOM, 7)]),
+    budget=st.sampled_from([CHAR_BUDGET, 2000, 300, 50]),
 )
-def test_prompts_equal_the_prompts_from_every_sampled_row(left, right, k, metadata, strategy):
+def test_prompts_equal_the_prompts_from_every_sampled_row(
+    left, right, k, metadata, strategy, budget
+):
     config = PromptConfig(sample_k=k, include_metadata=metadata, strategy=strategy)
     builders = (
         lambda: table_class_prompt(left, None, config),
@@ -406,9 +412,10 @@ def test_prompts_equal_the_prompts_from_every_sampled_row(left, right, k, metada
         lambda: column_type_prompt(left, config),
         lambda: join_prompt(left, right, config),
     )
-    prompts = [build() for build in builders]
-    with mock.patch.object(tabnotate.prompt, "_records_that_can_fit", _every_record):
-        assert prompts == [build() for build in builders]
+    with mock.patch.object(tabnotate.prompt, "CHAR_BUDGET", budget):
+        prompts = [build() for build in builders]
+        with mock.patch.object(tabnotate.prompt, "_fit", fit_ref):
+            assert prompts == [build() for build in builders]
 
 
 @pytest.mark.parametrize("builder", sorted(_BUILDERS))
@@ -431,4 +438,4 @@ def test_rows_past_the_budget_are_never_serialized(builder):
     frames = 2 if builder == "join" else 1
     assert 1 < kept < 500
     # Per frame: the header, the kept rows and the one that no longer fits.
-    assert record.call_count <= frames * (kept + 2)
+    assert record.call_count == frames * (kept + 2)
