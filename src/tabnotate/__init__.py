@@ -39,7 +39,6 @@ from .evaluate import (
     Task,
     WeightedMetrics,
     jaccard_join,
-    join_match,
     levenshtein_join,
     load_manifest,
     per_class_stats,

@@ -177,6 +177,8 @@ class Usage:
     completion_tokens: int = 0
     wall_time: float = 0.0
     cost: float = 0.0
+    # True when a token count came from the whitespace proxy.
+    estimated: bool = False
 
     def __add__(self, other: "Usage") -> "Usage":
         return Usage(
@@ -184,6 +186,7 @@ class Usage:
             completion_tokens=self.completion_tokens + other.completion_tokens,
             wall_time=self.wall_time + other.wall_time,
             cost=self.cost + other.cost,
+            estimated=self.estimated or other.estimated,
         )
 
 
@@ -220,8 +223,13 @@ def _require_user_tail(conversation: Conversation) -> Turn:
 
 def _approx_tokens(text: str) -> int:
     # Whitespace proxy; good enough for relative cost accounting without
-    # a tokenizer dependency.  Reports flag it as approximate.
+    # a tokenizer dependency.  Usage built from it is ``estimated``.
     return len(text.split())
+
+
+def _approx_counts(conversation: Conversation, reply: str) -> tuple[int, int]:
+    """Prompt and completion tokens by the whitespace proxy."""
+    return sum(_approx_tokens(t.text) for t in conversation.turns), _approx_tokens(reply)
 
 
 # Simulated latency per token for scripted completions.  Keeps replayed
@@ -239,10 +247,13 @@ class ScriptedBackend:
     """Replays canned responses in order, optionally guarded by substrings.
 
     Completion is fully deterministic, including the usage figures: token
-    counts use the whitespace proxy and wall time is simulated from them.
-    Calls are serialized internally so concurrent use preserves replay
-    order.
+    counts use the whitespace proxy, so usage is ``estimated``, and wall
+    time is simulated from them.  A lock hands out each entry once, but
+    which call gets which entry follows call order: the backend is
+    ``ordered``, and its callers must not run items concurrently.
     """
+
+    ordered = True
 
     def __init__(
         self,
@@ -275,14 +286,14 @@ class ScriptedBackend:
             raise MatchFailed(
                 f"transcript expected the prompt to contain {entry.match!r}"
             )
-        prompt_tokens = sum(_approx_tokens(t.text) for t in conversation.turns)
-        completion_tokens = _approx_tokens(entry.response)
+        prompt_tokens, completion_tokens = _approx_counts(conversation, entry.response)
         total = prompt_tokens + completion_tokens
         return entry.response, Usage(
             prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,
             wall_time=total * SIMULATED_SECONDS_PER_TOKEN,
             cost=self._prices.cost(prompt_tokens, completion_tokens),
+            estimated=True,
         )
 
 
@@ -359,7 +370,9 @@ class HttpBackend:
     thread keeps one keep-alive connection and reopens it, without a
     pause, when the server has closed it while idle.  HTTPS verifies the
     server against the default CA store.  Request bodies are
-    byte-identical for identical inputs.
+    byte-identical for identical inputs.  A reply without token counts is
+    billed from the whitespace proxy, and its usage is ``estimated``.
+    ``wall_time`` covers only the attempt that succeeded.
     """
 
     def __init__(
@@ -449,7 +462,7 @@ class HttpBackend:
             else:
                 status = response.status
                 if status == 200:
-                    return self._parse(data, time.monotonic() - start)
+                    return self._parse(data, time.monotonic() - start, conversation)
                 if status == 429:
                     rate_limited = True
                     last_failure = "HTTP 429"
@@ -472,7 +485,7 @@ class HttpBackend:
         )
         raise RateLimited(message) if rate_limited else TransportError(message)
 
-    def _parse(self, data: bytes, elapsed: float) -> tuple[str, Usage]:
+    def _parse(self, data: bytes, elapsed: float, conversation: Conversation) -> tuple[str, Usage]:
         try:
             payload = json.loads(data)
         except ValueError:
@@ -491,7 +504,11 @@ class HttpBackend:
         if not isinstance(usage, dict):
             raise MalformedResponse("usage is not an object")
         counts = [usage.get(key) for key in ("prompt_tokens", "completion_tokens")]
-        prompt_tokens, completion_tokens = [0 if n is None else n for n in counts]
+        estimated = None in counts
+        if estimated:  # billed by the same proxy as a scripted reply
+            approx = _approx_counts(conversation, content)
+            counts = [a if n is None else n for n, a in zip(counts, approx)]
+        prompt_tokens, completion_tokens = counts
         if not all(type(n) is int and n >= 0 for n in (prompt_tokens, completion_tokens)):
             raise MalformedResponse("usage token counts must be non-negative integers")
         return content, Usage(
@@ -499,4 +516,5 @@ class HttpBackend:
             completion_tokens=completion_tokens,
             wall_time=elapsed,
             cost=self._prices.cost(prompt_tokens, completion_tokens),
+            estimated=estimated,
         )

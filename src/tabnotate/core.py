@@ -645,14 +645,14 @@ class _Line:
 
 
 def csv_record(cells: Iterable[str]) -> str:
-    """One RFC 4180 record without its line terminator.
+    r"""One RFC 4180 record without its line terminator.
 
     The writer is made per call, so threads never share one.  Its
-    terminator is ``"\n"`` (and then dropped) because the writer quotes a
-    cell that holds a character of its terminator: a cell holding ``"\n"``
-    is quoted, one holding only ``"\r"`` is not.
+    terminator is ``"\r\n"`` (and then dropped) because the writer quotes
+    a cell that holds a character of its terminator, so a cell holding
+    either line-break character is quoted and reads back whole.
     """
-    return csv.writer(_Line, lineterminator="\n").writerow(cells)[:-1]
+    return csv.writer(_Line, lineterminator="\r\n").writerow(cells)[:-2]
 
 
 def to_csv(table: Table) -> str:

@@ -13,15 +13,9 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .backend import (
-    Backend,
-    BackendError,
-    MeteredBackend,
-    ScriptedBackend,
-    Usage,
-)
+from .backend import Backend, BackendError, MeteredBackend, Usage
 from .core import EmptyTable, MissingHeaders, Ontology, Table, _Packed, read_csv
 from .harness import (
     DEFAULT_PIPELINE_CONFIG,
@@ -81,6 +75,15 @@ class WeightedMetrics:
     f1: float
 
 
+def _scores(correct: int, predicted: int, gold: int) -> WeightedMetrics:
+    """Precision over the predicted instances, recall over the gold ones,
+    and their harmonic mean; a ratio with nothing to divide by is 0."""
+    precision = correct / predicted if predicted else 0.0
+    recall = correct / gold if gold else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return WeightedMetrics(precision, recall, f1)
+
+
 def weighted_metrics(stats: dict[str, ClassStats]) -> WeightedMetrics:
     """Support-weighted mean of per-class precision, recall, and F1."""
     total_support = sum(s.support for s in stats.values())
@@ -90,12 +93,10 @@ def weighted_metrics(stats: dict[str, ClassStats]) -> WeightedMetrics:
     for s in stats.values():
         if s.support == 0:
             continue
-        precision = s.tp / (s.tp + s.fp) if s.tp + s.fp else 0.0
-        recall = s.tp / (s.tp + s.fn)
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        precision_sum += s.support * precision
-        recall_sum += s.support * recall
-        f1_sum += s.support * f1
+        m = _scores(s.tp, s.tp + s.fp, s.tp + s.fn)
+        precision_sum += s.support * m.precision
+        recall_sum += s.support * m.recall
+        f1_sum += s.support * m.f1
     return WeightedMetrics(
         precision=precision_sum / total_support,
         recall=recall_sum / total_support,
@@ -161,14 +162,6 @@ def jaccard_join(left: Table, right: Table) -> JoinPrediction:
                 best = key
     assert best is not None
     return JoinPrediction((best[1],), (best[2],))
-
-
-def join_match(
-    prediction: JoinPrediction, gold: Iterable[tuple[str, str]]
-) -> list[bool]:
-    """Case-sensitive membership of each predicted pair in the gold set."""
-    gold_set = {tuple(pair) for pair in gold}
-    return [pair in gold_set for pair in prediction.pairs]
 
 
 class Task(Enum):
@@ -341,23 +334,6 @@ def _label_of(assignment: object) -> str:
     return assignment.local_name  # type: ignore[union-attr]
 
 
-@dataclass
-class _JoinCounts:
-    correct: int = 0
-    predicted: int = 0
-    gold: int = 0
-
-    def metrics(self) -> WeightedMetrics:
-        precision = self.correct / self.predicted if self.predicted else 0.0
-        recall = self.correct / self.gold if self.gold else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
-        return WeightedMetrics(precision, recall, f1)
-
-
 def _aggregate(
     outcomes: Sequence[ItemOutcome],
 ) -> tuple[WeightedMetrics, dict[str, dict]]:
@@ -370,7 +346,7 @@ def _aggregate(
     """
     class_pairs: list[tuple[str, str]] = []
     column_pairs: list[tuple[str, str]] = []
-    join_counts = _JoinCounts()
+    join_correct = join_predicted = join_gold = 0
     for outcome in outcomes:
         if outcome.task is Task.TABLE_CLASS:
             predicted = outcome.prediction if isinstance(outcome.prediction, str) else ""
@@ -382,9 +358,9 @@ def _aggregate(
         else:
             gold_pairs = {tuple(p) for p in outcome.gold}  # type: ignore[union-attr]
             predicted_pairs = {tuple(p) for p in outcome.prediction or ()}  # type: ignore[attr-defined]
-            join_counts.gold += len(gold_pairs)
-            join_counts.predicted += len(predicted_pairs)
-            join_counts.correct += len(predicted_pairs & gold_pairs)
+            join_gold += len(gold_pairs)
+            join_predicted += len(predicted_pairs)
+            join_correct += len(predicted_pairs & gold_pairs)
 
     groups: list[tuple[str, WeightedMetrics, int]] = []
     if class_pairs:
@@ -397,8 +373,8 @@ def _aggregate(
             per_class_stats([p for p, _ in column_pairs], [g for _, g in column_pairs])
         )
         groups.append((Task.COLUMN_TYPE.value, metrics, len(column_pairs)))
-    if join_counts.gold or join_counts.predicted:
-        groups.append((Task.JOIN.value, join_counts.metrics(), join_counts.gold))
+    if join_gold or join_predicted:
+        groups.append((Task.JOIN.value, _scores(join_correct, join_predicted, join_gold), join_gold))
 
     by_task = {
         name: {
@@ -506,14 +482,16 @@ def run_benchmark(
     """Run every example and aggregate task-appropriate metrics.
 
     The similarity baselines need no backend and support only join items.
-    Scripted backends run items sequentially so transcript replay stays
-    aligned with the manifest order; other model runs use ``jobs``
-    threads.  An item that fails (no feasible answer, an unreadable table,
-    a backend error) is recorded as incorrect with its error rather than
-    aborting the run.  Usage is summed over the items in manifest order,
-    so the totals do not depend on ``jobs``, which must be at least 1.
-    Model runs on a non-scripted backend also report their measured wall
-    clock as ``elapsed_s``; ``throughput`` divides by metered time.
+    A backend whose ``ordered`` attribute is true answers by call order,
+    as a replayed transcript does, so its items run one at a time in
+    manifest order; other model runs use ``jobs`` threads.  An item that
+    fails (no feasible answer, an unreadable table, a backend error) is
+    recorded as incorrect with its error rather than aborting the run.
+    Usage is summed over the items in manifest order, so the totals do
+    not depend on ``jobs``, which must be at least 1.  Model runs on a
+    backend that is not ordered also report their measured wall clock as
+    ``elapsed_s``; ``throughput`` divides by metered time.  The token
+    counts are reported as approximate when any call's were ``estimated``.
     """
     start = time.perf_counter()
     if jobs < 1:
@@ -534,7 +512,7 @@ def run_benchmark(
     def run(example: LabeledExample) -> ItemOutcome:
         return _run_item(example, system, ontology, backend, config)
 
-    live = system is System.MODEL and not isinstance(backend, ScriptedBackend)
+    live = system is System.MODEL and not getattr(backend, "ordered", False)
     parallel = live and jobs > 1 and len(examples) > 1
     if parallel:
         from concurrent.futures import ThreadPoolExecutor
@@ -569,7 +547,7 @@ def run_benchmark(
             "prompt_tokens": usage.prompt_tokens,
             "completion_tokens": usage.completion_tokens,
             "wall_time": usage.wall_time,
-            "token_counts_approximate": isinstance(backend, ScriptedBackend),
+            "token_counts_approximate": usage.estimated,
         },
         elapsed_s=time.perf_counter() - start if live else None,
     )

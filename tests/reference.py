@@ -160,7 +160,8 @@ def read_csv_ref(text: str, name: str, headers: bool):
 def fit_ref(build, samples):
     """What ``prompt._fit`` returns, by trying every row count.
 
-    Every sampled row is written by its own ``csv.writer``, cells over
+    Every sampled row is written by its own ``csv.writer`` with a CRLF
+    terminator, which quotes a cell holding either line break, cells over
     ``MAX_CELL_CHARS`` cut to one less and the marker.  Each table keeps
     its first n rows (all, if it has fewer) for the largest n >= 1 whose
     prompt fits ``CHAR_BUDGET``, or one row if none does; then, while the
@@ -175,8 +176,8 @@ def fit_ref(build, samples):
 
     def record(row) -> str:
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([cut(c, prompt.MAX_CELL_CHARS) for c in row])
-        return buf.getvalue().removesuffix("\n")
+        csv.writer(buf, lineterminator="\r\n").writerow([cut(c, prompt.MAX_CELL_CHARS) for c in row])
+        return buf.getvalue().removesuffix("\r\n")
 
     def fits(components) -> bool:
         return len(prompt.assemble(components)) <= prompt.CHAR_BUDGET

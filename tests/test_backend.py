@@ -151,6 +151,15 @@ def test_scripted_deterministic_usage():
     assert run() == run()
 
 
+def test_scripted_usage_is_estimated_and_sums_by_or():
+    _, scripted = ScriptedBackend(["X"]).complete(conversation("q"), PARAMS)
+    exact = Usage(prompt_tokens=2, completion_tokens=1)
+    assert scripted.estimated and not exact.estimated
+    assert (scripted + exact).estimated and (exact + scripted).estimated
+    assert not (exact + exact).estimated
+    assert (scripted + exact).prompt_tokens == scripted.prompt_tokens + 2
+
+
 def test_load_transcript_two_lines():
     backend = load_transcript('{"response": "a"}\n{"response": "b"}\n')
     assert backend.remaining == 2
@@ -392,14 +401,32 @@ def test_http_malformed_usage_is_malformed(stub, usage):
         backend.complete(conversation("hello"), PARAMS)
 
 
-@pytest.mark.parametrize("usage", ["null", '{"prompt_tokens": null}'])
-def test_http_absent_usage_reads_as_zero(stub, usage):
-    content = '{"choices": [{"message": {"content": "Hi"}}], "usage": %s}' % usage
+@pytest.mark.parametrize(
+    "usage, counts, estimated",
+    [
+        pytest.param(None, (4, 2), True, id="absent"),
+        pytest.param("null", (4, 2), True, id="null"),
+        pytest.param('{"prompt_tokens": null}', (4, 2), True, id='{"prompt_tokens": null}'),
+        pytest.param('{"prompt_tokens": 9}', (9, 2), True, id="completion-absent"),
+        pytest.param('{"prompt_tokens": null, "completion_tokens": 5}', (4, 5), True,
+                     id="prompt-null"),
+        pytest.param('{"prompt_tokens": 9, "completion_tokens": 5}', (9, 5), False,
+                     id="reported"),
+    ],
+)
+def test_http_absent_usage_is_estimated(stub, usage, counts, estimated):
+    """A count the reply leaves out is the whitespace proxy's, over every
+    turn of the request or over the reply, and is billed all the same."""
+    content = '{"choices": [{"message": {"content": "Hi there"}}]%s}' % (
+        "" if usage is None else f', "usage": {usage}'
+    )
     stub.set_plan([(200, content)])
     backend, _ = make_backend(stub)
-    text, counted = backend.complete(conversation("hello"), PARAMS)
-    assert text == "Hi"
-    assert (counted.prompt_tokens, counted.completion_tokens, counted.cost) == (0, 0, 0.0)
+    text, counted = backend.complete(conversation("name the", "class", "again"), PARAMS)
+    assert text == "Hi there"
+    assert (counted.prompt_tokens, counted.completion_tokens) == counts
+    assert counted.cost == PriceTable(0.001, 0.002).cost(*counts) > 0
+    assert counted.estimated is estimated
 
 
 def test_http_retry_after_seconds_replaces_the_jitter(stub):

@@ -527,12 +527,22 @@ def _csv_tables(draw) -> Table:
 @example(table=Table("t", ("",), (("",), ("\r",))))
 @given(table=_csv_tables())
 def test_to_csv_is_the_csv_writer_text_less_its_final_newline(table):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if table.headers is not None:
-        writer.writerow(table.headers)
-    writer.writerows(table.rows)
-    assert to_csv(table) == buf.getvalue().removesuffix("\n")
+    # A "\r\n" writer quotes a cell holding either line-break character.
+    def record(row) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        return buf.getvalue().removesuffix("\r\n")
+
+    rows = table.rows if table.headers is None else (table.headers, *table.rows)
+    assert to_csv(table) == "\n".join(map(record, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@example(table=Table("t", ("a", "b"), (("x\ry", "z"),)))
+@example(table=Table("t", None, (("\r",), ("\r\n",))))
+@given(table=_csv_tables())
+def test_read_csv_reads_back_what_to_csv_writes(table):
+    assert read_csv(to_csv(table), table.name, table.headers is not None) == table
 
 
 def test_csv_round_trip_on_nasty_cells():

@@ -31,7 +31,6 @@ from tabnotate.evaluate import (
     WeightedMetrics,
     jaccard,
     jaccard_join,
-    join_match,
     levenshtein_join,
     load_manifest,
     per_class_stats,
@@ -39,7 +38,6 @@ from tabnotate.evaluate import (
     weighted_metrics,
     write_report,
 )
-from tabnotate.harness import JoinPrediction
 
 from fixture_data import ANIMALS_TABLE, CAR_REGISTRATION_TABLE, EV_TABLE, ONTOLOGY_TEXT
 from reference import (
@@ -292,23 +290,6 @@ def test_baseline_invariance_under_row_order_and_duplicates():
 
         lev = levenshtein_join(left, right)
         assert levenshtein_join(shuffled, right) == lev
-
-
-# ------------------------------------------------------------- join match
-
-
-def test_join_match_paper_example():
-    prediction = JoinPrediction(("VIN_prefix",), ("vehicle_id_number",))
-    assert join_match(prediction, [("VIN_prefix", "vehicle_id_number")]) == [True]
-
-
-def test_join_match_miss():
-    assert join_match(JoinPrediction(("a",), ("b",)), [("a", "c")]) == [False]
-
-
-def test_join_match_composite():
-    prediction = JoinPrediction(("a", "b"), ("c", "d"))
-    assert join_match(prediction, [("a", "c")]) == [True, False]
 
 
 # --------------------------------------------------------------- manifest
@@ -574,6 +555,9 @@ def test_report_json_shape(tmp_path, ontology):
     item = payload["per_item"][0]
     assert set(item) >= {"id", "prediction", "gold", "correct", "anchored", "attempts"}
     assert payload["usage"]["token_counts_approximate"] is True
+    # A backend that bills its own counts is exact.
+    live = run_benchmark(examples, System.MODEL, ontology=ontology, backend=PromptKeyedBackend())
+    assert live.usage["token_counts_approximate"] is False
 
 
 # ------------------------------------------------- item order and --jobs
@@ -780,6 +764,32 @@ def test_live_model_reports_measure_elapsed_time(tmp_path, ontology):
     assert payload["elapsed_s"] == report.elapsed_s
     # ``throughput`` still divides by the metered time.
     assert report.throughput == len(examples) / report.usage["wall_time"]
+
+
+class CallOrderBackend:
+    """Not a ``ScriptedBackend``, but like one it answers by call order:
+    the n-th call gets the n-th reply.  ``ordered`` says so."""
+
+    ordered = True
+
+    def __init__(self, replies) -> None:
+        self._replies = iter(replies)
+
+    def complete(self, conversation, params):
+        time.sleep(0.002)  # long enough for pool threads to overlap
+        return next(self._replies), Usage(prompt_tokens=1, completion_tokens=1, wall_time=1e-3)
+
+
+def test_an_ordered_backend_runs_its_items_one_at_a_time(tmp_path, ontology):
+    golds = ["Animal", "Country", "Hospital", "ElectricVehicle", "Animal", "Country"]
+    backend = CallOrderBackend(f"https://dbpedia.org/ontology/{gold}" for gold in golds)
+    report = run_benchmark(
+        class_manifest(tmp_path, golds), System.MODEL, ontology=ontology, backend=backend, jobs=4
+    )
+    assert report.config["jobs"] == 1
+    assert report.elapsed_s is None and "elapsed_s" not in report.to_dict()
+    assert [o.prediction for o in report.per_item] == golds
+    assert all(o.correct and o.attempts == 1 for o in report.per_item)
 
 
 def test_scripted_and_baseline_reports_have_no_elapsed_time(tmp_path, ontology):
