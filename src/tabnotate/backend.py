@@ -333,6 +333,15 @@ class HttpEndpoint:
     backoff_base: float = 1.0
     backoff_factor: float = 2.0
 
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if not 0.0 < self.timeout < math.inf:
+            raise ValueError("timeout must be finite and > 0")
+        for name in ("backoff_base", "backoff_factor"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+
 
 def _retry_after(value: str) -> float | None:
     """Seconds a ``Retry-After`` header asks the client to wait (RFC 9110

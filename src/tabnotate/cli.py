@@ -249,7 +249,7 @@ def cmd_annotate_columns(args: argparse.Namespace) -> int:
     backend = _build_backend(args.backend)
     run = run_column_type_task(table, ontology, backend, config)
     for index, assignment in enumerate(run.value):
-        print(f"{index}\t{render_term(assignment, ontology)}")
+        print(f"{index}\t{render_term(assignment)}")
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 DBPEDIA_ONTOLOGY_IRI = "https://dbpedia.org/ontology/"
-DEFAULT_NAMESPACE_PREFIXES: Mapping[str, str] = {"dbo:": DBPEDIA_ONTOLOGY_IRI}
+DBPEDIA_PREFIX = "dbo:"
 
 
 class MalformedIri(ValueError):
@@ -65,27 +65,20 @@ class TermKind(Enum):
 class OntologyTerm:
     """One vocabulary entry: a table class or a column property.
 
-    ``local_name`` is always the IRI segment after the last ``/``.
+    ``local_name`` is derived, not passed: the IRI segment after the last
+    ``/``, which must not be empty.
     """
 
     iri: str
-    local_name: str
+    local_name: str = field(init=False)
     kind: TermKind
 
     def __post_init__(self) -> None:
         if not self.iri.startswith(("http://", "https://")):
             raise MalformedIri(f"IRI lacks an http(s) scheme: {self.iri!r}")
-        expected = self.iri.rsplit("/", 1)[-1]
-        if not expected:
+        object.__setattr__(self, "local_name", self.iri.rsplit("/", 1)[-1])
+        if not self.local_name:
             raise MalformedIri(f"IRI has an empty local name: {self.iri!r}")
-        if self.local_name != expected:
-            raise MalformedIri(
-                f"local name {self.local_name!r} does not match IRI {self.iri!r}"
-            )
-
-    @classmethod
-    def from_iri(cls, iri: str, kind: TermKind) -> OntologyTerm:
-        return cls(iri=iri, local_name=iri.rsplit("/", 1)[-1], kind=kind)
 
 
 @dataclass(frozen=True)
@@ -100,9 +93,6 @@ class Ontology:
 
     classes: Mapping[str, OntologyTerm] = field(default_factory=dict)
     properties: Mapping[str, OntologyTerm] = field(default_factory=dict)
-    namespace_prefixes: Mapping[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_NAMESPACE_PREFIXES)
-    )
 
     def __post_init__(self) -> None:
         for key, term in self.classes.items():
@@ -113,11 +103,7 @@ class Ontology:
                 raise ValueError(f"misfiled property entry: {key!r} -> {term}")
 
     @classmethod
-    def from_terms(
-        cls,
-        terms: Iterable[OntologyTerm],
-        namespace_prefixes: Mapping[str, str] | None = None,
-    ) -> Ontology:
+    def from_terms(cls, terms: Iterable[OntologyTerm]) -> Ontology:
         classes: dict[str, OntologyTerm] = {}
         properties: dict[str, OntologyTerm] = {}
         for term in terms:
@@ -129,10 +115,7 @@ class Ontology:
                     f"{term.local_name!r}"
                 )
             bucket[key] = term
-        prefixes = dict(
-            DEFAULT_NAMESPACE_PREFIXES if namespace_prefixes is None else namespace_prefixes
-        )
-        return cls(classes=classes, properties=properties, namespace_prefixes=prefixes)
+        return cls(classes=classes, properties=properties)
 
     @cached_property
     def _derived(
@@ -172,7 +155,6 @@ def detect_ontology_format(source: str) -> OntologyFormat:
 def load_ontology(
     source: str,
     format: OntologyFormat = OntologyFormat.LINE_DELIMITED_IRI,
-    namespace_prefixes: Mapping[str, str] | None = None,
 ) -> Ontology:
     """Parse newline-delimited ontology text into an :class:`Ontology`.
 
@@ -197,11 +179,11 @@ def load_ontology(
             kind = TermKind.CLASS
             iri = line
         try:
-            terms.append(OntologyTerm.from_iri(iri, kind))
+            terms.append(OntologyTerm(iri, kind))
         except MalformedIri as exc:
             raise MalformedIri(f"line {lineno}: {exc}") from None
     try:
-        return Ontology.from_terms(terms, namespace_prefixes)
+        return Ontology.from_terms(terms)
     except DuplicateTerm as exc:
         raise DuplicateTerm(str(exc)) from None
 
@@ -220,13 +202,14 @@ def _strip_decoration(text: str) -> str:
     return text
 
 
-def normalize_label(raw: str, ontology: Ontology) -> str:
+def normalize_label(raw: str) -> str:
     """Reduce a model-emitted fragment to a bare ontology label.
 
     Strips surrounding whitespace, quotes, backticks, and trailing
-    punctuation, then removes any registered namespace prefix (short form
-    like ``dbo:`` or the full IRI stem).  Raises :class:`EmptyLabel` when
-    nothing survives.
+    punctuation, then, ignoring case, the ``dbo:`` prefix or the
+    ``https://dbpedia.org/ontology/`` stem; any other ``http(s)`` IRI is cut
+    to its segment after the last ``/``.  Repeats until nothing changes, and
+    raises :class:`EmptyLabel` when nothing survives.
     """
     text = raw
     previous = None
@@ -234,16 +217,12 @@ def normalize_label(raw: str, ontology: Ontology) -> str:
         previous = text
         text = _strip_decoration(text)
         lowered = text.lower()
-        for short, iri_prefix in ontology.namespace_prefixes.items():
-            if lowered.startswith(short.lower()):
-                text = text[len(short):]
-                break
-            if lowered.startswith(iri_prefix.lower()):
-                text = text[len(iri_prefix):]
-                break
-        else:
-            if lowered.startswith(("http://", "https://")) and "/" in text:
-                text = text.rsplit("/", 1)[-1]
+        if lowered.startswith(DBPEDIA_PREFIX):
+            text = text[len(DBPEDIA_PREFIX):]
+        elif lowered.startswith(DBPEDIA_ONTOLOGY_IRI):
+            text = text[len(DBPEDIA_ONTOLOGY_IRI):]
+        elif lowered.startswith(("http://", "https://")):
+            text = text.rsplit("/", 1)[-1]
     if not text:
         raise EmptyLabel(f"nothing left after normalizing {raw!r}")
     return text

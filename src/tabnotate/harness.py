@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Generic, Mapping, Sequence, TypeVar
+from typing import Callable, Generic, Sequence, TypeVar
 
 from .backend import (
     Backend,
@@ -26,7 +26,8 @@ from .backend import (
     user,
 )
 from .core import (
-    DEFAULT_NAMESPACE_PREFIXES,
+    DBPEDIA_ONTOLOGY_IRI,
+    DBPEDIA_PREFIX,
     EmptyLabel,
     MissingHeaders,
     Ontology,
@@ -166,27 +167,17 @@ LIST_CLARIFICATION = "Answer with only the comma-separated list of labels, one p
 JOIN_CLARIFICATION = f"Answer with only the code. {JOIN_PREFIX}"
 
 _BACKTICK_RE = re.compile(r"`([^`]+)`")
+# The DBpedia ontology stem, as ``http`` or ``https``, or ``dbo:``, then a local name.
+_TERM_TOKEN_RE = re.compile(r"(?:https?://dbpedia\.org/ontology/|dbo:)[^\s`'\"()\[\]{}<>,;]+")
 
 
-def _term_token_re(prefixes: Mapping[str, str]) -> re.Pattern[str]:
-    """A namespaced token: an IRI stem (as ``http`` or ``https``) or a short
-    prefix, followed by a local name."""
-    stems = []
-    for short, iri_prefix in prefixes.items():
-        stems.append(re.sub(r"^https?://", "https?://", re.escape(iri_prefix)))
-        stems.append(re.escape(short))
-    return re.compile(f"(?:{'|'.join(stems) or '(?!)'})" + r"[^\s`'\"()\[\]{}<>,;]+")
+def parse_table_class(response: str) -> str:
+    """First DBpedia term in the response, else the first backticked token.
 
-
-def parse_table_class(
-    response: str, prefixes: Mapping[str, str] = DEFAULT_NAMESPACE_PREFIXES
-) -> str:
-    """First namespaced term in the response, else the first backticked token.
-
-    A namespaced term starts with one of ``prefixes``: the IRI stem, in its
-    ``http`` or ``https`` form, or the short prefix such as ``dbo:``.
+    A DBpedia term starts with the ontology's IRI stem, in its ``http`` or
+    ``https`` form, or with ``dbo:``; the match is case-sensitive.
     """
-    match = _term_token_re(prefixes).search(response)
+    match = _TERM_TOKEN_RE.search(response)
     if match:
         return match.group(0)
     for match in _BACKTICK_RE.finditer(response):
@@ -305,7 +296,7 @@ def _resolve(
     terms, violations = [], []
     for index, label in enumerate(labels):
         try:
-            canonical = normalize_label(label, ontology)
+            canonical = normalize_label(label)
         except EmptyLabel:
             canonical = ""
         if kind is TermKind.PROPERTY and canonical.lower() == "unknown":
@@ -367,16 +358,16 @@ def anchor(conversation: Conversation, replacement: str) -> Conversation:
     return conversation.replaced_last(replacement)
 
 
-def render_term(term: OntologyTerm | UnknownType, ontology: Ontology) -> str:
-    """Canonical text for a resolved label: the full IRI for a class, the
-    ontology's short prefix and local name for a property, else ``Unknown``."""
+def render_term(term: OntologyTerm | UnknownType) -> str:
+    """Canonical text for a resolved label: the full IRI for a class,
+    ``dbo:`` and the local name for a DBpedia property, the bare local name
+    for a property from another namespace, else ``Unknown``."""
     if isinstance(term, UnknownType):
         return "Unknown"
     if term.kind is TermKind.CLASS:
         return term.iri
-    for short, iri_prefix in ontology.namespace_prefixes.items():
-        if term.iri.startswith(iri_prefix):
-            return short + term.local_name
+    if term.iri.startswith(DBPEDIA_ONTOLOGY_IRI):
+        return DBPEDIA_PREFIX + term.local_name
     return term.local_name
 
 
@@ -399,9 +390,9 @@ def _ask_parse_repair(
     re-ask spliced over the bad turn, and its violation leads the list.
     With anchoring on, an answer that ``read`` fixed then rewrites the final
     assistant turn once.  ``failure`` is the task and what it lacked when no
-    answer parses.
+    answer parses.  A given ``conversation`` is copied, never changed.
     """
-    conv = conversation if conversation is not None else Conversation()
+    conv = Conversation(conversation.turns if conversation is not None else ())
     conv.append(user(prompt))
     raw_response, _ = backend.complete(conv, config.params)
     # An empty completion still occupies an assistant turn: a lone space
@@ -442,13 +433,13 @@ def run_table_class_task(
     prompt = assemble(table_class_prompt(table, config.allowed_classes, config.prompt_config))
 
     def read(text: str) -> tuple[OntologyTerm, tuple[Violation, ...]]:
-        label = parse_table_class(text, ontology.namespace_prefixes)
+        label = parse_table_class(text)
         (term,), violations = _resolve((label,), TermKind.CLASS, ontology, repair=True)
         return term, violations
 
     return _ask_parse_repair(
         prompt, LABEL_CLARIFICATION, read=read,
-        render=lambda term: render_term(term, ontology),
+        render=render_term,
         failure=("table-class", f"parsable table class for {table.name!r}"),
         backend=backend, config=config, conversation=conversation,
     )
@@ -477,7 +468,7 @@ def run_column_type_task(
 
     return _ask_parse_repair(
         prompt, LIST_CLARIFICATION, read=read,
-        render=lambda terms: "`" + ", ".join(render_term(t, ontology) for t in terms) + "`",
+        render=lambda terms: "`" + ", ".join(map(render_term, terms)) + "`",
         failure=("column-type", f"usable column-type list for {table.name!r}"),
         backend=backend, config=config, conversation=conversation,
     )

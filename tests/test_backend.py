@@ -390,6 +390,35 @@ def test_http_malformed_url_rejected_when_built(url):
 
 
 @pytest.mark.parametrize(
+    ("setting", "value"),
+    [
+        ("max_attempts", 0),
+        ("max_attempts", -1),
+        ("timeout", 0),
+        ("timeout", -1.0),
+        ("timeout", float("inf")),
+        ("timeout", float("nan")),
+        ("backoff_base", -0.5),
+        ("backoff_base", float("inf")),
+        ("backoff_base", float("nan")),
+        ("backoff_factor", -1.0),
+        ("backoff_factor", float("inf")),
+    ],
+)
+def test_http_endpoint_rejects_settings_that_break_complete(setting, value):
+    with pytest.raises(ValueError, match=setting):
+        HttpEndpoint(url="http://127.0.0.1:1/v1", model="m", **{setting: value})
+
+
+def test_http_endpoint_accepts_its_edge_settings():
+    endpoint = HttpEndpoint(
+        url="http://127.0.0.1:1/v1", model="m",
+        max_attempts=1, timeout=0.001, backoff_base=0.0, backoff_factor=0.0,
+    )
+    assert endpoint.max_attempts == 1
+
+
+@pytest.mark.parametrize(
     "usage",
     ['"n/a"', '{"prompt_tokens": [5]}', '{"prompt_tokens": "abc"}', '{"completion_tokens": -1}'],
 )

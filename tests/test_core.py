@@ -53,11 +53,11 @@ from reference import (
 
 def make_ontology(classes=(), properties=()):
     terms = [
-        OntologyTerm.from_iri(f"https://dbpedia.org/ontology/{name}", TermKind.CLASS)
+        OntologyTerm(f"https://dbpedia.org/ontology/{name}", TermKind.CLASS)
         for name in classes
     ]
     terms += [
-        OntologyTerm.from_iri(f"https://dbpedia.org/ontology/{name}", TermKind.PROPERTY)
+        OntologyTerm(f"https://dbpedia.org/ontology/{name}", TermKind.PROPERTY)
         for name in properties
     ]
     return Ontology.from_terms(terms)
@@ -132,38 +132,32 @@ def test_same_local_name_allowed_across_kinds():
 
 
 def test_normalize_backticked_iri():
-    onto = make_ontology(classes=["Hospital"])
-    assert normalize_label("`https://dbpedia.org/ontology/Hospital`", onto) == "Hospital"
+    assert normalize_label("`https://dbpedia.org/ontology/Hospital`") == "Hospital"
 
 
 def test_normalize_short_prefix():
-    onto = make_ontology(properties=["author"])
-    assert normalize_label("dbo:author", onto) == "author"
+    assert normalize_label("dbo:author") == "author"
 
 
 def test_normalize_whitespace_and_punctuation():
-    onto = make_ontology()
-    assert normalize_label("   Airport.  ", onto) == "Airport"
-    assert normalize_label("'City',", onto) == "City"
+    assert normalize_label("   Airport.  ") == "Airport"
+    assert normalize_label("'City',") == "City"
 
 
 def test_normalize_unregistered_iri_falls_back_to_tail():
-    onto = Ontology.from_terms([], namespace_prefixes={})
-    assert normalize_label("http://example.org/vocab/Thing", onto) == "Thing"
+    assert normalize_label("http://example.org/vocab/Thing") == "Thing"
 
 
 def test_normalize_repeated_prefix_reaches_fixpoint():
-    onto = make_ontology()
-    assert normalize_label("dbo:dbo:author", onto) == "author"
+    assert normalize_label("dbo:dbo:author") == "author"
 
 
 def test_normalize_empty_label():
-    onto = make_ontology()
     with pytest.raises(EmptyLabel):
-        normalize_label(" `` ", onto)
+        normalize_label(" `` ")
 
 
-def test_normalize_idempotent_on_random_decorations(ontology):
+def test_normalize_idempotent_on_random_decorations():
     rng = random.Random(41)
     cores = ["Hospital", "iucnStatus", "VIN_prefix", "release Date", "x"]
     wrappers = ["`{}`", "'{}'", '"{}"', "  {}  ", "{}.", "{},", "dbo:{}",
@@ -172,8 +166,8 @@ def test_normalize_idempotent_on_random_decorations(ontology):
         text = rng.choice(cores)
         for _ in range(rng.randint(0, 3)):
             text = rng.choice(wrappers).format(text)
-        once = normalize_label(text, ontology)
-        assert normalize_label(once, ontology) == once
+        once = normalize_label(text)
+        assert normalize_label(once) == once
 
 
 # ---------------------------------------------------------------- lookup
@@ -512,13 +506,13 @@ def test_to_csv_quotes_commas():
     assert to_csv(Table("t", None, (("a,b",),))) == '"a,b"'
 
 
-_CSV_CELL = st.text(alphabet='ab ,"\n\ré', max_size=6)
+_WRITTEN_CELL = st.text(alphabet='ab ,"\n\ré', max_size=6)
 
 
 @st.composite
 def _csv_tables(draw) -> Table:
     arity = draw(st.integers(1, 4))
-    row = st.lists(_CSV_CELL, min_size=arity, max_size=arity).map(tuple)
+    row = st.lists(_WRITTEN_CELL, min_size=arity, max_size=arity).map(tuple)
     return Table("t", draw(st.none() | row), tuple(draw(st.lists(row, max_size=5))))
 
 

@@ -101,9 +101,6 @@ def test_parse_table_class_reads_every_namespace_spelling(ev_table):
         assert result.value.local_name == "Person"
         assert result.attempts == 1 and result.anchored is False
         assert result.conversation.last.text == response
-    prefixes = {"ex:": "https://example.org/onto/"}
-    assert parse_table_class("I think ex:Person fits.", prefixes) == "ex:Person"
-    assert parse_table_class("Not dbo:City but `Town`.", prefixes) == "Town"
 
 
 def test_parse_column_types_backtick_list():
@@ -435,6 +432,28 @@ def test_pipeline_anchors_unknown_property(animals_table, ontology):
     ]
 
 
+def test_pipeline_leaves_the_class_conversation_as_it_ended(animals_table, ontology):
+    class_result, column_result = run_table_pipeline(animals_table, ontology, fig4_backend())
+    assert len(class_result.conversation) == 2
+    assert len(column_result.conversation) == 4
+    assert column_result.conversation.turns[:2] == class_result.conversation.turns
+
+
+def test_a_property_from_another_namespace_is_rendered_bare():
+    ontology = load_ontology(
+        "P\thttps://example.org/vocab/color\nP\thttps://dbpedia.org/ontology/manufacturer\n",
+        OntologyFormat.TAB_SEPARATED_KIND_IRI,
+    )
+    table = Table("paints", ("shade", "maker"), (("red", "Acme"),))
+    backend = ScriptedBackend(["`colour, dbo:manufacturer`"])
+    result = run_column_type_task(table, ontology, backend)
+    assert [term.local_name for term in result.value] == ["color", "manufacturer"]
+    assert result.anchored is True
+    anchored = result.conversation.last.text
+    assert anchored == "`color, dbo:manufacturer`"
+    assert check_column_types(parse_column_types(anchored, table.arity), ontology) is None
+
+
 def test_pipeline_conversation_is_violation_free(animals_table, ontology):
     config = PipelineConfig()
     class_result = run_table_class_task(
@@ -712,10 +731,10 @@ def test_every_runner_returns_one_result_contract(
     config = PipelineConfig(anchoring_enabled=anchoring)
     if task == "table-class":
         run = run_table_class_task(ev_table, ontology, meter, config)
-        rendered = render_term(run.value, ontology)
+        rendered = render_term(run.value)
     elif task == "column-type":
         run = run_column_type_task(ev_table, ontology, meter, config)
-        rendered = "`" + ", ".join(render_term(t, ontology) for t in run.value) + "`"
+        rendered = "`" + ", ".join(map(render_term, run.value)) + "`"
     else:
         run = run_join_task_detailed(ev_table, registration_table, meter, config)
         rendered = _render_join(run.value)
@@ -788,7 +807,7 @@ def _class_answer(draw) -> str:
 def _oracle_name(label: str, kind: TermKind, ontology) -> tuple[str, bool]:
     """Expected local name, and whether the label names a term exactly."""
     try:
-        canonical = normalize_label(label, ontology)
+        canonical = normalize_label(label)
     except EmptyLabel:
         canonical = ""
     if kind is TermKind.PROPERTY and canonical.lower() == "unknown":
