@@ -4,10 +4,12 @@ Two backends share one contract: the scripted backend replays a recorded
 transcript deterministically (the test and benchmark workhorse), and the
 HTTP backend talks to any chat-completions-compatible endpoint.
 
-The HTTP stack is imported where it is used: ``http.client`` and ``ssl``
-when the first :class:`HttpBackend` is built, ``selectors`` when a kept
-connection is reused and ``email.utils`` when a ``Retry-After`` holds a
-date.  A run that builds no HTTP backend never loads them, and
+The HTTP backend speaks HTTP/1.1 over a socket itself (RFC 9112 message
+framing), so it never loads ``http.client``.  Its modules are imported
+where they are used: ``ssl`` when an ``https`` backend is built,
+``socket`` (which loads ``selectors``) when a connection is first opened,
+and ``email.utils`` when a ``Retry-After`` holds a date.  A run that
+builds no HTTP backend never loads them, and
 :func:`tabnotate.evaluate.run_benchmark` loads its thread pool only on its
 first parallel run.
 """
@@ -18,6 +20,7 @@ import functools
 import json
 import math
 import random
+import re
 import threading
 import time
 import weakref
@@ -27,7 +30,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 from urllib.parse import urlsplit
 
 if TYPE_CHECKING:
-    import http.client
+    import io
+    import ssl
 
 
 class BackendError(Exception):
@@ -361,11 +365,160 @@ def _retry_after(value: str) -> float | None:
     return seconds if seconds > 0 else None
 
 
+class _ProtocolError(OSError):
+    """A reply that breaks HTTP/1.1 message framing, retried like any
+    other transport failure."""
+
+
+# http.client's limits on the length of one line and on the header count.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)(?:[ \t][^\r\n]*)?\r?\n")
+_FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")
+_LENGTH = re.compile(r"[0-9]{1,18}")
+_UNSAFE_URL_CHAR = re.compile(r"[\x00-\x20\x7f]")
+
+
+def _line(reply: io.BufferedReader) -> bytes:
+    line = reply.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _ProtocolError(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _fields(reply: io.BufferedReader) -> dict[str, str]:
+    """A header or trailer section through its empty line, by lower-case
+    name.  A repeated field's values are joined with commas, and a line
+    that starts with a space or a tab continues the field before it."""
+    fields: dict[str, str] = {}
+    name = None
+    for _ in range(_MAX_HEADERS + 1):
+        line = _line(reply)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if not line:
+            raise _ProtocolError("connection closed inside a header section")
+        text = line.decode("latin-1").rstrip("\r\n")
+        if line[0] in b" \t":
+            if name is None:
+                raise _ProtocolError("header section starts with a continuation line")
+            fields[name] += " " + text.strip(" \t")
+            continue
+        name, colon, value = text.partition(":")
+        if not colon or not _FIELD_NAME.fullmatch(name):
+            raise _ProtocolError(f"malformed header line {text[:40]!r}")
+        name, value = name.lower(), value.strip(" \t")
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise _ProtocolError(f"more than {_MAX_HEADERS} header lines")
+
+
+def _tokens(value: str) -> list[str]:
+    return [token.strip(" \t").lower() for token in value.split(",")]
+
+
+def _exactly(reply: io.BufferedReader, size: int) -> bytes:
+    """``size`` bytes, read a mebibyte at most at a time so that a huge
+    announced length allocates nothing up front."""
+    parts = []
+    while size > 0:
+        part = reply.read(min(size, 1 << 20))
+        if not part:
+            raise _ProtocolError("reply body cut short")
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _chunked(reply: io.BufferedReader) -> bytes:
+    parts = []
+    while True:
+        line = _line(reply)
+        match = _CHUNK_SIZE.fullmatch(line)
+        if match is None:
+            raise _ProtocolError(f"malformed chunk size line {line[:40]!r}")
+        size = int(match[1], 16)
+        if size == 0:
+            _fields(reply)  # the trailer section, dropped
+            return b"".join(parts)
+        parts.append(_exactly(reply, size))
+        if _line(reply) not in (b"\r\n", b"\n"):
+            raise _ProtocolError("chunk data longer than its size")
+
+
+def _read_reply(reply: io.BufferedReader) -> tuple[int, dict[str, str], bytes, bool]:
+    """Status, header fields, body, and whether the connection stays open,
+    framed as RFC 9112 §6.3 says for a reply to a POST."""
+    status = 100
+    while status < 200:  # an interim reply is skipped
+        line = _line(reply)
+        if not line:
+            raise _ProtocolError("server closed the connection without a reply")
+        match = _STATUS_LINE.fullmatch(line)
+        if match is None:
+            raise _ProtocolError(f"malformed status line {line[:40]!r}")
+        status, fields = int(match[2]), _fields(reply)
+    keep = match[1] != b"0" and "close" not in _tokens(fields.get("connection", ""))
+    if status in (204, 304):
+        body = b""
+    elif "transfer-encoding" in fields:
+        if _tokens(fields["transfer-encoding"])[-1] == "chunked":
+            body = _chunked(reply)
+        else:
+            body, keep = reply.read(), False
+    elif "content-length" in fields:
+        lengths = set(_tokens(fields["content-length"]))
+        if len(lengths) != 1 or not _LENGTH.fullmatch(length := lengths.pop()):
+            raise _ProtocolError(f"malformed Content-Length {fields['content-length']!r}")
+        body = _exactly(reply, int(length))
+    else:
+        body, keep = reply.read(), False
+    return status, fields, body, keep
+
+
+class _Connection:
+    """One HTTP/1.1 connection to ``address``, TLS-wrapped when ``tls`` is
+    given.  It is closed after a failed exchange and after a reply that
+    ends it; ``sock`` is None once it is closed."""
+
+    def __init__(
+        self, address: tuple[str, int], timeout: float, tls: ssl.SSLContext | None
+    ) -> None:
+        import socket
+
+        sock = socket.create_connection(address, timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.sock = tls.wrap_socket(sock, server_hostname=address[0]) if tls else sock
+        except BaseException:
+            sock.close()
+            raise
+
+    def exchange(self, request: bytes) -> tuple[int, dict[str, str], bytes]:
+        """Send ``request`` in one write and read the final reply to it."""
+        try:
+            self.sock.sendall(request)
+            with self.sock.makefile("rb") as reply:
+                status, fields, body, keep = _read_reply(reply)
+        except BaseException:
+            self.close()
+            raise
+        if not keep:
+            self.close()
+        return status, fields, body
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+
+
 class _Held:
     """Holds one thread's connection and closes it when collected, that is
-    when the thread ends or the backend goes away."""
+    when the thread ends, the backend goes away or the thread opens a new
+    connection."""
 
-    def __init__(self, conn: http.client.HTTPConnection) -> None:
+    def __init__(self, conn: _Connection) -> None:
         self.conn = conn
         weakref.finalize(self, conn.close)
 
@@ -373,15 +526,17 @@ class _Held:
 class HttpBackend:
     """Minimal chat-completions client with retry and full-jitter backoff.
 
-    Transient failures (connection errors, 429, 5xx) are retried up to the
-    endpoint's attempt budget; other client errors fail immediately.  A
-    ``Retry-After`` on a 429 or 503 replaces the jittered pause.  Each
-    thread keeps one keep-alive connection and reopens it, without a
-    pause, when the server has closed it while idle.  HTTPS verifies the
-    server against the default CA store.  Request bodies are
-    byte-identical for identical inputs.  A reply without token counts is
-    billed from the whitespace proxy, and its usage is ``estimated``.
-    ``wall_time`` covers only the attempt that succeeded.
+    Transient failures (connection errors, a reply that breaks HTTP/1.1
+    framing, 429, 5xx) are retried up to the endpoint's attempt budget;
+    other client errors fail immediately.  A ``Retry-After`` on a 429 or
+    503 replaces the jittered pause.  Each thread keeps one keep-alive
+    connection.  It reopens it, without a pause, when the server has
+    closed it while idle, and on the next call after a reply that ends the
+    connection.  HTTPS verifies the server against the default CA store.
+    Request bodies are byte-identical for identical inputs.  A reply
+    without token counts is billed from the whitespace proxy, and its
+    usage is ``estimated``.  ``wall_time`` covers only the attempt that
+    succeeded.
     """
 
     def __init__(
@@ -391,26 +546,33 @@ class HttpBackend:
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ) -> None:
-        # Imported on the constructing thread, not in a pool thread, and
-        # never by a run that builds no HTTP backend.
-        import http.client
-        import ssl
-
         url = urlsplit(endpoint.url)
-        if url.scheme not in ("http", "https") or not url.hostname:
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if (
+            url.scheme not in ("http", "https")
+            or not url.hostname
+            or _UNSAFE_URL_CHAR.search(url.hostname + path)
+            or not path.isascii()
+        ):
             raise ValueError(
-                f"endpoint URL must be http:// or https:// with a host: {endpoint.url!r}"
+                f"endpoint URL must be http:// or https:// with a host, and "
+                f"no space, control or non-ASCII character in its path: {endpoint.url!r}"
             )
         https = url.scheme == "https"
-        tls = {"context": ssl.create_default_context()} if https else {}
-        self._connect = functools.partial(
-            http.client.HTTPSConnection if https else http.client.HTTPConnection,
-            url.hostname,
-            url.port or (http.client.HTTPS_PORT if https else http.client.HTTP_PORT),
-            timeout=endpoint.timeout,
-            **tls,
-        )
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        default_port = 443 if https else 80
+        port = url.port or default_port
+        tls = None
+        if https:
+            # Imported on the constructing thread, not in a pool thread.
+            import ssl
+
+            tls = ssl.create_default_context()
+        self._connect = functools.partial(_Connection, (url.hostname, port), endpoint.timeout, tls)
+        host = url.hostname if url.hostname.isascii() else url.hostname.encode("idna").decode()
+        if ":" in host:  # an IPv6 address, bracketed and without its zone
+            host = f"[{host.partition('%')[0]}]"
+        self._host = host if port == default_port else f"{host}:{port}"
+        self._path = path
         self._endpoint = endpoint
         self._prices = prices
         self._sleep = sleep
@@ -428,13 +590,27 @@ class HttpBackend:
         }
         return json.dumps(payload, ensure_ascii=False).encode("utf-8")
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection; an idle socket that reads as ready has
-        been closed by the server, so it is dropped and reopened on use."""
+    def _head(self, length: int) -> bytes:
+        """The request line and header fields, in ``http.client``'s order."""
+        lines = [
+            f"POST {self._path} HTTP/1.1",
+            f"Host: {self._host}",
+            "Accept-Encoding: identity",
+            f"Content-Length: {length}",
+            "Content-Type: application/json",
+        ]
+        if self._endpoint.api_key:
+            if "\r" in self._endpoint.api_key or "\n" in self._endpoint.api_key:
+                raise ValueError("api_key must not hold a CR or LF character")
+            lines.append(f"Authorization: Bearer {self._endpoint.api_key}")
+        return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+
+    def _connection(self) -> _Connection:
+        """This thread's open connection.  An idle socket that reads as
+        ready has been closed by the server, so it is dropped and a new
+        connection opened."""
         held = getattr(self._local, "held", None)
-        if held is None:
-            held = self._local.held = _Held(self._connect())
-        elif held.conn.sock is not None:
+        if held is not None and held.conn.sock is not None:
             import selectors
 
             # A selector, not select.select, which fails on descriptors >= 1024.
@@ -442,34 +618,27 @@ class HttpBackend:
                 idle.register(held.conn.sock, selectors.EVENT_READ)
                 if idle.select(0):
                     held.conn.close()
+        if held is None or held.conn.sock is None:
+            held = self._local.held = _Held(self._connect())
         return held.conn
 
     def complete(
         self, conversation: Conversation, params: GenerationParams
     ) -> tuple[str, Usage]:
-        import http.client
-
         _require_user_tail(conversation)
         body = self.request_body(conversation, params)
-        headers = {"Content-Type": "application/json"}
-        if self._endpoint.api_key:
-            headers["Authorization"] = f"Bearer {self._endpoint.api_key}"
+        request = self._head(len(body)) + body
 
         last_failure = ""
         rate_limited = False
         for attempt in range(self._endpoint.max_attempts):
             start = time.monotonic()
             wait = None
-            conn = self._connection()
             try:
-                conn.request("POST", self._path, body=body, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                conn.close()
+                status, fields, data = self._connection().exchange(request)
+            except OSError as exc:
                 last_failure = f"transport failure: {exc}"
             else:
-                status = response.status
                 if status == 200:
                     return self._parse(data, time.monotonic() - start, conversation)
                 if status == 429:
@@ -481,7 +650,7 @@ class HttpBackend:
                 else:
                     raise TransportError(f"HTTP {status} from {self._endpoint.url}")
                 if status in (429, 503):
-                    wait = _retry_after(response.getheader("Retry-After", ""))
+                    wait = _retry_after(fields.get("retry-after", ""))
             if attempt + 1 < self._endpoint.max_attempts:
                 if wait is None:
                     cap = self._endpoint.backoff_base * self._endpoint.backoff_factor**attempt

@@ -147,41 +147,67 @@ def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, Table
     return metadata, sample
 
 
-def _fit(build: Callable[..., PromptComponents], samples: list[Table]) -> PromptComponents:
+def _capped(text: str, cap: int) -> str:
+    """``text`` with each of its lines cut to at most ``cap`` characters."""
+    return "\n".join(_cut(line, cap) for line in text.splitlines())
+
+
+def _longest_line(texts: list[str | None]) -> int:
+    return max((len(line) for text in texts if text for line in text.splitlines()), default=0)
+
+
+def _fit(
+    build: Callable[[list[str | None], list[str]], PromptComponents],
+    headers: list[str | None],
+    samples: list[Table],
+) -> PromptComponents:
     """Prompt from ``build`` with the most sample rows that fit the budget.
 
-    ``build`` takes one data body per table, and ``samples`` holds each
-    table's sample.  Every table keeps the same row count n >= 1 (all its
-    rows if it has fewer), the largest that fits.  Around a body of one or
-    more records the builders add only fixed text, so a prompt's length is
-    that fixed part, measured once, plus the bodies' characters.  The rows
-    are therefore serialized in one pass, row i of every table at a time,
+    ``build`` takes each table's metadata header line (None when it has
+    none) and each table's data body, and ``samples`` holds each table's
+    sample.  Every table keeps the same row count n >= 1 (all its rows if
+    it has fewer), the largest that fits.  Around a body of one or more
+    records the builders add only fixed text, so a prompt's length is that
+    fixed part, measured once, plus the bodies' characters.  If even one
+    row per table, cut to 8 characters a line, cannot fit beside the
+    header lines, the header lines are cut first, halving a cap from the
+    longest down to 8, and the fixed part is measured with them cut.  The
+    rows are then serialized in one pass, row i of every table at a time,
     that stops at the first i >= 1 whose rows no longer fit and keeps
     n = i; no later row is read.  If n = 1 is too long, the lines of the
-    rows are capped, halving the cap until it fits.  Headers are not in
-    the bodies, so they are never cut: a table whose header rows alone
-    exceed ``CHAR_BUDGET`` goes over it, as does any budget below the fixed
-    parts.
+    rows are capped the same way until the prompt fits.  So a prompt goes
+    over ``CHAR_BUDGET`` only when its fixed text leaves no room for the
+    lines of its header and first row cut to 8 characters each.
     """
-    probes = ["x" if sample.row_count else "" for sample in samples]
-    used = len(assemble(build(*probes))) - len("".join(probes))
-    records: list[list[str]] = [[] for _ in samples]
+    records = [[_record(sample.row(0))] if sample.row_count else [] for sample in samples]
+    probes = ["x" if serialized else "" for serialized in records]
+
+    def fixed_part(headers: list[str | None]) -> int:
+        return len(assemble(build(headers, probes))) - len("".join(probes))
+
+    floor = sum(len(_capped(serialized[0], 8)) for serialized in records if serialized)
+    used = fixed_part(headers)
+    full, cap = headers, _longest_line(headers)
+    while used + floor > CHAR_BUDGET and cap > 8:
+        cap = max(8, cap // 2)
+        headers = [header and _capped(header, cap) for header in full]
+        used = fixed_part(headers)
+    used += sum(len(serialized[0]) for serialized in records if serialized)
     kept = max(sample.row_count for sample in samples)
-    for i in range(kept):
+    for i in range(1, kept):
         for sample, serialized in zip(samples, records):
             if i < sample.row_count:
                 serialized.append(_record(sample.row(i)))
-                used += len(serialized[-1]) + (i > 0)
-        if i and used > CHAR_BUDGET:
+                used += len(serialized[-1]) + 1
+        if used > CHAR_BUDGET:
             kept = i
             break
     bodies = ["\n".join(serialized[:kept]) for serialized in records]
-    components = build(*bodies)
-    cap = max((len(line) for body in bodies for line in body.splitlines()), default=0)
+    components = build(headers, bodies)
+    cap = _longest_line(bodies)
     while len(assemble(components)) > CHAR_BUDGET and cap > 8:
         cap = max(8, cap // 2)
-        capped = ("\n".join(_cut(line, cap) for line in body.splitlines()) for body in bodies)
-        components = build(*capped)
+        components = build(headers, [_capped(body, cap) for body in bodies])
     return components
 
 
@@ -196,9 +222,11 @@ def _one_table_prompt(table: Table, config: PromptConfig, **parts: str | None) -
     """``parts`` plus the fitted sample of ``table`` as one fenced block."""
     metadata, sample = _sample_parts(table, config)
     return _fit(
-        lambda body: PromptComponents(
-            **parts, data_sample=_fence(metadata, body) if metadata or body else None
+        lambda headers, bodies: PromptComponents(
+            **parts,
+            data_sample=_fence(headers[0], bodies[0]) if headers[0] or bodies[0] else None,
         ),
+        [metadata],
         [sample],
     )
 
@@ -253,15 +281,15 @@ def join_prompt(
     left_metadata, left_sample = _sample_parts(left, config)
     right_metadata, right_sample = _sample_parts(right, config)
 
-    def build(left_body: str, right_body: str) -> PromptComponents:
+    def build(headers: list[str | None], bodies: list[str]) -> PromptComponents:
         return PromptComponents(
             instruction=JOIN_INSTRUCTION,
             metadata=context_notes,
             data_sample=(
-                f"df1 =\n{_fence(left_metadata, left_body)}\n\n"
-                f"df2 =\n{_fence(right_metadata, right_body)}"
+                f"df1 =\n{_fence(headers[0], bodies[0])}\n\n"
+                f"df2 =\n{_fence(headers[1], bodies[1])}"
             ),
             prefix=JOIN_PREFIX if config.include_prefix else None,
         )
 
-    return _fit(build, [left_sample, right_sample])
+    return _fit(build, [left_metadata, right_metadata], [left_sample, right_sample])

@@ -157,13 +157,16 @@ def read_csv_ref(text: str, name: str, headers: bool):
     return head, tuple(records)
 
 
-def fit_ref(build, samples):
+def fit_ref(build, headers, samples):
     """What ``prompt._fit`` returns, by trying every row count.
 
     Every sampled row is written by its own ``csv.writer`` with a CRLF
     terminator, which quotes a cell holding either line break, cells over
-    ``MAX_CELL_CHARS`` cut to one less and the marker.  Each table keeps
-    its first n rows (all, if it has fewer) for the largest n >= 1 whose
+    ``MAX_CELL_CHARS`` cut to one less and the marker.  First, while the
+    prompt of the first row of each table, its lines cut to 8 characters,
+    is too long, every header line is cut to a cap that starts at the
+    longest header line and halves, down to 8.  Then each table keeps its
+    first n rows (all, if it has fewer) for the largest n >= 1 whose
     prompt fits ``CHAR_BUDGET``, or one row if none does; then, while the
     prompt is too long, every line of the bodies is cut to a cap that starts
     at the longest line and halves, down to 8.  A prompt holds each body
@@ -174,6 +177,12 @@ def fit_ref(build, samples):
     def cut(text: str, limit: int) -> str:
         return text if len(text) <= limit else text[: limit - 1] + prompt.TRUNCATION_MARKER
 
+    def capped(text: str, cap: int) -> str:
+        return "\n".join(cut(line, cap) for line in text.splitlines())
+
+    def longest(texts) -> int:
+        return max((len(line) for text in texts if text for line in text.splitlines()), default=0)
+
     def record(row) -> str:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\r\n").writerow([cut(c, prompt.MAX_CELL_CHARS) for c in row])
@@ -183,19 +192,22 @@ def fit_ref(build, samples):
         return len(prompt.assemble(components)) <= prompt.CHAR_BUDGET
 
     records = [[record(row) for row in sample.rows] for sample in samples]
+    least = [capped(kept[0], 8) if kept else "" for kept in records]
+    full, cap = headers, longest(headers)
+    while not fits(build(headers, least)) and cap > 8:
+        cap = max(8, cap // 2)
+        headers = [header and capped(header, cap) for header in full]
     fitting = [1]
     for n in range(1, max(map(len, records)) + 1):
         bodies = ["\n".join(kept[:n]) for kept in records]
         if sum(map(len, bodies)) > prompt.CHAR_BUDGET:
             break
-        if fits(build(*bodies)):
+        if fits(build(headers, bodies)):
             fitting.append(n)
     bodies = ["\n".join(kept[: max(fitting)]) for kept in records]
-    components = build(*bodies)
-    cap = max((len(line) for body in bodies for line in body.splitlines()), default=0)
+    components = build(headers, bodies)
+    cap = longest(bodies)
     while not fits(components) and cap > 8:
         cap = max(8, cap // 2)
-        components = build(
-            *("\n".join(cut(line, cap) for line in body.splitlines()) for body in bodies)
-        )
+        components = build(headers, [capped(body, cap) for body in bodies])
     return components

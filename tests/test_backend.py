@@ -1,15 +1,24 @@
 from __future__ import annotations
 
+import contextlib
+import http.client
+import io
 import json
 import random
+import re
 import socket
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabnotate.backend import (
     BackendExhausted,
@@ -28,6 +37,7 @@ from tabnotate.backend import (
     TransportError,
     Turn,
     Usage,
+    _read_reply,
     assistant,
     load_transcript,
     system,
@@ -217,8 +227,10 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 class _StubServer:
-    def __init__(self):
+    def __init__(self, tls: ssl.SSLContext | None = None):
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+        if tls is not None:
+            self.httpd.socket = tls.wrap_socket(self.httpd.socket, server_side=True)
         self.httpd.lock = threading.Lock()
         self.httpd.plan = [(200, OK_PAYLOAD)]
         self.httpd.captured = []
@@ -381,7 +393,20 @@ def test_http_connection_failure_is_transport_error():
         backend.complete(conversation("hello"), PARAMS)
 
 
-@pytest.mark.parametrize("url", ["notaurl", "ftp://example.com/v1", "http:///v1"])
+@pytest.mark.parametrize(
+    "url",
+    [
+        "notaurl",
+        "ftp://example.com/v1",
+        "http:///v1",
+        "http://127.0.0.1:1/v 1",
+        "http://127.0.0.1:1/v1?q=a b",
+        "http://127.0.0.1:1/v\x001",
+        "http://127.0.0.1:1/v\x7f1",
+        "http://127.0.0.1:1/v\u00e91",
+        "http://a b/v1",
+    ],
+)
 def test_http_malformed_url_rejected_when_built(url):
     sleeps: list[float] = []
     with pytest.raises(ValueError, match="endpoint URL"):
@@ -517,3 +542,356 @@ def test_http_reopens_a_dropped_keep_alive_connection_without_backoff(stub):
     assert len(stub.captured) == 4
     assert stub.connections == 4
     assert sleeps == []
+
+
+# ----------------------------------------------------------------- https
+
+# A test CA and a certificate it signed for DNS:localhost alone, valid
+# 2000-2100, made with `openssl req -x509` and `openssl x509 -req` (P-256).
+TLS = Path(__file__).parent / "fixtures" / "tls"
+
+
+@pytest.fixture(scope="module")
+def tls_stub():
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS / "localhost.pem")
+    server = _StubServer(context)
+    yield server
+    server.close()
+
+
+def test_https_verifies_the_server_against_the_ca_store(tls_stub, monkeypatch):
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS / "ca.pem"))
+    tls_stub.set_plan([(200, OK_PAYLOAD)])
+    port = tls_stub.httpd.server_address[1]
+    backend = HttpBackend(HttpEndpoint(url=f"https://localhost:{port}/v1", model="m"))
+    for _ in range(2):
+        assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+    assert len(tls_stub.captured) == 2 and tls_stub.connections == 1
+
+
+@pytest.mark.parametrize(
+    "host, trusted",
+    [
+        pytest.param("localhost", False, id="unknown-ca"),
+        pytest.param("127.0.0.1", True, id="other-host"),
+    ],
+)
+def test_https_refuses_a_server_it_cannot_verify(tls_stub, monkeypatch, host, trusted):
+    if trusted:
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS / "ca.pem"))
+    else:
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS / "missing.pem"))
+        monkeypatch.setenv("SSL_CERT_DIR", str(TLS / "missing"))
+    tls_stub.set_plan([(200, OK_PAYLOAD)])
+    port = tls_stub.httpd.server_address[1]
+    endpoint = HttpEndpoint(url=f"https://{host}:{port}/v1", model="m", max_attempts=2)
+    backend = HttpBackend(endpoint, sleep=lambda _: None)
+    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        backend.complete(conversation("hello"), PARAMS)
+    assert tls_stub.captured == []
+
+
+# ------------------------------------------------------- HTTP/1.1 framing
+
+
+class _RawServer:
+    """Loopback server that answers each request with the next scripted
+    ``(reply bytes, close)`` pair, the last one repeating, and records each
+    raw request head and body.  With ``close`` it closes the connection
+    after the reply; without it the connection stays open, whatever the
+    reply's headers say."""
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self.sock.getsockname()[1]
+        self.lock = threading.Lock()
+        self.open: list[socket.socket] = []
+        self.set_plan([(_reply(OK_BODY), False)])
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def set_plan(self, plan):
+        self.plan = plan
+        self.heads: list[bytes] = []
+        self.bodies: list[bytes] = []
+        self.connections = 0
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.port}/v1?x=1"
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            with self.lock:
+                self.connections += 1
+                self.open.append(conn)
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        with contextlib.suppress(OSError), conn, conn.makefile("rb") as requests:
+            while True:
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    line = requests.readline()
+                    if not line:
+                        return
+                    head += line
+                body = requests.read(int(re.search(rb"Content-Length: (\d+)", head)[1]))
+                with self.lock:
+                    self.heads.append(head)
+                    self.bodies.append(body)
+                    reply, close = self.plan[min(len(self.heads), len(self.plan)) - 1]
+                conn.sendall(reply)
+                if close:
+                    conn.shutdown(socket.SHUT_WR)
+                    return
+
+    def close(self):
+        self.sock.close()
+        for conn in self.open:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+
+
+def _reply(body: bytes, status: str = "200 OK", headers: str = "", version: str = "1.1") -> bytes:
+    """A reply framed by Content-Length unless ``headers`` frame it."""
+    if "Transfer-Encoding" not in headers and version == "1.1":
+        headers = f"Content-Length: {len(body)}\r\n{headers}"
+    return f"HTTP/{version} {status}\r\n{headers}\r\n".encode() + body
+
+
+def _chunks(body: bytes, cuts: list[int]) -> bytes:
+    """``body`` chunked at ``cuts``, with an extension on every chunk and
+    a trailer field."""
+    edges = [0, *sorted({c for c in cuts if 0 < c < len(body)}), len(body)]
+    pieces = [body[a:b] for a, b in zip(edges, edges[1:]) if b > a]
+    framed = b"".join(b"%x;ext=%d\r\n%s\r\n" % (len(p), i, p) for i, p in enumerate(pieces))
+    return framed + b"0\r\nX-Trailer: done\r\n\r\n"
+
+
+OK_BODY = OK_PAYLOAD.encode()
+
+
+@pytest.fixture(scope="module")
+def raw():
+    server = _RawServer()
+    yield server
+    server.close()
+
+
+def raw_backend(server, **overrides):
+    overrides.setdefault("timeout", 10.0)
+    return make_backend(server, **overrides)
+
+
+def test_http_request_head_is_the_one_http_client_wrote(raw):
+    raw.set_plan([(_reply(OK_BODY), False)])
+    backend, _ = raw_backend(raw)
+    backend.complete(conversation("hello"), PARAMS)
+    (head,) = raw.heads
+    assert head.decode("latin-1").split("\r\n") == [
+        "POST /v1?x=1 HTTP/1.1",
+        f"Host: 127.0.0.1:{raw.port}",
+        "Accept-Encoding: identity",
+        f"Content-Length: {len(raw.bodies[0])}",
+        "Content-Type: application/json",
+        "Authorization: Bearer sk-test",
+        "",
+        "",
+    ]
+
+
+class _Captured:
+    """Stands in for http.client's socket and keeps what it is sent."""
+
+    def __init__(self):
+        self.sent = b""
+
+    def sendall(self, data):
+        self.sent += data
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "http://127.0.0.1:8000/v1/chat/completions",
+        "http://localhost/v1",
+        "http://example.com:80",
+        "https://example.com/v1?a=1&b=2",
+        "https://example.com:443/v1",
+        "https://example.com:8443/v1",
+        "http://[::1]:8080/v1",
+        "http://[::1]/v1",
+        "http://bücher.example/v1",
+        "http://Example.COM:8080/v1#fragment",
+    ],
+)
+@pytest.mark.parametrize("api_key", [None, "sk-ünïcode"])
+def test_http_request_matches_http_client_byte_for_byte(url, api_key):
+    parts = urlsplit(url)
+    https = parts.scheme == "https"
+    backend = HttpBackend(HttpEndpoint(url=url, model="m", api_key=api_key))
+    body = backend.request_body(conversation("héllo"), PARAMS)
+    connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+    reference = connection(parts.hostname, parts.port or (443 if https else 80))
+    reference.sock = _Captured()
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    reference.request("POST", path, body=body, headers=headers)
+    assert backend._head(len(body)) + body == reference.sock.sent
+
+
+def test_http_host_header_drops_an_ipv6_zone():
+    backend = HttpBackend(HttpEndpoint(url="http://[fe80::1%25eth0]:8080/v1", model="m"))
+    assert b"\r\nHost: [fe80::1]:8080\r\n" in backend._head(0)
+
+
+@pytest.mark.parametrize("key", ["sk-a\r\nX-Injected: 1", "sk-a\nb", "sk-a\rb"])
+def test_http_api_key_with_cr_or_lf_sends_nothing(raw, key):
+    raw.set_plan([(_reply(OK_BODY), False)])
+    sleeps: list[float] = []
+    backend = HttpBackend(HttpEndpoint(url=raw.url, model="m", api_key=key), sleep=sleeps.append)
+    with pytest.raises(ValueError, match="api_key"):
+        backend.complete(conversation("hello"), PARAMS)
+    assert raw.heads == [] and raw.connections == 0 and sleeps == []
+
+
+def test_http_reads_a_chunked_body_over_its_content_length(raw):
+    framing = "Transfer-Encoding: chunked\r\nContent-Length: 3\r\n"
+    reply = _reply(_chunks(OK_BODY, [1, 7, 30]), headers=framing)
+    raw.set_plan([(reply, False)])
+    backend, sleeps = raw_backend(raw)
+    for _ in range(2):
+        assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+    assert raw.connections == 1 and sleeps == []
+
+
+@pytest.mark.parametrize(
+    "reply, close",
+    [
+        pytest.param(_reply(OK_BODY, version="1.0"), True, id="http-1.0-close-delimited"),
+        pytest.param(_reply(OK_BODY, version="1.0", headers=f"Content-Length: {len(OK_BODY)}\r\n"),
+                     False, id="http-1.0-content-length"),
+        pytest.param(_reply(OK_BODY, headers="Transfer-Encoding: gzip\r\n"), True,
+                     id="not-chunked-last"),
+    ],
+)
+def test_http_a_close_delimited_or_1_0_reply_ends_the_connection(raw, reply, close):
+    raw.set_plan([(reply, close)])
+    backend, sleeps = raw_backend(raw)
+    for _ in range(2):
+        assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+    assert raw.connections == 2 and sleeps == []
+
+
+def test_http_connection_close_opens_a_new_connection_for_the_next_call(raw):
+    raw.set_plan([(_reply(OK_BODY, headers="Connection: keep-alive, Close\r\n"), False)])
+    backend, sleeps = raw_backend(raw)
+    for _ in range(3):
+        assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+    assert len(raw.heads) == 3 and raw.connections == 3 and sleeps == []
+
+
+def test_http_skips_interim_replies(raw):
+    interim = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n"
+    raw.set_plan([(interim + _reply(OK_BODY), False)])
+    backend, _ = raw_backend(raw)
+    for _ in range(2):
+        assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+    assert raw.connections == 1
+
+
+def test_http_a_204_has_no_body(raw):
+    raw.set_plan([(b"HTTP/1.1 204 No Content\r\n\r\n", False), (_reply(OK_BODY), False)])
+    backend, sleeps = raw_backend(raw)
+    with pytest.raises(TransportError, match="HTTP 204"):
+        backend.complete(conversation("hello"), PARAMS)
+    assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+    assert raw.connections == 1 and sleeps == []
+
+
+def test_http_reads_an_obs_folded_retry_after(raw):
+    limited = _reply(b"{}", "429 Too Many Requests", "Retry-After:\r\n \t2\r\n")
+    raw.set_plan([(limited, False), (_reply(OK_BODY), False)])
+    backend, sleeps = raw_backend(raw)
+    assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+    assert sleeps == [2.0] and raw.connections == 1
+
+
+def test_http_reads_100_header_lines_and_a_line_of_65536_bytes(raw):
+    longest = "X-Long: " + "a" * (65536 - len("X-Long: \r\n")) + "\r\n"
+    raw.set_plan([(_reply(OK_BODY, headers=longest + "X-Filler: 1\r\n" * 98), False)])
+    backend, _ = raw_backend(raw)
+    assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        pytest.param(b"HTTP/1.1 OK\r\n\r\n", id="no-status-code"),
+        pytest.param(b"HTTX/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", id="not-http"),
+        pytest.param(b"HTTP/2 200 OK\r\nContent-Length: 0\r\n\r\n", id="http-2"),
+        pytest.param(b"HTTP/1.1 099 Low\r\nContent-Length: 0\r\n\r\n", id="status-below-100"),
+        pytest.param(b"", id="no-reply"),
+        pytest.param(_reply(OK_BODY, headers="X-Long: " + "a" * 65528 + "\r\n"), id="long-line"),
+        pytest.param(_reply(OK_BODY, headers="X-Filler: 1\r\n" * 100), id="101-headers"),
+        pytest.param(_reply(OK_BODY, headers="Bad Header: 1\r\n"), id="space-in-name"),
+        pytest.param(_reply(OK_BODY, headers="NoColon\r\n"), id="no-colon"),
+        pytest.param(b"HTTP/1.1 200 OK\r\n Folded: 1\r\n\r\n", id="leading-fold"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n", id="cut-in-headers"),
+        pytest.param(_reply(OK_BODY, headers="Content-Length: 7\r\n"), id="two-lengths"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", id="negative-length"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\n" + OK_BODY, id="short-body"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999\r\n\r\n{}",
+                     id="huge-length"),
+        pytest.param(_reply(b"zz\r\n{}\r\n0\r\n\r\n", headers="Transfer-Encoding: chunked\r\n"),
+                     id="bad-chunk-size"),
+        pytest.param(_reply(b"1\r\n{}\r\n0\r\n\r\n", headers="Transfer-Encoding: chunked\r\n"),
+                     id="chunk-overrun"),
+        pytest.param(_reply(b"5\r\n{}", headers="Transfer-Encoding: chunked\r\n"),
+                     id="short-chunk"),
+        pytest.param(_reply(b"2\r\n{}\r\n0\r\n", headers="Transfer-Encoding: chunked\r\n"),
+                     id="cut-in-trailer"),
+    ],
+)
+def test_http_a_broken_reply_is_a_transport_failure(raw, reply):
+    raw.set_plan([(reply, True)])
+    backend, sleeps = raw_backend(raw)
+    with pytest.raises(TransportError, match=r"after 5 attempts \(transport failure: "):
+        backend.complete(conversation("hello"), PARAMS)
+    assert len(raw.heads) == 5 and raw.connections == 5
+    assert len(sleeps) == 4
+    for attempt, pause in enumerate(sleeps):
+        assert 0.0 <= pause <= 0.25 * 2**attempt
+
+
+def _framed(body: bytes, framing: str, cuts: list[int]) -> bytes:
+    if framing == "length":
+        return _reply(body)
+    if framing == "chunked":
+        return _reply(_chunks(body, cuts), headers="Transfer-Encoding: chunked\r\n")
+    return _reply(body, version="1.0")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bodies=st.lists(st.binary(max_size=300), min_size=1, max_size=3),
+    framing=st.sampled_from(["length", "chunked", "close"]),
+    cuts=st.lists(st.integers(min_value=0, max_value=300), max_size=6),
+)
+def test_every_framing_reads_the_body_back_byte_identical(bodies, framing, cuts):
+    """Keep-alive replies read back one after another from one stream; a
+    close-delimited body runs to the end of the stream."""
+    if framing == "close":
+        bodies = bodies[:1]
+    stream = io.BufferedReader(io.BytesIO(b"".join(_framed(b, framing, cuts) for b in bodies)))
+    for body in bodies:
+        status, _, read, keep = _read_reply(stream)
+        assert (status, read, keep) == (200, body, framing != "close")
+    assert stream.read() == b""

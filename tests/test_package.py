@@ -35,8 +35,12 @@ def test_package_parses_at_the_python_floor():
         ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=(3, 10))
 
 
-# Loaded only by the HTTP backend and by a parallel run_benchmark.
-HTTP_AND_POOL = {"http.client", "ssl", "email.utils", "selectors", "concurrent.futures"}
+# Loaded only by the HTTP backend (``ssl`` for https alone; ``http.client``
+# never, since the backend frames HTTP/1.1 itself) and by a parallel
+# run_benchmark.
+HTTP_AND_POOL = {
+    "http.client", "socket", "ssl", "email.utils", "selectors", "concurrent.futures"
+}
 
 
 def _loaded_by(statements: str) -> set[str]:
@@ -62,8 +66,16 @@ def test_import_loads_no_http_stack_or_thread_pool():
     assert loaded & HTTP_AND_POOL == set()
 
 
-def test_building_an_http_backend_loads_http_client():
-    loaded = _loaded_by(
-        "tabnotate.HttpBackend(tabnotate.HttpEndpoint(url='http://127.0.0.1:1/v1', model='m'))"
-    )
-    assert "http.client" in loaded
+def _built(url: str) -> str:
+    return f"tabnotate.HttpBackend(tabnotate.HttpEndpoint(url={url!r}, model='m'))"
+
+
+def test_building_an_http_backend_loads_neither_http_client_nor_ssl():
+    loaded = _loaded_by(_built("http://127.0.0.1:1/v1"))
+    assert loaded & {"http.client", "ssl"} == set()
+
+
+def test_building_an_https_backend_loads_ssl_but_not_http_client():
+    loaded = _loaded_by(_built("https://127.0.0.1:1/v1"))
+    assert "ssl" in loaded
+    assert "http.client" not in loaded

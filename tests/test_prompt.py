@@ -272,6 +272,68 @@ def test_prompt_budget_holds_for_wide_tables(class_list):
             assert len(assemble(builder(table))) <= CHAR_BUDGET
 
 
+def test_wide_headers_are_cut_to_the_budget():
+    table = Table(
+        "wide",
+        tuple(f"{c:03d}" + "h" * 197 for c in range(200)),
+        tuple(tuple(f"{r}-{c}" for c in range(200)) for r in range(5)),
+    )
+    for components in (column_type_prompt(table), join_prompt(table, table)):
+        text = assemble(components)
+        assert len(text) <= CHAR_BUDGET
+        lines = _data_block(text, "df2" if components.prefix else None).splitlines()
+        assert lines[0].startswith("000" + "h" * 197 + ",001")
+        assert lines[0].endswith("…") and len(lines) > 1
+
+
+# No line breaks, so each header and each row is one line.
+_WIDE_CHARS = "ab,é019 \"'…-"
+
+
+@st.composite
+def _wide_tables(draw) -> Table:
+    """Up to 300 columns with headers of up to 400 characters."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    arity = draw(st.integers(1, 300))
+    longest = draw(st.sampled_from([1, 20, 400]))
+
+    def text(most: int) -> str:
+        return "".join(rng.choices(_WIDE_CHARS, k=rng.randint(1, most)))
+
+    rows = tuple(tuple(text(40) for _ in range(arity)) for _ in range(draw(st.integers(0, 5))))
+    return Table("t", tuple(text(longest) for _ in range(arity)), rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    left=_wide_tables(),
+    right=_wide_tables(),
+    classes=st.none() | st.lists(st.text("abcXYZ", min_size=1, max_size=30), min_size=1),
+    notes=st.none() | st.text("ab c.", min_size=1, max_size=2000).map(str.strip).filter(bool),
+    config=st.builds(
+        PromptConfig,
+        sample_k=st.integers(1, 5),
+        include_demonstration=st.booleans(),
+        include_metadata=st.booleans(),
+        include_prefix=st.booleans(),
+    ),
+    budget=st.sampled_from([CHAR_BUDGET, 4000, 1500, 600]),
+)
+def test_a_prompt_fits_whenever_its_fixed_text_does(left, right, classes, notes, config, budget):
+    """Headers and rows can be cut to 8 characters a line, so a prompt fits
+    whenever that of a one-cell table, plus that much, does."""
+    tiny = Table("t", ("h",), (("v",),))
+    builders = [
+        (lambda t: table_class_prompt(t, classes, config), [left]),
+        (lambda t: column_type_prompt(t, config), [left]),
+        (lambda t, u: join_prompt(t, u, config, notes), [left, right]),
+    ]
+    with mock.patch.object(tabnotate.prompt, "CHAR_BUDGET", budget):
+        for build, tables in builders:
+            if len(assemble(build(*[tiny] * len(tables)))) + 14 * len(tables) <= budget:
+                assert len(assemble(build(*tables))) <= budget
+
+
 def _data_block(text: str, marker: str | None = None) -> str:
     """The fenced sample: the last fenced block, or the named join frame's."""
     if marker is None:
