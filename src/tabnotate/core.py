@@ -602,7 +602,8 @@ def sample_rows(table: Table, k: int, strategy: SamplingStrategy = HEAD_SAMPLING
     distinct indices with a dedicated generator and keeps original order,
     so equal seeds give equal samples.  Sampled lines of a table that
     :func:`read_csv` kept as lines stay unsplit until the sample's rows
-    are read.
+    are read, and their cells are not counted again: the table's own
+    check already counted them.
     """
     if k < 1:
         raise ValueError("sample size must be >= 1")
@@ -612,8 +613,12 @@ def sample_rows(table: Table, k: int, strategy: SamplingStrategy = HEAD_SAMPLING
     else:
         indices = sorted(random.Random(strategy.seed).sample(range(n), k))
     picked = map(table._rows.__getitem__, indices)
-    rows = _Lines(picked) if isinstance(table._rows, _Lines) else picked
-    return Table(name=table.name, headers=table.headers, rows=rows)
+    if not isinstance(table._rows, _Lines):
+        return Table(name=table.name, headers=table.headers, rows=picked)
+    # ``table``'s own check counted every line, so the sample skips the check.
+    sample = object.__new__(Table)
+    vars(sample).update(name=table.name, headers=table.headers, _rows=_Lines(picked))
+    return sample
 
 
 class _Line:

@@ -104,11 +104,15 @@ def weighted_metrics(stats: dict[str, ClassStats]) -> WeightedMetrics:
     )
 
 
+def _score(inter: int, nx: int, ny: int) -> float:
+    """Jaccard score of two sets of sizes ``nx`` and ``ny`` sharing ``inter``."""
+    union = nx + ny - inter
+    return inter / union if union else 0.0
+
+
 def jaccard(x: set[str], y: set[str]) -> float:
     """|X ∩ Y| / |X ∪ Y|, defined as 0 when both sets are empty."""
-    inter = len(x & y)
-    union = len(x) + len(y) - inter
-    return inter / union if union else 0.0
+    return _score(len(x & y), len(x), len(y))
 
 
 def _column_names(table: Table) -> list[str]:
@@ -144,8 +148,12 @@ def jaccard_join(left: Table, right: Table) -> JoinPrediction:
 
     The sets come from :meth:`Table.column_sets`, which splits no row of a
     table that :func:`read_csv` kept as lines.  Empty cells are ignored.
-    Ties break lexicographically by column name (positional index when
-    headers are absent).
+    Each left column is first cut to its values that occur anywhere in the
+    right table; a pair's overlap is that cut set's overlap with the right
+    column, which is the whole overlap since every right column lies in the
+    right table, and a column with no such value overlaps none without a
+    lookup.  Ties break lexicographically by column name (positional index
+    when headers are absent).
     """
     if not left.row_count or not right.row_count:
         raise EmptyTable("the value-overlap baseline requires rows on both sides")
@@ -153,10 +161,12 @@ def jaccard_join(left: Table, right: Table) -> JoinPrediction:
     left_sets, right_sets = left.column_sets(), right.column_sets()
     for values in (*left_sets, *right_sets):
         values.discard("")
+    seen = set().union(*right_sets)
     best: tuple[float, str, str] | None = None
-    for i, lname in enumerate(left_names):
-        for j, rname in enumerate(right_names):
-            score = jaccard(left_sets[i], right_sets[j])
+    for lname, x in zip(left_names, left_sets):
+        shared = x & seen
+        for rname, y in zip(right_names, right_sets):
+            score = _score(len(shared & y) if shared else 0, len(x), len(y))
             key = (-score, lname, rname)
             if best is None or key < best:
                 best = key

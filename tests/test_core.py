@@ -668,6 +668,33 @@ def test_sampling_a_read_table_splits_only_the_sampled_lines(monkeypatch):
     assert sample.rows == tuple(map(original, split)) and len(split) == 5
 
 
+def test_sampling_kept_lines_counts_no_line_again():
+    counted = []
+
+    class Line(str):  # a kept line that records each count of its commas
+        def count(self, *args):
+            counted.append(str(self))
+            return str.count(self, *args)
+
+    lines = [f"{i},x{i}," for i in range(1000)]
+    for headers in (("a", "b", "c"), None):
+        split = Table("t", headers, [line.split(",") for line in lines])
+        counted.clear()
+        table = Table("t", headers, tabnotate.core._Lines(map(Line, lines)))
+        assert len(counted) == 1000  # the table's own check counts each line once
+        for k, strategy in [
+            (500, HEAD_SAMPLING),
+            (500, SamplingStrategy(SamplingMode.SEEDED_RANDOM, 3)),
+            (2000, SamplingStrategy(SamplingMode.SEEDED_RANDOM, 3)),
+        ]:
+            counted.clear()
+            sample = sample_rows(table, k, strategy)
+            assert counted == []
+            checked = Table("t", headers, tabnotate.core._Lines(sample._rows))
+            assert vars(sample) == vars(checked)
+            assert sample.arity == 3 and sample == sample_rows(split, k, strategy)
+
+
 @pytest.mark.parametrize(
     "text",
     [

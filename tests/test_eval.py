@@ -267,6 +267,48 @@ def test_levenshtein_join_equals_reference(left, right):
     assert levenshtein_join(left, right).pairs == (best_levenshtein_pair_ref(left, right),)
 
 
+def _wide_table(rng, name, arity, rows, pool, quoted):
+    """A table whose columns draw from small slices of one shared ``pool``,
+    with empty cells, and with some columns holding an earlier column's
+    values in another order, so that their scores tie exactly.  Read back
+    from CSV: a quoted cell sends it through csv.reader, else its lines
+    are kept."""
+    columns: list[list[str]] = []
+    for _ in range(arity):
+        if columns and rng.random() < 0.3:
+            column = list(rng.choice(columns))
+            rng.shuffle(column)
+        else:
+            values = rng.sample(pool, rng.randint(1, 12))
+            column = [rng.choice(values) if rng.random() > 0.2 else "" for _ in range(rows)]
+        columns.append(column)
+    if quoted:
+        columns[rng.randrange(arity)][rng.randrange(rows)] = "x,y"
+    with_headers = rng.random() < 0.7
+    headers = rng.sample([f"c{i}" for i in range(20)], arity) if with_headers else None
+    table = read_csv(to_csv(Table(name, headers, zip(*columns))), name, headers=with_headers)
+    assert isinstance(table._rows, tabnotate.core._Lines) is not quoted
+    return table
+
+
+def test_wide_jaccard_join_equals_reference_on_shared_values_and_ties():
+    rng = random.Random(24)
+    pool = [f"v{i}" for i in range(30)]
+    tied = 0
+    for case in range(40):
+        quoted, rows = case % 2 == 1, rng.choice((40, 300))
+        left = _wide_table(rng, "l", 12, rows, pool, quoted)
+        right = _wide_table(rng, "r", 9, rows, pool, quoted)
+        assert jaccard_join(left, right).pairs == (best_jaccard_pair_ref(left, right),)
+        columns = [
+            [{row[i] for row in table.rows if row[i]} for i in range(table.arity)]
+            for table in (left, right)
+        ]
+        scores = [jaccard(x, y) for x in columns[0] for y in columns[1]]
+        tied += scores.count(max(scores)) > 1
+    assert tied >= 10  # the tie-break decides the answer in many cases
+
+
 def test_baseline_invariance_under_row_order_and_duplicates():
     rng = random.Random(8)
     for _ in range(20):

@@ -54,8 +54,10 @@ def _loaded_by(statements: str) -> set[str]:
         f"{statements}\n"
         "print(*set(sys.modules) - before)\n"
     )
+    # -I ignores PYTHONDONTWRITEBYTECODE; -B keeps the child from writing
+    # bytecode into the source tree.
     run = subprocess.run(
-        [sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-B", "-c", script], capture_output=True, text=True, check=True
     )
     return set(run.stdout.split())
 
