@@ -478,8 +478,8 @@ def _read_reply(reply: io.BufferedReader) -> tuple[int, dict[str, str], bytes, b
 
 class _Connection:
     """One HTTP/1.1 connection to ``address``, TLS-wrapped when ``tls`` is
-    given.  It is closed after a failed exchange and after a reply that
-    ends it; ``sock`` is None once it is closed."""
+    given.  It is closed after a failed exchange, after a reply that ends
+    it, and when it is collected; ``sock`` is None once it is closed."""
 
     def __init__(
         self, address: tuple[str, int], timeout: float, tls: ssl.SSLContext | None
@@ -493,6 +493,9 @@ class _Connection:
         except BaseException:
             sock.close()
             raise
+        # The finalizer holds the socket, never the connection, so that the
+        # connection can still be collected.
+        weakref.finalize(self, self.sock.close)
 
     def exchange(self, request: bytes) -> tuple[int, dict[str, str], bytes]:
         """Send ``request`` in one write and read the final reply to it."""
@@ -513,16 +516,6 @@ class _Connection:
             self.sock = None
 
 
-class _Held:
-    """Holds one thread's connection and closes it when collected, that is
-    when the thread ends, the backend goes away or the thread opens a new
-    connection."""
-
-    def __init__(self, conn: _Connection) -> None:
-        self.conn = conn
-        weakref.finalize(self, conn.close)
-
-
 class HttpBackend:
     """Minimal chat-completions client with retry and full-jitter backoff.
 
@@ -530,8 +523,9 @@ class HttpBackend:
     framing, 429, 5xx) are retried up to the endpoint's attempt budget;
     other client errors fail immediately.  A ``Retry-After`` on a 429 or
     503 replaces the jittered pause.  Each thread keeps one keep-alive
-    connection.  It reopens it, without a pause, when the server has
-    closed it while idle, and on the next call after a reply that ends the
+    connection, which closes when the thread ends or the backend goes
+    away.  It reopens it, without a pause, when the server has closed it
+    while idle, and on the next call after a reply that ends the
     connection.  HTTPS verifies the server against the default CA store.
     Request bodies are byte-identical for identical inputs.  A reply
     without token counts is billed from the whitespace proxy, and its
@@ -606,21 +600,21 @@ class HttpBackend:
         return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
 
     def _connection(self) -> _Connection:
-        """This thread's open connection.  An idle socket that reads as
-        ready has been closed by the server, so it is dropped and a new
-        connection opened."""
-        held = getattr(self._local, "held", None)
-        if held is not None and held.conn.sock is not None:
+        """This thread's open connection, kept in thread-local storage.  An
+        idle socket that reads as ready has been closed by the server, so it
+        is dropped and a new connection opened."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None and conn.sock is not None:
             import selectors
 
             # A selector, not select.select, which fails on descriptors >= 1024.
             with selectors.DefaultSelector() as idle:
-                idle.register(held.conn.sock, selectors.EVENT_READ)
+                idle.register(conn.sock, selectors.EVENT_READ)
                 if idle.select(0):
-                    held.conn.close()
-        if held is None or held.conn.sock is None:
-            held = self._local.held = _Held(self._connect())
-        return held.conn
+                    conn.close()
+        if conn is None or conn.sock is None:
+            conn = self._local.conn = self._connect()
+        return conn
 
     def complete(
         self, conversation: Conversation, params: GenerationParams

@@ -28,15 +28,14 @@ from .core import (
     Ontology,
     SamplingMode,
     SamplingStrategy,
-    Table,
     detect_ontology_format,
     load_ontology,
-    read_csv,
 )
 from .evaluate import (
     System,
-    jaccard_join,
-    levenshtein_join,
+    Task,
+    _predict_join,
+    _read_table,
     load_manifest,
     run_benchmark,
     write_report,
@@ -46,7 +45,6 @@ from .harness import (
     TaskFailed,
     render_term,
     run_column_type_task,
-    run_join_task_detailed,
     run_table_class_task,
 )
 from .prompt import (
@@ -184,11 +182,6 @@ def _load_ontology_file(path: str | None) -> Ontology:
     return load_ontology(text, detect_ontology_format(text))
 
 
-def _load_table(path: str, headers: bool) -> Table:
-    text = Path(path).read_text(encoding="utf-8-sig")
-    return read_csv(text, name=Path(path).stem, headers=headers)
-
-
 def _load_class_list(path: str | None) -> tuple[str, ...] | None:
     if path is None:
         return None
@@ -227,7 +220,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 def cmd_classify_table(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
-    table = _load_table(args.csv_path, args.headers)
+    table = _read_table(args.csv_path, args.headers)
     if args.dump_prompt:
         components = table_class_prompt(table, config.allowed_classes, config.prompt_config)
         print(assemble(components))
@@ -241,7 +234,7 @@ def cmd_classify_table(args: argparse.Namespace) -> int:
 
 def cmd_annotate_columns(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
-    table = _load_table(args.csv_path, args.headers)
+    table = _read_table(args.csv_path, args.headers)
     if args.dump_prompt:
         print(assemble(column_type_prompt(table, config.prompt_config)))
         return EXIT_OK
@@ -255,19 +248,14 @@ def cmd_annotate_columns(args: argparse.Namespace) -> int:
 
 def cmd_predict_join(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
-    left = _load_table(args.left_csv, args.headers)
-    right = _load_table(args.right_csv, args.headers)
+    left = _read_table(args.left_csv, args.headers)
+    right = _read_table(args.right_csv, args.headers)
     if args.dump_prompt:
         print(assemble(join_prompt(left, right, config.prompt_config)))
         return EXIT_OK
     system = System(args.system)
-    if system is System.JACCARD:
-        prediction = jaccard_join(left, right)
-    elif system is System.LEVENSHTEIN:
-        prediction = levenshtein_join(left, right)
-    else:
-        backend = _build_backend(args.backend)
-        prediction = run_join_task_detailed(left, right, backend, config).value
+    backend = _build_backend(args.backend) if system is System.MODEL else None
+    prediction, _ = _predict_join(left, right, system, backend, config)
     print(f"{','.join(prediction.left_cols)}\t{','.join(prediction.right_cols)}")
     return EXIT_OK
 
@@ -280,7 +268,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     backend = None
     if system is System.MODEL:
         backend = _build_backend(args.backend)
-        if any(ex.task.value != "join" for ex in examples):
+        if any(ex.task is not Task.JOIN for ex in examples):
             ontology = _load_ontology_file(args.ontology)
     report = run_benchmark(
         examples, system, ontology=ontology, backend=backend, config=config, jobs=args.jobs

@@ -3,14 +3,15 @@
 Classification tasks score per-class precision/recall/F1 aggregated by
 gold support.  Join predictions score per column pair: precision over
 predicted pairs, recall over gold pairs.  The runner emits a JSON report
-with throughput and cost alongside the metrics.
+with throughput and cost alongside the metrics.  The command line reads
+its tables and picks its join system through this module too.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -299,11 +300,7 @@ class Report:
         return {
             "task": self.task,
             "system": self.system,
-            "metrics": {
-                "precision": self.metrics.precision,
-                "recall": self.metrics.recall,
-                "f1": self.metrics.f1,
-            },
+            "metrics": asdict(self.metrics),
             "items": self.items,
             "throughput": self.throughput,
             **({} if self.elapsed_s is None else {"elapsed_s": self.elapsed_s}),
@@ -334,8 +331,11 @@ def write_report(report: Report, path: Path | str) -> None:
     )
 
 
-def _read_table(path: Path, name: str, headers: bool) -> Table:
-    return read_csv(path.read_text(encoding="utf-8-sig"), name=name, headers=headers)
+def _read_table(path: Path | str, headers: bool, name: str | None = None) -> Table:
+    """The CSV table at ``path``, named by its file stem unless ``name`` is given."""
+    path = Path(path)
+    text = path.read_text(encoding="utf-8-sig")
+    return read_csv(text, name=path.stem if name is None else name, headers=headers)
 
 
 def _label_of(assignment: object) -> str:
@@ -354,17 +354,17 @@ def _aggregate(
     overall numbers are the groups' metrics weighted by their gold
     instance counts (items, columns, or gold pairs).
     """
-    class_pairs: list[tuple[str, str]] = []
-    column_pairs: list[tuple[str, str]] = []
+    # (prediction, gold) label pairs per classification task, in report order.
+    labels: dict[Task, list[tuple[str, str]]] = {Task.TABLE_CLASS: [], Task.COLUMN_TYPE: []}
     join_correct = join_predicted = join_gold = 0
     for outcome in outcomes:
         if outcome.task is Task.TABLE_CLASS:
             predicted = outcome.prediction if isinstance(outcome.prediction, str) else ""
-            class_pairs.append((predicted, outcome.gold))  # type: ignore[arg-type]
+            labels[outcome.task].append((predicted, outcome.gold))  # type: ignore[arg-type]
         elif outcome.task is Task.COLUMN_TYPE:
-            golds = list(outcome.gold)  # type: ignore[arg-type]
-            preds = list(outcome.prediction) if outcome.prediction else [""] * len(golds)
-            column_pairs.extend(zip(preds, golds))
+            golds = outcome.gold
+            predictions = outcome.prediction or [""] * len(golds)  # type: ignore[arg-type]
+            labels[outcome.task] += zip(predictions, golds)  # type: ignore[arg-type]
         else:
             gold_pairs = {tuple(p) for p in outcome.gold}  # type: ignore[union-attr]
             predicted_pairs = {tuple(p) for p in outcome.prediction or ()}  # type: ignore[attr-defined]
@@ -372,31 +372,16 @@ def _aggregate(
             join_predicted += len(predicted_pairs)
             join_correct += len(predicted_pairs & gold_pairs)
 
-    groups: list[tuple[str, WeightedMetrics, int]] = []
-    if class_pairs:
-        metrics = weighted_metrics(
-            per_class_stats([p for p, _ in class_pairs], [g for _, g in class_pairs])
-        )
-        groups.append((Task.TABLE_CLASS.value, metrics, len(class_pairs)))
-    if column_pairs:
-        metrics = weighted_metrics(
-            per_class_stats([p for p, _ in column_pairs], [g for _, g in column_pairs])
-        )
-        groups.append((Task.COLUMN_TYPE.value, metrics, len(column_pairs)))
+    groups = [
+        (task.value, weighted_metrics(per_class_stats(*zip(*pairs))), len(pairs))
+        for task, pairs in labels.items()
+        if pairs
+    ]
     if join_gold or join_predicted:
         groups.append((Task.JOIN.value, _scores(join_correct, join_predicted, join_gold), join_gold))
-
-    by_task = {
-        name: {
-            "precision": m.precision,
-            "recall": m.recall,
-            "f1": m.f1,
-            "instances": weight,
-        }
-        for name, m, weight in groups
-    }
     if not groups:
         raise EmptyStats("benchmark produced no scorable instances")
+    by_task = {name: {**asdict(m), "instances": weight} for name, m, weight in groups}
     if len(groups) == 1:
         return groups[0][1], by_task
     total = sum(weight for _, _, weight in groups)
@@ -415,6 +400,19 @@ def _json_ready(task: Task, value: object) -> object:
     return list(value) if task is Task.COLUMN_TYPE else value  # type: ignore[call-overload]
 
 
+def _predict_join(
+    left: Table, right: Table, system: System, backend: Backend | None, config: PipelineConfig
+) -> tuple[JoinPrediction, bool]:
+    """The join ``system`` predicts and whether it was anchored; only the
+    model calls ``backend``."""
+    if system is System.JACCARD:
+        return jaccard_join(left, right), False
+    if system is System.LEVENSHTEIN:
+        return levenshtein_join(left, right), False
+    run = run_join_task_detailed(left, right, backend, config)  # type: ignore[arg-type]
+    return run.value, run.anchored
+
+
 def _predict(
     example: LabeledExample,
     system: System,
@@ -424,15 +422,11 @@ def _predict(
 ) -> tuple[object, bool]:
     """The item's raw prediction and whether it was anchored."""
     if example.task is Task.JOIN:
-        left = _read_table(example.left, f"{example.id}-left", example.headers)
-        right = _read_table(example.right, f"{example.id}-right", example.headers)
-        if system is System.JACCARD:
-            return jaccard_join(left, right).pairs, False
-        if system is System.LEVENSHTEIN:
-            return levenshtein_join(left, right).pairs, False
-        run = run_join_task_detailed(left, right, backend, config)
-        return run.value.pairs, run.anchored
-    table = _read_table(example.table, example.id, example.headers)
+        left = _read_table(example.left, example.headers, f"{example.id}-left")
+        right = _read_table(example.right, example.headers, f"{example.id}-right")
+        prediction, anchored = _predict_join(left, right, system, backend, config)
+        return prediction.pairs, anchored
+    table = _read_table(example.table, example.headers, example.id)
     if example.task is Task.TABLE_CLASS:
         run = run_table_class_task(table, ontology, backend, config)
         return run.value.local_name, run.anchored

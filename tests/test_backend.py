@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import http.client
 import io
 import json
@@ -10,6 +11,7 @@ import socket
 import ssl
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -531,6 +533,25 @@ def test_http_each_thread_keeps_its_own_connection(stub):
     assert len(stub.captured) == 20
     assert 1 <= stub.connections <= 4
     assert sleeps == []
+
+
+def test_http_connection_closes_when_its_thread_ends(stub):
+    stub.set_plan([(200, OK_PAYLOAD)])
+    backend, _ = make_backend(stub)
+    held = []
+
+    def call():
+        backend.complete(conversation("hello"), PARAMS)
+        conn = backend._connection()
+        held.append((weakref.ref(conn), conn.sock))
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    thread.join()
+    gc.collect()
+    ((conn, sock),) = held
+    assert conn() is None
+    assert sock.fileno() == -1
 
 
 def test_http_reopens_a_dropped_keep_alive_connection_without_backoff(stub):

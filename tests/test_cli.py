@@ -232,6 +232,33 @@ def test_predict_join_jaccard_rowless(workspace, capsys):
     assert "rows" in err
 
 
+@pytest.mark.parametrize("system", ["jaccard", "levenshtein", "model"])
+def test_predict_join_agrees_with_eval(workspace, capsys, system):
+    # Two pairs, one of them repaired to its nearest header.
+    answer = "['VIN_prefx', 'Model'], right_on=['vehicle_id_number', 'name'])"
+    backend = ["--backend", f"scripted:{transcript(workspace, 't.jsonl', [answer])}"]
+    options = ["--system", system] + (backend if system == "model" else [])
+    code, out, err = run_cli(
+        capsys, "predict-join", str(workspace / "ev.csv"), str(workspace / "reg.csv"),
+        "--headers", *options,
+    )
+    assert code == 0, err
+    manifest = workspace / "join.jsonl"
+    manifest.write_text(
+        json.dumps({"id": "j", "task": "join", "left": "ev.csv", "right": "reg.csv",
+                    "headers": True, "gold": [["VIN_prefix", "vehicle_id_number"]]}) + "\n",
+        encoding="utf-8",
+    )
+    report_path = workspace / "report.json"
+    code, _, err = run_cli(capsys, "eval", str(manifest), *options, "--report", str(report_path))
+    assert code == 0, err
+    (item,) = json.loads(report_path.read_text(encoding="utf-8"))["per_item"]
+    left, right = zip(*item["prediction"])
+    assert out == f"{','.join(left)}\t{','.join(right)}\n"
+    if system == "model":
+        assert item["anchored"] is True and len(item["prediction"]) == 2
+
+
 def eval_manifest(workspace, golds=("Animal", "Animal", "Animal")):
     lines = [
         json.dumps(

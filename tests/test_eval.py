@@ -23,6 +23,7 @@ from tabnotate.core import (
 )
 from tabnotate.evaluate import (
     EmptyStats,
+    ItemOutcome,
     LabeledExample,
     LengthMismatch,
     ManifestError,
@@ -37,9 +38,11 @@ from tabnotate.evaluate import (
     run_benchmark,
     weighted_metrics,
     write_report,
+    _aggregate,
 )
 
 from fixture_data import ANIMALS_TABLE, CAR_REGISTRATION_TABLE, EV_TABLE, ONTOLOGY_TEXT
+from make_goldens import EVAL_REPORTS, GOLDEN_DIR, eval_report
 from reference import (
     best_jaccard_pair_ref,
     best_levenshtein_pair_ref,
@@ -600,6 +603,84 @@ def test_report_json_shape(tmp_path, ontology):
     # A backend that bills its own counts is exact.
     live = run_benchmark(examples, System.MODEL, ontology=ontology, backend=PromptKeyedBackend())
     assert live.usage["token_counts_approximate"] is False
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_REPORTS))
+def test_report_bytes_equal_the_golden_report(tmp_path, name):
+    out = tmp_path / name
+    write_report(eval_report(tmp_path, name), out)
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+# ------------------------------------------------------------ aggregation
+
+_LABELS = st.sampled_from(["Animal", "City", "Country", "Unknown"])
+_PAIRS = st.lists(
+    st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(["x", "y"])).map(list), max_size=4
+)
+
+
+@st.composite
+def _outcome(draw) -> ItemOutcome:
+    """A scored item of any task; a failed one predicts None, and a join may
+    repeat a pair or miss a gold one."""
+    task = draw(st.sampled_from(list(Task)))
+    if task is Task.TABLE_CLASS:
+        gold, prediction = draw(_LABELS), draw(st.none() | _LABELS)
+    elif task is Task.COLUMN_TYPE:
+        gold = draw(st.lists(_LABELS, max_size=3))
+        prediction = draw(st.none() | st.lists(_LABELS, min_size=len(gold), max_size=len(gold)))
+    else:
+        gold, prediction = draw(_PAIRS.filter(bool)), draw(st.none() | _PAIRS)
+    return ItemOutcome("i", task, prediction, gold, False, False, 0, Usage())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_outcome(), max_size=8))
+def test_aggregate_scores_each_task_and_weights_the_groups(outcomes):
+    labels = {Task.TABLE_CLASS: [], Task.COLUMN_TYPE: []}
+    correct = predicted = gold_pairs = 0
+    for o in outcomes:
+        if o.task is Task.TABLE_CLASS:
+            labels[o.task].append((o.prediction or "", o.gold))
+        elif o.task is Task.COLUMN_TYPE:
+            labels[o.task] += zip(o.prediction or [""] * len(o.gold), o.gold)
+        else:
+            got, want = {tuple(p) for p in o.prediction or ()}, {tuple(p) for p in o.gold}
+            correct, predicted = correct + len(got & want), predicted + len(got)
+            gold_pairs += len(want)
+    expected = {
+        task.value: (*weighted_metrics_ref(*map(list, zip(*pairs))), len(pairs))
+        for task, pairs in labels.items()
+        if pairs
+    }
+    if gold_pairs:
+        precision = correct / predicted if predicted else 0.0
+        recall = correct / gold_pairs
+        f1 = 2 * precision * recall / (precision + recall) if correct else 0.0
+        expected["join"] = (precision, recall, f1, gold_pairs)
+    if not expected:
+        with pytest.raises(EmptyStats):
+            _aggregate(outcomes)
+        return
+    overall, by_task = _aggregate(outcomes)
+    assert list(by_task) == list(expected)  # in Task order
+    for name, (precision, recall, f1, instances) in expected.items():
+        group = by_task[name]
+        assert group["instances"] == instances
+        assert group["precision"] == pytest.approx(precision, abs=1e-12)
+        assert group["recall"] == pytest.approx(recall, abs=1e-12)
+        assert group["f1"] == pytest.approx(f1, abs=1e-12)
+    groups = list(by_task.values())
+    if len(groups) == 1:
+        weighted = {key: groups[0][key] for key in ("precision", "recall", "f1")}
+    else:
+        total = sum(g["instances"] for g in groups)
+        weighted = {
+            key: sum(g["instances"] * g[key] for g in groups) / total
+            for key in ("precision", "recall", "f1")
+        }
+    assert overall == WeightedMetrics(**weighted)
 
 
 # ------------------------------------------------- item order and --jobs

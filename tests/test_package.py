@@ -35,6 +35,25 @@ def test_package_parses_at_the_python_floor():
         ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=(3, 10))
 
 
+def test_modules_use_every_name_they_import():
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":  # it imports to re-export
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, line, name) for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
 # Loaded only by the HTTP backend (``ssl`` for https alone; ``http.client``
 # never, since the backend frames HTTP/1.1 itself) and by a parallel
 # run_benchmark.
