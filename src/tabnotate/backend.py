@@ -29,6 +29,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 from urllib.parse import urlsplit
 
+from .core import _content_lines
+
 if TYPE_CHECKING:
     import io
     import ssl
@@ -308,10 +310,7 @@ def load_transcript(source: str, prices: PriceTable = DEFAULT_PRICES) -> Scripte
     ``match`` guard that must appear in the final user turn.
     """
     entries: list[TranscriptEntry] = []
-    for lineno, raw_line in enumerate(source.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(source):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -522,11 +521,13 @@ class HttpBackend:
     Transient failures (connection errors, a reply that breaks HTTP/1.1
     framing, 429, 5xx) are retried up to the endpoint's attempt budget;
     other client errors fail immediately.  A ``Retry-After`` on a 429 or
-    503 replaces the jittered pause.  Each thread keeps one keep-alive
-    connection, which closes when the thread ends or the backend goes
-    away.  It reopens it, without a pause, when the server has closed it
-    while idle, and on the next call after a reply that ends the
-    connection.  HTTPS verifies the server against the default CA store.
+    503 replaces the jittered pause.  No pause outlasts the endpoint's
+    ``timeout``: a longer ``Retry-After`` ends the call at once, as its
+    last attempt would.  Each thread keeps one keep-alive connection,
+    which closes when the thread ends or the backend goes away.  It
+    reopens it, without a pause, when the server has closed it while idle,
+    and on the next call after a reply that ends the connection.  HTTPS
+    verifies the server against the default CA store.
     Request bodies are byte-identical for identical inputs.  A reply
     without token counts is billed from the whitespace proxy, and its
     usage is ``estimated``.  ``wall_time`` covers only the attempt that
@@ -645,16 +646,16 @@ class HttpBackend:
                     raise TransportError(f"HTTP {status} from {self._endpoint.url}")
                 if status in (429, 503):
                     wait = _retry_after(fields.get("retry-after", ""))
+            if wait is not None and wait > self._endpoint.timeout:
+                last_failure += f", Retry-After {wait:g} s > timeout {self._endpoint.timeout:g} s"
+                break
             if attempt + 1 < self._endpoint.max_attempts:
                 if wait is None:
                     cap = self._endpoint.backoff_base * self._endpoint.backoff_factor**attempt
-                    wait = self._rng.uniform(0.0, cap)
+                    wait = self._rng.uniform(0.0, min(cap, self._endpoint.timeout))
                 self._sleep(wait)
 
-        message = (
-            f"giving up on {self._endpoint.url} after "
-            f"{self._endpoint.max_attempts} attempts ({last_failure})"
-        )
+        message = f"giving up on {self._endpoint.url} after {attempt + 1} attempts ({last_failure})"
         raise RateLimited(message) if rate_limited else TransportError(message)
 
     def _parse(self, data: bytes, elapsed: float, conversation: Conversation) -> tuple[str, Usage]:

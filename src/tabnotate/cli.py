@@ -28,6 +28,7 @@ from .core import (
     Ontology,
     SamplingMode,
     SamplingStrategy,
+    _content_lines,
     detect_ontology_format,
     load_ontology,
 )
@@ -185,11 +186,8 @@ def _load_ontology_file(path: str | None) -> Ontology:
 def _load_class_list(path: str | None) -> tuple[str, ...] | None:
     if path is None:
         return None
-    names = []
-    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            names.append(line)
+    text = Path(path).read_text(encoding="utf-8-sig")
+    names = [line for _, line in _content_lines(text, comments=True)]
     if not names:
         raise ValueError(f"class list {path!r} is empty")
     return tuple(names)

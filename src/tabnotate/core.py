@@ -26,7 +26,7 @@ import struct
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 DBPEDIA_ONTOLOGY_IRI = "https://dbpedia.org/ontology/"
 DBPEDIA_PREFIX = "dbo:"
@@ -141,14 +141,25 @@ class OntologyFormat(Enum):
 _KIND_TAGS = {"C": TermKind.CLASS, "P": TermKind.PROPERTY}
 
 
+def _lines(source: str) -> list[str]:
+    """``source`` cut only at ``\\n``, ``\\r\\n`` and ``\\r``, so a form
+    feed, U+0085 or U+2028 stays inside its line."""
+    return source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _content_lines(source: str, comments: bool = False) -> Iterator[tuple[int, str]]:
+    """Each nonblank line of ``source`` by :func:`_lines`, stripped, with its
+    1-based number, and with ``comments`` no line that starts with ``#``."""
+    for lineno, raw_line in enumerate(_lines(source), start=1):
+        line = raw_line.strip()
+        if line and not (comments and line.startswith("#")):
+            yield lineno, line
+
+
 def detect_ontology_format(source: str) -> OntologyFormat:
     """Tab-separated when any content line carries a kind tag, else plain."""
-    for raw_line in source.splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "\t" in line:
-            return OntologyFormat.TAB_SEPARATED_KIND_IRI
+    if any("\t" in line for _, line in _content_lines(source, comments=True)):
+        return OntologyFormat.TAB_SEPARATED_KIND_IRI
     return OntologyFormat.LINE_DELIMITED_IRI
 
 
@@ -163,14 +174,12 @@ def load_ontology(
     each IRI with ``C\\t`` or ``P\\t`` to pick the term kind.
     """
     terms: list[OntologyTerm] = []
-    for lineno, raw_line in enumerate(source.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(source, comments=True):
         if format is OntologyFormat.TAB_SEPARATED_KIND_IRI:
             tag, _, rest = line.partition("\t")
             kind = _KIND_TAGS.get(tag.strip())
             if kind is None or not rest.strip():
+                raw_line = _lines(source)[lineno - 1]
                 raise MalformedIri(
                     f"line {lineno}: expected 'C<TAB>iri' or 'P<TAB>iri', got {raw_line!r}"
                 )

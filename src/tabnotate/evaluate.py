@@ -10,6 +10,7 @@ its tables and picks its join system through this module too.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .backend import Backend, BackendError, MeteredBackend, Usage
-from .core import EmptyTable, MissingHeaders, Ontology, Table, _Packed, read_csv
+from .core import EmptyTable, MissingHeaders, Ontology, Table, _content_lines, _Packed, read_csv
 from .harness import (
     DEFAULT_PIPELINE_CONFIG,
     JoinPrediction,
@@ -230,12 +231,7 @@ def load_manifest(path: Path | str) -> list[LabeledExample]:
     path = Path(path)
     base = path.parent
     examples: list[LabeledExample] = []
-    for lineno, raw_line in enumerate(
-        path.read_text(encoding="utf-8-sig").splitlines(), start=1
-    ):
-        line = raw_line.strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(path.read_text(encoding="utf-8-sig")):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -350,9 +346,10 @@ def _aggregate(
     """Combine per-item records into overall and per-task metrics.
 
     Classification groups use support-weighted multiclass metrics; joins
-    use pair-level micro precision/recall over distinct predicted pairs.  With several task groups the
-    overall numbers are the groups' metrics weighted by their gold
-    instance counts (items, columns, or gold pairs).
+    use pair-level micro precision/recall over distinct predicted pairs.
+    With several task groups the overall numbers are the groups' metrics
+    weighted by their gold instance counts (items, columns, or gold pairs)
+    and summed by :func:`math.fsum`, which rounds the same on every Python.
     """
     # (prediction, gold) label pairs per classification task, in report order.
     labels: dict[Task, list[tuple[str, str]]] = {Task.TABLE_CLASS: [], Task.COLUMN_TYPE: []}
@@ -386,9 +383,9 @@ def _aggregate(
         return groups[0][1], by_task
     total = sum(weight for _, _, weight in groups)
     overall = WeightedMetrics(
-        precision=sum(w * m.precision for _, m, w in groups) / total,
-        recall=sum(w * m.recall for _, m, w in groups) / total,
-        f1=sum(w * m.f1 for _, m, w in groups) / total,
+        precision=math.fsum(w * m.precision for _, m, w in groups) / total,
+        recall=math.fsum(w * m.recall for _, m, w in groups) / total,
+        f1=math.fsum(w * m.f1 for _, m, w in groups) / total,
     )
     return overall, by_task
 

@@ -137,7 +137,7 @@ def _record(cells: tuple[str, ...]) -> str:
 
 
 def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, Table]:
-    """(metadata header line, sample); :func:`_fit` serializes its rows."""
+    """(metadata header record, sample); :func:`_fit` serializes its rows."""
     if table.is_empty:
         raise EmptyTable(f"table {table.name!r} has no rows and no headers")
     sample = sample_rows(table, config.sample_k, config.strategy)
@@ -147,15 +147,6 @@ def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, Table
     return metadata, sample
 
 
-def _capped(text: str, cap: int) -> str:
-    """``text`` with each of its lines cut to at most ``cap`` characters."""
-    return "\n".join(_cut(line, cap) for line in text.splitlines())
-
-
-def _longest_line(texts: list[str | None]) -> int:
-    return max((len(line) for text in texts if text for line in text.splitlines()), default=0)
-
-
 def _fit(
     build: Callable[[list[str | None], list[str]], PromptComponents],
     headers: list[str | None],
@@ -163,21 +154,22 @@ def _fit(
 ) -> PromptComponents:
     """Prompt from ``build`` with the most sample rows that fit the budget.
 
-    ``build`` takes each table's metadata header line (None when it has
+    ``build`` takes each table's metadata header record (None when it has
     none) and each table's data body, and ``samples`` holds each table's
     sample.  Every table keeps the same row count n >= 1 (all its rows if
     it has fewer), the largest that fits.  Around a body of one or more
     records the builders add only fixed text, so a prompt's length is that
     fixed part, measured once, plus the bodies' characters.  If even one
-    row per table, cut to 8 characters a line, cannot fit beside the
-    header lines, the header lines are cut first, halving a cap from the
-    longest down to 8, and the fixed part is measured with them cut.  The
-    rows are then serialized in one pass, row i of every table at a time,
-    that stops at the first i >= 1 whose rows no longer fit and keeps
-    n = i; no later row is read.  If n = 1 is too long, the lines of the
-    rows are capped the same way until the prompt fits.  So a prompt goes
-    over ``CHAR_BUDGET`` only when its fixed text leaves no room for the
-    lines of its header and first row cut to 8 characters each.
+    row record per table, cut to 8 characters, cannot fit beside the
+    header records, the header records are cut first, halving a cap from
+    the longest down to 8, and the fixed part is measured with them cut.
+    The rows are then serialized in one pass, row i of every table at a
+    time, that stops at the first i >= 1 whose rows no longer fit and
+    keeps n = i; no later row is read.  If n = 1 is too long, the row
+    records are capped the same way until the prompt fits.  A record is
+    cut whole, line breaks in its cells and all.  So a prompt goes over
+    ``CHAR_BUDGET`` only when its fixed text leaves no room for its header
+    and first row records cut to 8 characters each.
     """
     records = [[_record(sample.row(0))] if sample.row_count else [] for sample in samples]
     probes = ["x" if serialized else "" for serialized in records]
@@ -185,12 +177,12 @@ def _fit(
     def fixed_part(headers: list[str | None]) -> int:
         return len(assemble(build(headers, probes))) - len("".join(probes))
 
-    floor = sum(len(_capped(serialized[0], 8)) for serialized in records if serialized)
+    floor = sum(len(_cut(serialized[0], 8)) for serialized in records if serialized)
     used = fixed_part(headers)
-    full, cap = headers, _longest_line(headers)
+    full, cap = headers, max((len(header) for header in headers if header), default=0)
     while used + floor > CHAR_BUDGET and cap > 8:
         cap = max(8, cap // 2)
-        headers = [header and _capped(header, cap) for header in full]
+        headers = [header and _cut(header, cap) for header in full]
         used = fixed_part(headers)
     used += sum(len(serialized[0]) for serialized in records if serialized)
     kept = max(sample.row_count for sample in samples)
@@ -202,17 +194,18 @@ def _fit(
         if used > CHAR_BUDGET:
             kept = i
             break
-    bodies = ["\n".join(serialized[:kept]) for serialized in records]
-    components = build(headers, bodies)
-    cap = _longest_line(bodies)
-    while len(assemble(components)) > CHAR_BUDGET and cap > 8:
+    records = [serialized[:kept] for serialized in records]
+    cap = max((len(record) for serialized in records for record in serialized), default=0)
+    while True:
+        bodies = ["\n".join(_cut(record, cap) for record in serialized) for serialized in records]
+        components = build(headers, bodies)
+        if cap <= 8 or len(assemble(components)) <= CHAR_BUDGET:
+            return components
         cap = max(8, cap // 2)
-        components = build(headers, [_capped(body, cap) for body in bodies])
-    return components
 
 
 def _fence(metadata: str | None, body: str) -> str:
-    """The metadata header line directly above the data rows, in a
+    """The metadata header record directly above the data rows, in a
     triple-backtick fence."""
     inner = "\n".join(part for part in (metadata, body) if part)
     return f"```\n{inner}\n```"

@@ -163,25 +163,26 @@ def fit_ref(build, headers, samples):
     Every sampled row is written by its own ``csv.writer`` with a CRLF
     terminator, which quotes a cell holding either line break, cells over
     ``MAX_CELL_CHARS`` cut to one less and the marker.  First, while the
-    prompt of the first row of each table, its lines cut to 8 characters,
-    is too long, every header line is cut to a cap that starts at the
-    longest header line and halves, down to 8.  Then each table keeps its
-    first n rows (all, if it has fewer) for the largest n >= 1 whose
+    prompt of the first row record of each table, cut to 8 characters, is
+    too long, every header record is cut to a cap that starts at the
+    longest header record and halves, down to 8.  Then each table keeps
+    its first n rows (all, if it has fewer) for the largest n >= 1 whose
     prompt fits ``CHAR_BUDGET``, or one row if none does; then, while the
-    prompt is too long, every line of the bodies is cut to a cap that starts
-    at the longest line and halves, down to 8.  A prompt holds each body
-    whole, so no n whose bodies alone pass the budget is tried.
+    prompt is too long, every kept row record is cut to a cap that starts
+    at the longest one and halves, down to 8.  A record is cut whole, line
+    breaks and all.  A prompt holds each body whole, so no n whose bodies
+    alone pass the budget is tried.
     """
     from tabnotate import prompt
 
     def cut(text: str, limit: int) -> str:
         return text if len(text) <= limit else text[: limit - 1] + prompt.TRUNCATION_MARKER
 
-    def capped(text: str, cap: int) -> str:
-        return "\n".join(cut(line, cap) for line in text.splitlines())
+    def capped(texts, cap: int) -> str:
+        return "\n".join(cut(text, cap) for text in texts)
 
     def longest(texts) -> int:
-        return max((len(line) for text in texts if text for line in text.splitlines()), default=0)
+        return max((len(text) for text in texts if text), default=0)
 
     def record(row) -> str:
         buf = io.StringIO()
@@ -192,11 +193,11 @@ def fit_ref(build, headers, samples):
         return len(prompt.assemble(components)) <= prompt.CHAR_BUDGET
 
     records = [[record(row) for row in sample.rows] for sample in samples]
-    least = [capped(kept[0], 8) if kept else "" for kept in records]
+    least = [capped(kept[:1], 8) for kept in records]
     full, cap = headers, longest(headers)
     while not fits(build(headers, least)) and cap > 8:
         cap = max(8, cap // 2)
-        headers = [header and capped(header, cap) for header in full]
+        headers = [header and cut(header, cap) for header in full]
     fitting = [1]
     for n in range(1, max(map(len, records)) + 1):
         bodies = ["\n".join(kept[:n]) for kept in records]
@@ -204,10 +205,10 @@ def fit_ref(build, headers, samples):
             break
         if fits(build(headers, bodies)):
             fitting.append(n)
-    bodies = ["\n".join(kept[: max(fitting)]) for kept in records]
-    components = build(headers, bodies)
-    cap = longest(bodies)
+    records = [kept[: max(fitting)] for kept in records]
+    components = build(headers, ["\n".join(kept) for kept in records])
+    cap = longest(text for kept in records for text in kept)
     while not fits(components) and cap > 8:
         cap = max(8, cap // 2)
-        components = build(headers, [capped(body, cap) for body in bodies])
+        components = build(headers, [capped(kept, cap) for kept in records])
     return components

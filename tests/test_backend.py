@@ -191,6 +191,19 @@ def test_load_transcript_bad_json_line_number():
         load_transcript('{"response": "ok"}\nnot json\n')
 
 
+def test_transcript_lines_end_only_at_cr_and_lf():
+    # json.dumps escapes the form feed, so a raw one ends a line's text.
+    replies = ["a\u2028b", "c\x85d", "e\x0cf\u2029"]
+    lines = [json.dumps({"response": reply}, ensure_ascii=False) for reply in replies]
+    assert "\u2028" in lines[0] and "\x85" in lines[1]
+    source = f"{lines[0]}\r\n\n{lines[1]}\x0c\r{lines[2]}\n"
+    backend = load_transcript(source)
+    got = [backend.complete(conversation("q"), PARAMS)[0] for _ in replies]
+    assert got == replies
+    with pytest.raises(MalformedTranscript, match="line 5: invalid JSON"):
+        load_transcript(source + "\u2028oops\n")
+
+
 # ------------------------------------------------------------------ http
 
 
@@ -498,6 +511,33 @@ def test_http_retry_after_date_replaces_the_jitter(stub):
     backend, sleeps = make_backend(stub)
     assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
     assert len(sleeps) == 1 and 25 < sleeps[0] <= 30
+
+
+@pytest.mark.parametrize(
+    ("status", "error", "value", "asked"),
+    [
+        (429, RateLimited, "86400", "86400 s"),
+        (503, TransportError, "61", "61 s"),
+        pytest.param(
+            429, RateLimited, formatdate(time.time() + 86400, usegmt=True), r"86[34]\d\d",
+            id="429-date",
+        ),
+    ],
+)
+def test_http_retry_after_past_the_timeout_gives_up_at_once(stub, status, error, value, asked):
+    stub.set_plan([(status, "{}", {"Retry-After": value}), (200, OK_PAYLOAD)])
+    backend, sleeps = make_backend(stub)
+    with pytest.raises(error, match=f"after 1 attempts .*Retry-After {asked}.*timeout 60 s"):
+        backend.complete(conversation("hello"), PARAMS)
+    assert sleeps == [] and len(stub.captured) == 1
+
+
+def test_http_jittered_pauses_stay_under_the_timeout(stub):
+    stub.set_plan([(503, "{}")])
+    backend, sleeps = make_backend(stub, timeout=0.1, max_attempts=8)
+    with pytest.raises(TransportError, match="8 attempts"):
+        backend.complete(conversation("hello"), PARAMS)
+    assert len(sleeps) == 7 and max(sleeps) <= 0.1
 
 
 @pytest.mark.parametrize(

@@ -102,6 +102,15 @@ def test_classify_with_class_list(workspace, capsys):
     assert out.startswith("https://dbpedia.org/ontology/ElectricVehicle")
 
 
+def test_class_list_lines_end_only_at_cr_and_lf(workspace):
+    classes = workspace / "classes.txt"
+    classes.write_bytes(
+        "Animal\r\n\r\n# old\u2028Ghost\rElectricVehicle \r  \n#\x0cPhantom\nHospital\n".encode()
+    )
+    names = tabnotate.cli._load_class_list(str(classes))
+    assert names == ("Animal", "ElectricVehicle", "Hospital")
+
+
 def test_dump_prompt_skips_backend(workspace, capsys):
     code, out, _ = run_cli(
         capsys,

@@ -114,6 +114,27 @@ def test_load_reports_line_numbers():
         )
 
 
+def test_only_cr_and_lf_end_an_ontology_line():
+    # CRLF, lone CR, blank and comment lines; a comment holding U+2028 or a
+    # form feed stays one comment, so nothing after either is read.
+    text = (
+        "# vocabulary\u2028https://dbpedia.org/ontology/Ghost\r\n"
+        "https://dbpedia.org/ontology/City\r\r"
+        "  https://dbpedia.org/ontology/Animal  \r"
+        "   \n"
+        "# old\x0cC\thttps://dbpedia.org/ontology/Phantom\n"
+        "https://dbpedia.org/ontology/River\r\n"
+    )
+    assert detect_ontology_format(text) is OntologyFormat.LINE_DELIMITED_IRI
+    assert list(load_ontology(text).classes) == ["city", "animal", "river"]
+    with pytest.raises(MalformedIri, match="line 4: "):
+        load_ontology("# a\x85b\rhttps://dbpedia.org/ontology/Ok\r\n\rnot-an-iri\n")
+    with pytest.raises(MalformedIri, match=r"line 3: .*got ' X\\thttps://x\.org/A '$"):
+        load_ontology(
+            "\u2028# c\r\n\r X\thttps://x.org/A \n", OntologyFormat.TAB_SEPARATED_KIND_IRI
+        )
+
+
 def test_detect_format():
     assert detect_ontology_format("https://x.org/A\n") is OntologyFormat.LINE_DELIMITED_IRI
     assert (

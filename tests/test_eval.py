@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -376,6 +377,22 @@ def test_load_manifest_reports_line(tmp_path):
         load_manifest(manifest)
 
 
+def test_manifest_lines_end_only_at_cr_and_lf(tmp_path):
+    # json.dumps escapes the form feed, so a raw one ends a line's text.
+    ids = ["a\u2028b", "c\x85d", "e\x0cf"]
+    lines = [
+        json.dumps({"id": item_id, "task": "table-class", "table": "t.csv", "gold": "X"},
+                   ensure_ascii=False)
+        for item_id in ids
+    ]
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_bytes(f"{lines[0]}\r\n\r\n{lines[1]}\x0c\r{lines[2]}\n".encode("utf-8"))
+    assert [example.id for example in load_manifest(manifest)] == ids
+    manifest.write_bytes(f"{lines[0]}\x0c\n{lines[1]}\rnot json\u2028\n".encode("utf-8"))
+    with pytest.raises(ManifestError, match="line 3"):
+        load_manifest(manifest)
+
+
 def test_load_manifest_bad_gold_shape(tmp_path):
     manifest = tmp_path / "m.jsonl"
     manifest.write_text(
@@ -677,10 +694,23 @@ def test_aggregate_scores_each_task_and_weights_the_groups(outcomes):
     else:
         total = sum(g["instances"] for g in groups)
         weighted = {
-            key: sum(g["instances"] * g[key] for g in groups) / total
+            key: math.fsum(g["instances"] * g[key] for g in groups) / total
             for key in ("precision", "recall", "f1")
         }
     assert overall == WeightedMetrics(**weighted)
+
+
+def test_overall_figures_are_correctly_rounded():
+    """Mixed sets whose overall figures a plain float ``sum`` rounds
+    differently before Python 3.12; they are the same on every Python."""
+    cases = json.loads((GOLDEN_DIR.parent / "overall_figures.json").read_text(encoding="utf-8"))
+    for case in cases:
+        outcomes = [
+            ItemOutcome("i", Task(task), prediction, gold, False, False, 0, Usage())
+            for task, prediction, gold in case["outcomes"]
+        ]
+        overall, _ = _aggregate(outcomes)
+        assert {key: value.hex() for key, value in asdict(overall).items()} == case["overall"]
 
 
 # ------------------------------------------------- item order and --jobs

@@ -286,8 +286,8 @@ def test_wide_headers_are_cut_to_the_budget():
         assert lines[0].endswith("…") and len(lines) > 1
 
 
-# No line breaks, so each header and each row is one line.
-_WIDE_CHARS = "ab,é019 \"'…-"
+# Line breaks too, so a header or a row record can span many lines.
+_WIDE_CHARS = "ab,é019 \"'…-\n"
 
 
 @st.composite
@@ -320,7 +320,7 @@ def _wide_tables(draw) -> Table:
     budget=st.sampled_from([CHAR_BUDGET, 4000, 1500, 600]),
 )
 def test_a_prompt_fits_whenever_its_fixed_text_does(left, right, classes, notes, config, budget):
-    """Headers and rows can be cut to 8 characters a line, so a prompt fits
+    """Header and row records can be cut to 8 characters, so a prompt fits
     whenever that of a one-cell table, plus that much, does."""
     tiny = Table("t", ("h",), (("v",),))
     builders = [
@@ -332,6 +332,17 @@ def test_a_prompt_fits_whenever_its_fixed_text_does(left, right, classes, notes,
         for build, tables in builders:
             if len(assemble(build(*[tiny] * len(tables)))) + 14 * len(tables) <= budget:
                 assert len(assemble(build(*tables))) <= budget
+
+
+def test_header_cutting_keeps_separators_that_end_no_line():
+    def table(separator: str) -> Table:
+        headers = tuple(f"{c:03d}" + "h" * 150 + separator + "h" * 146 for c in range(100))
+        return Table("w", headers, tuple(tuple(f"{r}-{c}" for c in range(100)) for r in range(5)))
+
+    for build in (column_type_prompt, lambda t: join_prompt(t, t)):
+        plain, text = (assemble(build(table(separator))) for separator in ("h", "\u2028"))
+        assert "\u2028" in text and len(text) <= CHAR_BUDGET
+        assert text.replace("\u2028", "h") == plain
 
 
 def _data_block(text: str, marker: str | None = None) -> str:
