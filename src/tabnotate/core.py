@@ -142,9 +142,11 @@ _KIND_TAGS = {"C": TermKind.CLASS, "P": TermKind.PROPERTY}
 
 
 def _lines(source: str) -> list[str]:
-    """``source`` cut only at ``\\n``, ``\\r\\n`` and ``\\r``, so a form
-    feed, U+0085 or U+2028 stays inside its line."""
-    return source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    """``source`` cut only at ``\\n``, ``\\r\\n`` and ``\\r`` (by one split
+    if it holds no ``\\r``), so a form feed, U+0085 or U+2028 stays inside."""
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    return source.split("\n")
 
 
 def _content_lines(source: str, comments: bool = False) -> Iterator[tuple[int, str]]:
@@ -656,30 +658,29 @@ def to_csv(table: Table) -> str:
 
 
 def _records(text: str) -> list[tuple[str, ...]] | _Lines:
-    """The records of RFC 4180 text, as :func:`csv.reader` reads them.
-
-    Text with no quote, no carriage return and no line over the field size
-    limit holds one record per line with no quoted field.  Its lines are
-    kept, less the empty piece after a final newline, and :class:`Table`
-    splits each only when its row is read; a blank line is the empty record.
-    """
-    if '"' not in text and "\r" not in text:
-        lines = text.split("\n")
+    """The records of RFC 4180 text as :func:`csv.reader` reads it untranslated:
+    outside quotes each :func:`_lines` line break ends a record, and a quoted
+    cell keeps its line breaks.  Quote-free text with no line over the field
+    size limit keeps its lines, less the empty piece after a final line
+    break, and :class:`Table` splits each only when its row is read; a blank
+    line is the empty record."""
+    if '"' not in text:
+        lines = _lines(text)
         if not lines[-1]:
             lines.pop()
         if max(map(len, lines), default=0) <= csv.field_size_limit():
             return _Lines(lines)
-    return [tuple(record) for record in csv.reader(io.StringIO(text))]
+    return [tuple(record) for record in csv.reader(io.StringIO(text, newline=""))]
 
 
 def read_csv(text: str, name: str, headers: bool) -> Table:
-    """Parse RFC 4180 text into a :class:`Table`.
+    """Parse RFC 4180 text into a :class:`Table`: outside quotes CR, LF and
+    CRLF each end a record, and a quoted cell keeps its line breaks.
 
     When ``headers`` is true the first record becomes the header row.
     Ragged records are rejected by the Table invariants; a kept line's
-    cells are counted by its commas (see :func:`_records`).  Text that the
-    CSV reader rejects, such as a field over :func:`csv.field_size_limit`
-    characters, raises ``ValueError`` naming the table.
+    cells are counted by its commas (see :func:`_records`).  Text the CSV
+    reader rejects, such as an over-long field, raises ``ValueError`` naming the table.
     """
     try:
         records = _records(text)

@@ -328,9 +328,10 @@ def write_report(report: Report, path: Path | str) -> None:
 
 
 def _read_table(path: Path | str, headers: bool, name: str | None = None) -> Table:
-    """The CSV table at ``path``, named by its file stem unless ``name`` is given."""
+    """The CSV table at ``path`` as written, less a leading BOM, named by its
+    file stem unless ``name`` is given; see :func:`read_csv` for line ends."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")
+    text = path.read_bytes().decode("utf-8-sig")
     return read_csv(text, name=path.stem if name is None else name, headers=headers)
 
 

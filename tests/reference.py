@@ -136,7 +136,7 @@ def read_csv_ref(text: str, name: str, headers: bool):
     row by row against the table invariants; raises ``ValueError`` with the
     message ``read_csv`` must give."""
     try:
-        records = [tuple(record) for record in csv.reader(io.StringIO(text))]
+        records = [tuple(record) for record in csv.reader(io.StringIO(text, newline=""))]
     except csv.Error as exc:
         raise ValueError(f"{name}: {exc}") from None
     head = None

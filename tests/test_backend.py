@@ -97,6 +97,11 @@ def test_replaced_last_copies():
     assert repaired.turns[:-1] == conv.turns[:-1]
 
 
+def test_replaced_last_of_an_empty_conversation_is_an_error():
+    with pytest.raises(ValueError, match="empty conversation"):
+        Conversation().replaced_last("good")
+
+
 def test_generation_params_bounds():
     with pytest.raises(ValueError):
         GenerationParams(temperature=1.5)
@@ -184,6 +189,12 @@ def test_load_transcript_two_lines():
 def test_load_transcript_missing_response():
     with pytest.raises(MalformedTranscript, match="line 1"):
         load_transcript('{"match": "x"}\n')
+
+
+@pytest.mark.parametrize("match", ["5", "true", '["q"]', "{}"])
+def test_load_transcript_match_must_be_a_string(match):
+    with pytest.raises(MalformedTranscript, match=r"^line 2: 'match' must be a string$"):
+        load_transcript('{"response": "ok"}\n{"response": "a", "match": %s}\n' % match)
 
 
 def test_load_transcript_bad_json_line_number():
@@ -393,6 +404,14 @@ def test_http_non_json_is_malformed(stub):
     stub.set_plan([(200, "definitely not json")])
     backend, _ = make_backend(stub)
     with pytest.raises(MalformedResponse):
+        backend.complete(conversation("hello"), PARAMS)
+
+
+@pytest.mark.parametrize("content", ["null", "5", '["Hi"]', '{"text": "Hi"}'])
+def test_http_content_that_is_not_a_string_is_malformed(stub, content):
+    stub.set_plan([(200, '{"choices": [{"message": {"content": %s}}]}' % content)])
+    backend, _ = make_backend(stub)
+    with pytest.raises(MalformedResponse, match="^message content is not a string$"):
         backend.complete(conversation("hello"), PARAMS)
 
 

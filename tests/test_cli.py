@@ -10,6 +10,7 @@ import tabnotate.cli
 from tabnotate.backend import ScriptedBackend
 from tabnotate.cli import build_parser, main
 from tabnotate.core import Table, to_csv
+from tabnotate.prompt import assemble, column_type_prompt, join_prompt
 
 from fixture_data import (
     ANIMALS_TABLE,
@@ -102,6 +103,27 @@ def test_classify_with_class_list(workspace, capsys):
     assert out.startswith("https://dbpedia.org/ontology/ElectricVehicle")
 
 
+def test_classify_without_an_ontology_is_a_usage_error(workspace, capsys):
+    backend = transcript(workspace, "t.jsonl", ["https://dbpedia.org/ontology/ElectricVehicle"])
+    code, out, err = run_cli(
+        capsys, "classify-table", str(workspace / "ev.csv"), "--headers",
+        "--backend", f"scripted:{backend}",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --ontology is required for this command\n"
+
+
+def test_an_empty_class_list_is_a_usage_error(workspace, capsys):
+    classes = workspace / "classes.txt"
+    classes.write_text("# none yet\n\n  \n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "classify-table", str(workspace / "ev.csv"), "--headers",
+        "--classes", str(classes), "--dump-prompt",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: class list {str(classes)!r} is empty\n"
+
+
 def test_class_list_lines_end_only_at_cr_and_lf(workspace):
     classes = workspace / "classes.txt"
     classes.write_bytes(
@@ -121,6 +143,20 @@ def test_dump_prompt_skips_backend(workspace, capsys):
     assert code == 0
     assert "For the following CSV sample" in out
     assert "Begin your answer with" in out
+
+
+@pytest.mark.parametrize("command", ["annotate-columns", "predict-join"])
+def test_dump_prompt_of_columns_and_joins_skips_backend(workspace, capsys, command):
+    ev = Table("ev", EV_TABLE.headers, EV_TABLE.rows)
+    reg = Table("reg", CAR_REGISTRATION_TABLE.headers, CAR_REGISTRATION_TABLE.rows)
+    if command == "annotate-columns":
+        paths, prompt = ["ev.csv"], column_type_prompt(ev)
+    else:
+        paths, prompt = ["ev.csv", "reg.csv"], join_prompt(ev, reg)
+    code, out, err = run_cli(
+        capsys, command, *(str(workspace / p) for p in paths), "--headers", "--dump-prompt"
+    )
+    assert (code, out, err) == (0, assemble(prompt) + "\n", "")
 
 
 def test_dump_prompt_no_prefix_ablation(workspace, capsys):
@@ -332,6 +368,30 @@ def test_eval_summary_gives_items_per_second_only_for_live_backends(
     code, live, _ = run_cli(capsys, *args)
     assert code == 0
     assert re.fullmatch(re.escape(scripted[:-1]) + r" items/s=\d+\.\d\d\n", live)
+
+
+def test_eval_scores_an_unknown_column_type_against_unknown_gold(workspace, capsys):
+    manifest = workspace / "manifest.jsonl"
+    manifest.write_text(
+        json.dumps({"id": "ct", "task": "column-type", "table": "ev.csv", "headers": True,
+                    "gold": ["manufacturer", "model", "postalCode", "Unknown"]}) + "\n",
+        encoding="utf-8",
+    )
+    backend = transcript(
+        workspace, "t.jsonl", ["`dbo:manufacturer, dbo:model, dbo:postalCode, Unknown`"]
+    )
+    report_path = workspace / "report.json"
+    code, _, err = run_cli(
+        capsys, "eval", str(manifest), "--system", "model",
+        "--ontology", str(workspace / "ontology.tsv"),
+        "--backend", f"scripted:{backend}", "--report", str(report_path),
+    )
+    assert code == 0, err
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    (item,) = report["per_item"]
+    assert item["prediction"] == item["gold"] == ["manufacturer", "model", "postalCode", "Unknown"]
+    assert item["correct"] is True and item["anchored"] is False
+    assert report["metrics"]["f1"] == 1.0 and report["by_task"]["column-type"]["instances"] == 4
 
 
 def test_eval_records_item_errors_and_writes_report(workspace, capsys):

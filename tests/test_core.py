@@ -9,6 +9,7 @@ import re
 import string
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +42,7 @@ from tabnotate.core import (
     to_csv,
     tokenize_label,
 )
+from tabnotate.evaluate import _read_table
 
 from reference import (
     levenshtein_ref,
@@ -112,6 +114,24 @@ def test_load_reports_line_numbers():
             "X\thttps://dbpedia.org/ontology/Ok\n",
             OntologyFormat.TAB_SEPARATED_KIND_IRI,
         )
+
+
+@pytest.mark.parametrize(
+    "classes, properties, message",
+    [
+        ({"animal": OntologyTerm("https://dbpedia.org/ontology/Animal", TermKind.PROPERTY)}, {},
+         "misfiled class entry"),
+        ({"beast": OntologyTerm("https://dbpedia.org/ontology/Animal", TermKind.CLASS)}, {},
+         "misfiled class entry"),
+        ({}, {"city": OntologyTerm("https://dbpedia.org/ontology/City", TermKind.CLASS)},
+         "misfiled property entry"),
+        ({}, {"name": OntologyTerm("https://dbpedia.org/ontology/label", TermKind.PROPERTY)},
+         "misfiled property entry"),
+    ],
+)
+def test_ontology_rejects_a_misfiled_entry(classes, properties, message):
+    with pytest.raises(ValueError, match=f"^{message}: "):
+        Ontology(classes=classes, properties=properties)
 
 
 def test_only_cr_and_lf_end_an_ontology_line():
@@ -495,6 +515,12 @@ def test_sample_seeded_deterministic():
     assert indices == sorted(indices)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_sample_size_below_one_is_rejected(k):
+    with pytest.raises(ValueError, match=r"^sample size must be >= 1$"):
+        sample_rows(Table("t", None, (("a",),)), k)
+
+
 def test_sample_head_idempotent():
     rng = random.Random(5)
     rows = tuple((str(rng.random()),) for _ in range(20))
@@ -558,6 +584,26 @@ def test_to_csv_is_the_csv_writer_text_less_its_final_newline(table):
 @given(table=_csv_tables())
 def test_read_csv_reads_back_what_to_csv_writes(table):
     assert read_csv(to_csv(table), table.name, table.headers is not None) == table
+
+
+@pytest.fixture(scope="module")
+def read_file(tmp_path_factory):
+    """:func:`read_csv` of ``text`` by way of a table file that holds it."""
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+
+    def read(text: str, name: str, headers: bool) -> Table:
+        path.write_bytes(text.encode("utf-8"))
+        return _read_table(path, headers, name)
+
+    return read
+
+
+@settings(max_examples=300, deadline=None)
+@example(table=Table("t", ("a", "b"), (("x\r\ny", "p\rq"),)))
+@example(table=Table("t", None, (("\r",), ("\n",), ("\r\n",))))
+@given(table=_csv_tables())
+def test_a_table_file_reads_back_what_to_csv_writes(table, read_file):
+    assert read_file(to_csv(table), table.name, table.headers is not None) == table
 
 
 def test_csv_round_trip_on_nasty_cells():
@@ -635,6 +681,17 @@ def test_read_csv_equals_csv_reader_with_table_invariants(text, headers):
 
 
 @settings(max_examples=500, deadline=None)
+@example(text="a,b\r1,2\r3,4\r", headers=True)
+@example(text='a\r\n"x\r\ny"\r"p\rq"\n', headers=True)
+@given(
+    text=st.one_of(st.text(alphabet=_CSV_CHARS, max_size=40), _CSV_ROWS),
+    headers=st.booleans(),
+)
+def test_a_table_file_reads_as_read_csv_reads_its_text(text, headers, read_file):
+    assert _read_outcome(read_file, text, headers) == _read_outcome(read_csv, text, headers)
+
+
+@settings(max_examples=500, deadline=None)
 @given(
     text=st.one_of(st.text(alphabet=_CSV_CHARS, max_size=40), _CSV_ROWS),
     headers=st.booleans(),
@@ -673,8 +730,6 @@ def test_blank_line_in_a_one_column_table_is_a_row_of_no_cells(text, headers):
 
 
 def test_sampling_a_read_table_splits_only_the_sampled_lines(monkeypatch):
-    text = "a,b\n" + "\n".join(f"{i},x{i}" for i in range(1000))
-    table = read_csv(text, "t", headers=True)
     original, split = tabnotate.core._row, []
 
     def counting(record):  # a line is a row kept unsplit; a tuple is already split
@@ -683,10 +738,14 @@ def test_sampling_a_read_table_splits_only_the_sampled_lines(monkeypatch):
         return original(record)
 
     monkeypatch.setattr(tabnotate.core, "_row", counting)
-    sample = sample_rows(table, 5, SamplingStrategy(SamplingMode.SEEDED_RANDOM, 3))
-    assert table.row_count == 1000 and table.arity == 2 and not table.is_empty
-    assert sample.row_count == 5 and split == []
-    assert sample.rows == tuple(map(original, split)) and len(split) == 5
+    for end in ("\n", "\r\n", "\r"):  # LF, CRLF and lone-CR tables are all kept as lines
+        text = "a,b" + end + end.join(f"{i},x{i}" for i in range(1000))
+        table = read_csv(text, "t", headers=True)
+        split.clear()  # the header row is split when read
+        sample = sample_rows(table, 5, SamplingStrategy(SamplingMode.SEEDED_RANDOM, 3))
+        assert table.row_count == 1000 and table.arity == 2 and not table.is_empty
+        assert sample.row_count == 5 and split == []
+        assert sample.rows == tuple(map(original, split)) and len(split) == 5
 
 
 def test_sampling_kept_lines_counts_no_line_again():
@@ -753,6 +812,15 @@ def test_ragged_row_error_names_the_first_bad_row(headers, rows, message):
     for source in (text, text.replace("1", '"1"')):  # split and csv.reader paths
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_csv(source, "t", headers=headers is not None)
+
+
+def test_a_table_is_frozen_and_equals_only_tables():
+    table = Table("t", ("h",), (("a",),))
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'name'"):
+        table.name = "u"
+    assert table.name == "t"
+    assert table.__eq__(1) is NotImplemented
+    assert table != 1 and table != ("t", ("h",), (("a",),))
 
 
 def test_table_invariants():

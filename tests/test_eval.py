@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import time
 from dataclasses import asdict, replace
 
@@ -410,6 +411,32 @@ def test_load_manifest_unknown_task(tmp_path):
         load_manifest(manifest)
 
 
+_GOOD_ITEM = {"id": "a", "task": "table-class", "table": "t.csv", "gold": "X"}
+_GOOD_JOIN = {"id": "j", "task": "join", "left": "l.csv", "right": "r.csv", "gold": [["a", "b"]]}
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ([1], "expected a JSON object"),
+        ({**_GOOD_ITEM, "id": None}, "missing 'id' string"),
+        ({**_GOOD_ITEM, "id": ""}, "missing 'id' string"),
+        ({**_GOOD_ITEM, "headers": "yes"}, "'headers' must be a boolean"),
+        ({**_GOOD_ITEM, "gold": ["X"]}, "table-class gold must be a string"),
+        ({**_GOOD_JOIN, "gold": []}, "join gold must be a list of [left, right] pairs"),
+        ({**_GOOD_JOIN, "gold": [["a"]]}, "join gold must be a list of [left, right] pairs"),
+        ({**_GOOD_JOIN, "gold": [["a", 1]]}, "join gold must be a list of [left, right] pairs"),
+        ({**_GOOD_JOIN, "right": None}, "join items need 'left' and 'right' paths"),
+        ({k: v for k, v in _GOOD_ITEM.items() if k != "table"}, "missing 'table' path"),
+    ],
+)
+def test_load_manifest_names_the_line_and_fault_of_a_bad_item(tmp_path, item, message):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(f"{json.dumps(_GOOD_ITEM)}\n{json.dumps(item)}\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match=f"^line 2: {re.escape(message)}$"):
+        load_manifest(manifest)
+
+
 # -------------------------------------------------------------- benchmark
 
 
@@ -603,6 +630,14 @@ def test_benchmark_model_requires_backend(tmp_path):
     examples = class_manifest(tmp_path, ["Animal"])
     with pytest.raises(ValueError, match="backend"):
         run_benchmark(examples, System.MODEL)
+
+
+def test_benchmark_model_classification_requires_an_ontology(tmp_path):
+    examples = class_manifest(tmp_path, ["Animal"])
+    backend = ScriptedBackend(["https://dbpedia.org/ontology/Animal"])
+    with pytest.raises(ValueError, match="^classification tasks need an ontology$"):
+        run_benchmark(examples, System.MODEL, backend=backend)
+    assert backend.remaining == 1
 
 
 def test_report_json_shape(tmp_path, ontology):

@@ -137,6 +137,16 @@ def test_parse_column_types_single_column():
     assert parse_column_types("dbo:author", 1) == ("dbo:author",)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_parse_column_types_needs_a_column(n):
+    with pytest.raises(ValueError, match=r"^column count must be >= 1$"):
+        parse_column_types("`dbo:author`", n)
+
+
+def test_unknown_prints_as_unknown():
+    assert repr(UNKNOWN) == str(UNKNOWN) == "Unknown"
+
+
 def test_parse_join_completion_plain():
     left, right = parse_join_completion("'VIN_prefix', right_on='vehicle_id_number')")
     assert (left, right) == (["VIN_prefix"], ["vehicle_id_number"])
@@ -284,6 +294,15 @@ def test_check_join_membership(ev_table, registration_table):
 def test_check_join_arity(ev_table, registration_table):
     bad = check_join(["a", "b"], ["c"], ev_table, registration_table)
     assert bad.kind is ViolationKind.ARITY_MISMATCH
+
+
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+def test_check_join_needs_headers_on_both_tables(ev_table, registration_table, side):
+    tables = {"left": ev_table, "right": registration_table}
+    for name in tables if side == "both" else (side,):
+        tables[name] = Table(name, None, tables[name].rows)
+    with pytest.raises(MissingHeaders, match="requires headers on both tables"):
+        check_join(["VIN_prefix"], ["vehicle_id_number"], tables["left"], tables["right"])
 
 
 def test_violation_position_rules():

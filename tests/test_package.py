@@ -76,7 +76,8 @@ def _loaded_by(statements: str) -> set[str]:
     # -I ignores PYTHONDONTWRITEBYTECODE; -B keeps the child from writing
     # bytecode into the source tree.
     run = subprocess.run(
-        [sys.executable, "-I", "-B", "-c", script], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-B", "-c", script],
+        capture_output=True, encoding="utf-8", check=True,
     )
     return set(run.stdout.split())
 

@@ -30,6 +30,15 @@ from tabnotate.prompt import (
 from make_goldens import GOLDEN_DIR, golden_name
 from reference import fit_ref
 
+# --------------------------------------------------------------- config
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_prompt_config_rejects_a_sample_below_one_row(k):
+    with pytest.raises(ValueError, match=r"^sample_k must be >= 1$"):
+        PromptConfig(sample_k=k)
+
+
 # ------------------------------------------------------------- assemble
 
 
