@@ -344,6 +344,8 @@ class HttpEndpoint:
         for name in ("backoff_base", "backoff_factor"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
+        if self.api_key and ("\r" in self.api_key or "\n" in self.api_key):
+            raise ValueError("api_key must not hold a CR or LF character")
 
 
 def _retry_after(value: str) -> float | None:
@@ -520,18 +522,18 @@ class HttpBackend:
 
     Transient failures (connection errors, a reply that breaks HTTP/1.1
     framing, 429, 5xx) are retried up to the endpoint's attempt budget;
-    other client errors fail immediately.  A ``Retry-After`` on a 429 or
-    503 replaces the jittered pause.  No pause outlasts the endpoint's
-    ``timeout``: a longer ``Retry-After`` ends the call at once, as its
-    last attempt would.  Each thread keeps one keep-alive connection,
-    which closes when the thread ends or the backend goes away.  It
-    reopens it, without a pause, when the server has closed it while idle,
-    and on the next call after a reply that ends the connection.  HTTPS
-    verifies the server against the default CA store.
-    Request bodies are byte-identical for identical inputs.  A reply
-    without token counts is billed from the whitespace proxy, and its
-    usage is ``estimated``.  ``wall_time`` covers only the attempt that
-    succeeded.
+    other client errors fail immediately.  A call that runs out of attempts
+    raises :class:`RateLimited` when its last attempt got a 429, else
+    :class:`TransportError`.  A ``Retry-After`` on a 429 or 503 replaces the
+    jittered pause.  No pause outlasts the endpoint's ``timeout``: a longer
+    ``Retry-After`` ends the call at once, as its last attempt would.  Each
+    thread keeps one keep-alive connection, which closes when the thread
+    ends or the backend goes away.  It reopens it, without a pause, when the
+    server has closed it while idle, and on the next call after a reply that
+    ends the connection.  HTTPS verifies the server against the default CA
+    store.  Request bodies are byte-identical for identical inputs.  A reply
+    without token counts is billed from the whitespace proxy, and its usage
+    is ``estimated``.  ``wall_time`` covers only the attempt that succeeded.
     """
 
     def __init__(
@@ -595,8 +597,6 @@ class HttpBackend:
             "Content-Type: application/json",
         ]
         if self._endpoint.api_key:
-            if "\r" in self._endpoint.api_key or "\n" in self._endpoint.api_key:
-                raise ValueError("api_key must not hold a CR or LF character")
             lines.append(f"Authorization: Bearer {self._endpoint.api_key}")
         return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
 
@@ -624,30 +624,26 @@ class HttpBackend:
         body = self.request_body(conversation, params)
         request = self._head(len(body)) + body
 
-        last_failure = ""
-        rate_limited = False
         for attempt in range(self._endpoint.max_attempts):
             start = time.monotonic()
             wait = None
             try:
                 status, fields, data = self._connection().exchange(request)
             except OSError as exc:
-                last_failure = f"transport failure: {exc}"
+                error, failure = TransportError, f"transport failure: {exc}"
             else:
                 if status == 200:
                     return self._parse(data, time.monotonic() - start, conversation)
                 if status == 429:
-                    rate_limited = True
-                    last_failure = "HTTP 429"
+                    error, failure = RateLimited, "HTTP 429"
                 elif status >= 500:
-                    rate_limited = False
-                    last_failure = f"HTTP {status}"
+                    error, failure = TransportError, f"HTTP {status}"
                 else:
                     raise TransportError(f"HTTP {status} from {self._endpoint.url}")
                 if status in (429, 503):
                     wait = _retry_after(fields.get("retry-after", ""))
             if wait is not None and wait > self._endpoint.timeout:
-                last_failure += f", Retry-After {wait:g} s > timeout {self._endpoint.timeout:g} s"
+                failure += f", Retry-After {wait:g} s > timeout {self._endpoint.timeout:g} s"
                 break
             if attempt + 1 < self._endpoint.max_attempts:
                 if wait is None:
@@ -655,8 +651,7 @@ class HttpBackend:
                     wait = self._rng.uniform(0.0, min(cap, self._endpoint.timeout))
                 self._sleep(wait)
 
-        message = f"giving up on {self._endpoint.url} after {attempt + 1} attempts ({last_failure})"
-        raise RateLimited(message) if rate_limited else TransportError(message)
+        raise error(f"giving up on {self._endpoint.url} after {attempt + 1} attempts ({failure})")
 
     def _parse(self, data: bytes, elapsed: float, conversation: Conversation) -> tuple[str, Usage]:
         try:

@@ -193,40 +193,29 @@ def load_ontology(
             terms.append(OntologyTerm(iri, kind))
         except MalformedIri as exc:
             raise MalformedIri(f"line {lineno}: {exc}") from None
-    try:
-        return Ontology.from_terms(terms)
-    except DuplicateTerm as exc:
-        raise DuplicateTerm(str(exc)) from None
+    return Ontology.from_terms(terms)
 
 
 _WRAPPER_CHARS = "`'\""
-_TRAILING_PUNCT = ".,"
-
-
-def _strip_decoration(text: str) -> str:
-    previous = None
-    while text != previous:
-        previous = text
-        text = text.strip().strip(_WRAPPER_CHARS).strip()
-        while text and text[-1] in _TRAILING_PUNCT:
-            text = text[:-1].rstrip()
-    return text
+_TRAILING_PUNCT = (".", ",")
 
 
 def normalize_label(raw: str) -> str:
     """Reduce a model-emitted fragment to a bare ontology label.
 
-    Strips surrounding whitespace, quotes, backticks, and trailing
-    punctuation, then, ignoring case, the ``dbo:`` prefix or the
+    Each pass strips surrounding whitespace, quotes and backticks, one
+    trailing ``.`` or ``,``, then, ignoring case, the ``dbo:`` prefix or the
     ``https://dbpedia.org/ontology/`` stem; any other ``http(s)`` IRI is cut
-    to its segment after the last ``/``.  Repeats until nothing changes, and
-    raises :class:`EmptyLabel` when nothing survives.
+    to its segment after the last ``/``.  Passes repeat until nothing
+    changes, and :class:`EmptyLabel` is raised when nothing survives.
     """
     text = raw
     previous = None
     while text != previous:
         previous = text
-        text = _strip_decoration(text)
+        text = text.strip().strip(_WRAPPER_CHARS).strip()
+        if text.endswith(_TRAILING_PUNCT):
+            text = text[:-1].rstrip()
         lowered = text.lower()
         if lowered.startswith(DBPEDIA_PREFIX):
             text = text[len(DBPEDIA_PREFIX):]

@@ -24,7 +24,6 @@ from .harness import (
     JoinPrediction,
     PipelineConfig,
     TaskFailed,
-    UnknownType,
     run_column_type_task,
     run_join_task_detailed,
     run_table_class_task,
@@ -154,8 +153,9 @@ def jaccard_join(left: Table, right: Table) -> JoinPrediction:
     right table; a pair's overlap is that cut set's overlap with the right
     column, which is the whole overlap since every right column lies in the
     right table, and a column with no such value overlaps none without a
-    lookup.  Ties break lexicographically by column name (positional index
-    when headers are absent).
+    lookup.  Ties break lexicographically by column name; a headerless
+    column is named by its index as a string, so ``"10"`` sorts before
+    ``"2"``.
     """
     if not left.row_count or not right.row_count:
         raise EmptyTable("the value-overlap baseline requires rows on both sides")
@@ -335,12 +335,6 @@ def _read_table(path: Path | str, headers: bool, name: str | None = None) -> Tab
     return read_csv(text, name=path.stem if name is None else name, headers=headers)
 
 
-def _label_of(assignment: object) -> str:
-    if isinstance(assignment, UnknownType):
-        return "Unknown"
-    return assignment.local_name  # type: ignore[union-attr]
-
-
 def _aggregate(
     outcomes: Sequence[ItemOutcome],
 ) -> tuple[WeightedMetrics, dict[str, dict]]:
@@ -434,7 +428,7 @@ def _predict(
             f"table has {table.arity}"
         )
     run = run_column_type_task(table, ontology, backend, config)
-    return [_label_of(a) for a in run.value], run.anchored
+    return [a.local_name for a in run.value], run.anchored
 
 
 def _run_item(

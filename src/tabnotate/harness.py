@@ -61,9 +61,8 @@ class TaskFailed(RuntimeError):
     :class:`~tabnotate.backend.MeteredBackend`, as the benchmark runner does.
     """
 
-    def __init__(self, task: str, violation: Violation | None, message: str) -> None:
+    def __init__(self, violation: Violation | None, message: str) -> None:
         super().__init__(message)
-        self.task = task
         self.violation = violation
 
 
@@ -100,9 +99,10 @@ class UnknownType:
     """Singleton marking a column the model declined to type."""
 
     __slots__ = ()
+    local_name = "Unknown"
 
     def __repr__(self) -> str:
-        return "Unknown"
+        return self.local_name
 
 
 UNKNOWN = UnknownType()
@@ -363,7 +363,7 @@ def render_term(term: OntologyTerm | UnknownType) -> str:
     ``dbo:`` and the local name for a DBpedia property, the bare local name
     for a property from another namespace, else ``Unknown``."""
     if isinstance(term, UnknownType):
-        return "Unknown"
+        return term.local_name
     if term.kind is TermKind.CLASS:
         return term.iri
     if term.iri.startswith(DBPEDIA_ONTOLOGY_IRI):
@@ -376,7 +376,7 @@ def _ask_parse_repair(
     clarification: str,
     read: Callable[[str], tuple[_Value, tuple[Violation, ...]]],
     render: Callable[[_Value], str],
-    failure: tuple[str, str],
+    wanted: str,
     backend: Backend,
     config: PipelineConfig,
     conversation: Conversation | None = None,
@@ -389,7 +389,7 @@ def _ask_parse_repair(
     value in canonical form.  An unparsable answer gets one clarification
     re-ask spliced over the bad turn, and its violation leads the list.
     With anchoring on, an answer that ``read`` fixed then rewrites the final
-    assistant turn once.  ``failure`` is the task and what it lacked when no
+    assistant turn once.  ``wanted`` names what the task lacked when no
     answer parses.  A given ``conversation`` is copied, never changed.
     """
     conv = Conversation(conversation.turns if conversation is not None else ())
@@ -405,10 +405,7 @@ def _ask_parse_repair(
             break
         except ParseError as exc:
             if not config.anchoring_enabled or attempts > 1:
-                task, wanted = failure
-                raise TaskFailed(
-                    task, exc.violation, f"no {wanted} after {attempts} attempts"
-                ) from exc
+                raise TaskFailed(exc.violation, f"no {wanted} after {attempts} attempts") from exc
             retry = Conversation(conv.turns)
             retry.append(user(clarification))
             raw_response, _ = backend.complete(retry, config.params)
@@ -440,7 +437,7 @@ def run_table_class_task(
     return _ask_parse_repair(
         prompt, LABEL_CLARIFICATION, read=read,
         render=render_term,
-        failure=("table-class", f"parsable table class for {table.name!r}"),
+        wanted=f"parsable table class for {table.name!r}",
         backend=backend, config=config, conversation=conversation,
     )
 
@@ -469,7 +466,7 @@ def run_column_type_task(
     return _ask_parse_repair(
         prompt, LIST_CLARIFICATION, read=read,
         render=lambda terms: "`" + ", ".join(map(render_term, terms)) + "`",
-        failure=("column-type", f"usable column-type list for {table.name!r}"),
+        wanted=f"usable column-type list for {table.name!r}",
         backend=backend, config=config, conversation=conversation,
     )
 
@@ -537,6 +534,6 @@ def run_join_task_detailed(
 
     return _ask_parse_repair(
         prompt, JOIN_CLARIFICATION, read=read, render=_render_join,
-        failure=("join", f"usable join between {left.name!r} and {right.name!r}"),
+        wanted=f"usable join between {left.name!r} and {right.name!r}",
         backend=backend, config=config,
     )

@@ -10,6 +10,39 @@ import csv
 import io
 
 
+def normalize_ref(raw: str) -> str:
+    """``normalize_label`` as it was written with two fixpoint loops: the
+    inner one strips whitespace, wrappers and every trailing ``.`` or ``,``
+    until nothing changes; the outer one runs it, then strips a prefix or
+    cuts an IRI, until nothing changes."""
+    from tabnotate.core import EmptyLabel
+
+    def strip_decoration(text: str) -> str:
+        previous = None
+        while text != previous:
+            previous = text
+            text = text.strip().strip("`'\"").strip()
+            while text and text[-1] in ".,":
+                text = text[:-1].rstrip()
+        return text
+
+    text = raw
+    previous = None
+    while text != previous:
+        previous = text
+        text = strip_decoration(text)
+        lowered = text.lower()
+        if lowered.startswith("dbo:"):
+            text = text[len("dbo:"):]
+        elif lowered.startswith("https://dbpedia.org/ontology/"):
+            text = text[len("https://dbpedia.org/ontology/"):]
+        elif lowered.startswith(("http://", "https://")):
+            text = text.rsplit("/", 1)[-1]
+    if not text:
+        raise EmptyLabel(f"nothing left after normalizing {raw!r}")
+    return text
+
+
 def levenshtein_ref(a: str, b: str) -> int:
     """Full-matrix dynamic program, unit costs."""
     rows, cols = len(a) + 1, len(b) + 1

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabnotate.backend import (
+    BackendError,
     BackendExhausted,
     Conversation,
     GenerationParams,
@@ -462,6 +463,9 @@ def test_http_malformed_url_rejected_when_built(url):
         ("backoff_base", float("nan")),
         ("backoff_factor", -1.0),
         ("backoff_factor", float("inf")),
+        ("api_key", "sk-a\r\nX-Injected: 1"),
+        ("api_key", "sk-a\nb"),
+        ("api_key", "sk-a\rb"),
     ],
 )
 def test_http_endpoint_rejects_settings_that_break_complete(setting, value):
@@ -836,8 +840,8 @@ def test_http_host_header_drops_an_ipv6_zone():
 def test_http_api_key_with_cr_or_lf_sends_nothing(raw, key):
     raw.set_plan([(_reply(OK_BODY), False)])
     sleeps: list[float] = []
-    backend = HttpBackend(HttpEndpoint(url=raw.url, model="m", api_key=key), sleep=sleeps.append)
     with pytest.raises(ValueError, match="api_key"):
+        backend = HttpBackend(HttpEndpoint(url=raw.url, model="m", api_key=key), sleep=sleeps.append)
         backend.complete(conversation("hello"), PARAMS)
     assert raw.heads == [] and raw.connections == 0 and sleeps == []
 
@@ -949,6 +953,33 @@ def test_http_a_broken_reply_is_a_transport_failure(raw, reply):
     assert len(sleeps) == 4
     for attempt, pause in enumerate(sleeps):
         assert 0.0 <= pause <= 0.25 * 2**attempt
+
+
+_LIMITED = _reply(b"{}", "429 Too Many Requests")
+_BAD_GATEWAY = _reply(b"{}", "502 Bad Gateway")
+_DROPPED = b""
+
+
+@pytest.mark.parametrize(
+    "plan, error, failure",
+    [
+        pytest.param([(_LIMITED, False), (_DROPPED, True)], TransportError,
+                     "transport failure: server closed the connection without a reply",
+                     id="429-then-closed"),
+        pytest.param([(_DROPPED, True), (_LIMITED, False)], RateLimited, "HTTP 429",
+                     id="closed-then-429"),
+        pytest.param([(_LIMITED, False), (_BAD_GATEWAY, False)], TransportError, "HTTP 502",
+                     id="429-then-502"),
+    ],
+)
+def test_http_the_last_attempt_names_the_error(raw, plan, error, failure):
+    raw.set_plan(plan)
+    backend = HttpBackend(HttpEndpoint(url=raw.url, model="m", timeout=10.0), sleep=lambda _: None)
+    with pytest.raises(BackendError) as caught:
+        backend.complete(conversation("hello"), PARAMS)
+    assert type(caught.value) is error
+    assert str(caught.value).endswith(f"after 5 attempts ({failure})")
+    assert len(raw.heads) == 5
 
 
 def _framed(body: bytes, framing: str, cuts: list[int]) -> bytes:

@@ -796,3 +796,19 @@ def test_nan_price_is_usage_error_before_any_call(workspace, capsys, monkeypatch
     assert "prompt_per_1k" in err
     assert out == ""
     assert not report_path.exists()
+
+
+def test_api_key_with_a_line_break_is_usage_error_before_any_item(workspace, capsys, monkeypatch):
+    monkeypatch.setenv("TABNOTATE_API_KEY", "sk-a\nb")
+    report_path = workspace / "report.json"
+    code, out, err = run_cli(
+        capsys,
+        "eval", str(eval_manifest(workspace)),
+        "--ontology", str(workspace / "ontology.tsv"),
+        "--report", str(report_path),
+        "--backend", "http:http://127.0.0.1:1/v1",
+    )
+    assert code == 1
+    assert err == "error: api_key must not hold a CR or LF character\n"
+    assert out == ""
+    assert not report_path.exists()

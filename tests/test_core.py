@@ -47,6 +47,7 @@ from tabnotate.evaluate import _read_table
 from reference import (
     levenshtein_ref,
     nearest_label_ref,
+    normalize_ref,
     read_csv_ref,
     similarity_ref,
     tokenize_ref,
@@ -209,6 +210,27 @@ def test_normalize_idempotent_on_random_decorations():
             text = rng.choice(wrappers).format(text)
         once = normalize_label(text)
         assert normalize_label(once) == once
+
+
+_LABEL_PIECES = st.sampled_from([
+    "`", "'", '"', ".", ",", " ", "\t", "\n", "/", ":", "dbo:", "DBO:",
+    "https://dbpedia.org/ontology/", "HTTPS://DBPEDIA.ORG/Ontology/",
+    "http://example.org/vocab/", "https://", "Hospital", "iucnStatus", "x",
+])
+
+
+def _normalized(normalize, text: str) -> str | type[EmptyLabel]:
+    try:
+        return normalize(text)
+    except EmptyLabel:
+        return EmptyLabel
+
+
+@settings(max_examples=2000, deadline=None)
+@given(pieces=st.lists(_LABEL_PIECES, max_size=12))
+def test_normalize_agrees_with_the_two_loop_reference(pieces):
+    text = "".join(pieces)
+    assert _normalized(normalize_label, text) == _normalized(normalize_ref, text)
 
 
 # ---------------------------------------------------------------- lookup

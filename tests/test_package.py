@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import tabnotate
+from tabnotate.core import to_csv
+
+from fixture_data import EV_TABLE, ONTOLOGY_TEXT
 
 SOURCES = sorted(Path(tabnotate.__file__).parent.glob("*.py"))
 
@@ -101,3 +105,29 @@ def test_building_an_https_backend_loads_ssl_but_not_http_client():
     loaded = _loaded_by(_built("https://127.0.0.1:1/v1"))
     assert "ssl" in loaded
     assert "http.client" not in loaded
+
+
+def test_readme_library_example_runs_as_written(tmp_path):
+    """The first ``python`` block under "Library use" runs, in a fresh
+    interpreter that makes an encoding warning an error, from a directory
+    holding the files it reads."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    (tmp_path / "ontology.tsv").write_text(ONTOLOGY_TEXT, encoding="utf-8")
+    (tmp_path / "ev.csv").write_text(to_csv(EV_TABLE), encoding="utf-8")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(tabnotate.__file__).parent.parent)!r})\n"
+        + example
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-B", "-X", "warn_default_encoding", "-W", "error", "-c", script],
+        capture_output=True, encoding="utf-8", cwd=tmp_path,
+    )
+    assert run.stderr == ""
+    assert run.stdout.splitlines() == [
+        "https://dbpedia.org/ontology/ElectricVehicle "
+        "['manufacturer', 'model', 'postalCode', 'vehicleIdentificationNumber']",
+        "144 0.00022600000000000002 2",
+    ]
