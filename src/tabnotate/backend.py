@@ -227,15 +227,10 @@ def _require_user_tail(conversation: Conversation) -> Turn:
     return tail
 
 
-def _approx_tokens(text: str) -> int:
-    # Whitespace proxy; good enough for relative cost accounting without
-    # a tokenizer dependency.  Usage built from it is ``estimated``.
-    return len(text.split())
-
-
 def _approx_counts(conversation: Conversation, reply: str) -> tuple[int, int]:
-    """Prompt and completion tokens by the whitespace proxy."""
-    return sum(_approx_tokens(t.text) for t in conversation.turns), _approx_tokens(reply)
+    """Prompt and completion tokens by the whitespace proxy, good enough for
+    relative cost without a tokenizer.  Usage built from it is ``estimated``."""
+    return sum(len(t.text.split()) for t in conversation.turns), len(reply.split())
 
 
 # Simulated latency per token for scripted completions.  Keeps replayed
@@ -332,20 +327,16 @@ class HttpEndpoint:
     model: str
     api_key: str | None = None
     timeout: float = 60.0
-    max_attempts: int = 5
-    backoff_base: float = 1.0
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if not 0.0 < self.timeout < math.inf:
             raise ValueError("timeout must be finite and > 0")
-        for name in ("backoff_base", "backoff_factor"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
         if self.api_key and ("\r" in self.api_key or "\n" in self.api_key):
             raise ValueError("api_key must not hold a CR or LF character")
+
+
+# The jittered pauses' ceilings before attempts 2 to 5, each cut to ``timeout``.
+_PAUSE_CAPS = (1.0, 2.0, 4.0, 8.0)
 
 
 def _retry_after(value: str) -> float | None:
@@ -521,8 +512,8 @@ class HttpBackend:
     """Minimal chat-completions client with retry and full-jitter backoff.
 
     Transient failures (connection errors, a reply that breaks HTTP/1.1
-    framing, 429, 5xx) are retried up to the endpoint's attempt budget;
-    other client errors fail immediately.  A call that runs out of attempts
+    framing, 429, 5xx) are retried, up to five attempts in all; other
+    client errors fail immediately.  A call that runs out of attempts
     raises :class:`RateLimited` when its last attempt got a 429, else
     :class:`TransportError`.  A ``Retry-After`` on a 429 or 503 replaces the
     jittered pause.  No pause outlasts the endpoint's ``timeout``: a longer
@@ -624,7 +615,7 @@ class HttpBackend:
         body = self.request_body(conversation, params)
         request = self._head(len(body)) + body
 
-        for attempt in range(self._endpoint.max_attempts):
+        for attempt, cap in enumerate((*_PAUSE_CAPS, None), start=1):
             start = time.monotonic()
             wait = None
             try:
@@ -645,13 +636,12 @@ class HttpBackend:
             if wait is not None and wait > self._endpoint.timeout:
                 failure += f", Retry-After {wait:g} s > timeout {self._endpoint.timeout:g} s"
                 break
-            if attempt + 1 < self._endpoint.max_attempts:
+            if cap is not None:
                 if wait is None:
-                    cap = self._endpoint.backoff_base * self._endpoint.backoff_factor**attempt
                     wait = self._rng.uniform(0.0, min(cap, self._endpoint.timeout))
                 self._sleep(wait)
 
-        raise error(f"giving up on {self._endpoint.url} after {attempt + 1} attempts ({failure})")
+        raise error(f"giving up on {self._endpoint.url} after {attempt} attempts ({failure})")
 
     def _parse(self, data: bytes, elapsed: float, conversation: Conversation) -> tuple[str, Usage]:
         try:

@@ -95,7 +95,7 @@ _OPTIONS: dict[str, dict] = {
         action="store_true",
         help="print the assembled prompt and exit without calling any backend",
     ),
-    "--classes": dict(metavar="PATH", help="restrict answers to these class names"),
+    "--classes": dict(metavar="PATH", help="list these class names in the prompt"),
     "--system": dict(
         choices=[s.value for s in System],
         default=System.MODEL.value,

@@ -95,12 +95,10 @@ class Ontology:
     properties: Mapping[str, OntologyTerm] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for key, term in self.classes.items():
-            if term.kind is not TermKind.CLASS or key != term.local_name.lower():
-                raise ValueError(f"misfiled class entry: {key!r} -> {term}")
-        for key, term in self.properties.items():
-            if term.kind is not TermKind.PROPERTY or key != term.local_name.lower():
-                raise ValueError(f"misfiled property entry: {key!r} -> {term}")
+        for kind, bucket in ((TermKind.CLASS, self.classes), (TermKind.PROPERTY, self.properties)):
+            for key, term in bucket.items():
+                if term.kind is not kind or key != term.local_name.lower():
+                    raise ValueError(f"misfiled {kind.value} entry: {key!r} -> {term}")
 
     @classmethod
     def from_terms(cls, terms: Iterable[OntologyTerm]) -> Ontology:
@@ -602,8 +600,8 @@ def sample_rows(table: Table, k: int, strategy: SamplingStrategy = HEAD_SAMPLING
     distinct indices with a dedicated generator and keeps original order,
     so equal seeds give equal samples.  Sampled lines of a table that
     :func:`read_csv` kept as lines stay unsplit until the sample's rows
-    are read, and their cells are not counted again: the table's own
-    check already counted them.
+    are read, and no sampled row is checked again, since the table's own
+    check covered every row.
     """
     if k < 1:
         raise ValueError("sample size must be >= 1")
@@ -613,11 +611,9 @@ def sample_rows(table: Table, k: int, strategy: SamplingStrategy = HEAD_SAMPLING
     else:
         indices = sorted(random.Random(strategy.seed).sample(range(n), k))
     picked = map(table._rows.__getitem__, indices)
-    if not isinstance(table._rows, _Lines):
-        return Table(name=table.name, headers=table.headers, rows=picked)
-    # ``table``'s own check counted every line, so the sample skips the check.
+    rows = _Lines(picked) if isinstance(table._rows, _Lines) else tuple(picked)
     sample = object.__new__(Table)
-    vars(sample).update(name=table.name, headers=table.headers, _rows=_Lines(picked))
+    vars(sample).update(name=table.name, headers=table.headers, _rows=rows)
     return sample
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -231,6 +231,7 @@ def load_manifest(path: Path | str) -> list[LabeledExample]:
     path = Path(path)
     base = path.parent
     examples: list[LabeledExample] = []
+    first_line: dict[str, int] = {}
     for lineno, line in _content_lines(path.read_text(encoding="utf-8-sig")):
         try:
             obj = json.loads(line)
@@ -244,9 +245,7 @@ def load_manifest(path: Path | str) -> list[LabeledExample]:
         try:
             task = Task(obj.get("task"))
         except ValueError:
-            raise _manifest_error(
-                lineno, f"unknown task {obj.get('task')!r}"
-            ) from None
+            raise _manifest_error(lineno, f"unknown task {obj.get('task')!r}") from None
         headers = obj.get("headers", True)
         if not isinstance(headers, bool):
             raise _manifest_error(lineno, "'headers' must be a boolean")
@@ -260,6 +259,8 @@ def load_manifest(path: Path | str) -> list[LabeledExample]:
             if not isinstance(paths["table"], str):
                 raise _manifest_error(lineno, "missing 'table' path")
         paths = {key: base / p for key, p in paths.items()}
+        if first_line.setdefault(item_id, lineno) != lineno:
+            raise _manifest_error(lineno, f"id {item_id!r} repeats line {first_line[item_id]}")
         examples.append(LabeledExample(item_id, task, headers, gold, **paths))
     return examples
 
@@ -306,14 +307,9 @@ class Report:
             "by_task": self.by_task,
             "per_item": [
                 {
-                    "id": o.id,
-                    "task": o.task.value,
-                    "prediction": o.prediction,
-                    "gold": o.gold,
-                    "correct": o.correct,
-                    "anchored": o.anchored,
-                    "attempts": o.attempts,
-                    "error": o.error,
+                    f.name: o.task.value if f.name == "task" else getattr(o, f.name)
+                    for f in fields(o)
+                    if f.name != "usage"  # summed into the report's usage
                 }
                 for o in self.per_item
             ],

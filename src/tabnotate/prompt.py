@@ -231,8 +231,8 @@ def table_class_prompt(
 ) -> PromptComponents:
     """Prompt asking for the one ontology class that describes the table.
 
-    Passing ``allowed_classes`` restricts the answer domain (the supervised
-    variant); omitting it lets the model pick any class.
+    Passing ``allowed_classes`` lists those names in the prompt (the
+    supervised variant); the answer is not held to them.
     """
     return _one_table_prompt(
         table,

@@ -318,7 +318,6 @@ def make_backend(stub_server, **overrides):
         url=stub_server.url,
         model="test-model",
         api_key="sk-test",
-        backoff_base=0.25,
         **overrides,
     )
     backend = HttpBackend(
@@ -367,7 +366,7 @@ def test_http_retries_then_gives_up_on_503(stub):
     assert len(stub.captured) == 5
     assert len(sleeps) == 4
     for attempt, pause in enumerate(sleeps):
-        assert 0.0 <= pause <= 0.25 * 2**attempt
+        assert 0.0 <= pause <= 2.0**attempt
 
 
 def test_http_rate_limited_after_budget(stub):
@@ -417,12 +416,7 @@ def test_http_content_that_is_not_a_string_is_malformed(stub, content):
 
 
 def test_http_connection_failure_is_transport_error():
-    endpoint = HttpEndpoint(
-        url="http://127.0.0.1:1/nothing-listens-here",
-        model="m",
-        max_attempts=2,
-        backoff_base=0.001,
-    )
+    endpoint = HttpEndpoint(url="http://127.0.0.1:1/nothing-listens-here", model="m")
     backend = HttpBackend(endpoint, sleep=lambda _: None)
     with pytest.raises(TransportError):
         backend.complete(conversation("hello"), PARAMS)
@@ -452,17 +446,10 @@ def test_http_malformed_url_rejected_when_built(url):
 @pytest.mark.parametrize(
     ("setting", "value"),
     [
-        ("max_attempts", 0),
-        ("max_attempts", -1),
         ("timeout", 0),
         ("timeout", -1.0),
         ("timeout", float("inf")),
         ("timeout", float("nan")),
-        ("backoff_base", -0.5),
-        ("backoff_base", float("inf")),
-        ("backoff_base", float("nan")),
-        ("backoff_factor", -1.0),
-        ("backoff_factor", float("inf")),
         ("api_key", "sk-a\r\nX-Injected: 1"),
         ("api_key", "sk-a\nb"),
         ("api_key", "sk-a\rb"),
@@ -474,11 +461,8 @@ def test_http_endpoint_rejects_settings_that_break_complete(setting, value):
 
 
 def test_http_endpoint_accepts_its_edge_settings():
-    endpoint = HttpEndpoint(
-        url="http://127.0.0.1:1/v1", model="m",
-        max_attempts=1, timeout=0.001, backoff_base=0.0, backoff_factor=0.0,
-    )
-    assert endpoint.max_attempts == 1
+    endpoint = HttpEndpoint(url="http://127.0.0.1:1/v1", model="m", timeout=0.001)
+    assert endpoint.timeout == 0.001
 
 
 @pytest.mark.parametrize(
@@ -557,10 +541,31 @@ def test_http_retry_after_past_the_timeout_gives_up_at_once(stub, status, error,
 
 def test_http_jittered_pauses_stay_under_the_timeout(stub):
     stub.set_plan([(503, "{}")])
-    backend, sleeps = make_backend(stub, timeout=0.1, max_attempts=8)
-    with pytest.raises(TransportError, match="8 attempts"):
+    backend, sleeps = make_backend(stub, timeout=0.1)
+    with pytest.raises(TransportError, match="5 attempts"):
         backend.complete(conversation("hello"), PARAMS)
-    assert len(sleeps) == 7 and max(sleeps) <= 0.1
+    assert len(sleeps) == 4 and max(sleeps) <= 0.1
+
+
+class _TopOfRange:
+    """An ``rng`` whose every draw is the top of its range."""
+
+    @staticmethod
+    def uniform(low, high):
+        return high
+
+
+@pytest.mark.parametrize(
+    ("timeout", "pauses"), [(60.0, [1.0, 2.0, 4.0, 8.0]), (3.0, [1.0, 2.0, 3.0, 3.0])]
+)
+def test_http_pause_caps_double_from_one_second_and_stop_at_the_timeout(stub, timeout, pauses):
+    stub.set_plan([(503, "{}")])
+    sleeps: list[float] = []
+    endpoint = HttpEndpoint(url=stub.url, model="m", timeout=timeout)
+    backend = HttpBackend(endpoint, sleep=sleeps.append, rng=_TopOfRange())
+    with pytest.raises(TransportError, match=r"after 5 attempts \(HTTP 503\)$"):
+        backend.complete(conversation("hello"), PARAMS)
+    assert len(stub.captured) == 5 and sleeps == pauses
 
 
 @pytest.mark.parametrize(
@@ -571,7 +576,7 @@ def test_http_unusable_retry_after_falls_back_to_jitter(stub, value):
     stub.set_plan([(429, "{}", {"Retry-After": value}), (200, OK_PAYLOAD)])
     backend, sleeps = make_backend(stub)
     assert backend.complete(conversation("hello"), PARAMS)[0] == "Hi"
-    assert len(sleeps) == 1 and 0.0 <= sleeps[0] <= 0.25
+    assert len(sleeps) == 1 and 0.0 <= sleeps[0] <= 1.0
 
 
 def test_http_one_thread_reuses_one_connection(stub):
@@ -669,7 +674,7 @@ def test_https_refuses_a_server_it_cannot_verify(tls_stub, monkeypatch, host, tr
         monkeypatch.setenv("SSL_CERT_DIR", str(TLS / "missing"))
     tls_stub.set_plan([(200, OK_PAYLOAD)])
     port = tls_stub.httpd.server_address[1]
-    endpoint = HttpEndpoint(url=f"https://{host}:{port}/v1", model="m", max_attempts=2)
+    endpoint = HttpEndpoint(url=f"https://{host}:{port}/v1", model="m")
     backend = HttpBackend(endpoint, sleep=lambda _: None)
     with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
         backend.complete(conversation("hello"), PARAMS)
@@ -952,7 +957,7 @@ def test_http_a_broken_reply_is_a_transport_failure(raw, reply):
     assert len(raw.heads) == 5 and raw.connections == 5
     assert len(sleeps) == 4
     for attempt, pause in enumerate(sleeps):
-        assert 0.0 <= pause <= 0.25 * 2**attempt
+        assert 0.0 <= pause <= 2.0**attempt
 
 
 _LIMITED = _reply(b"{}", "429 Too Many Requests")

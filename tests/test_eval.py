@@ -428,6 +428,7 @@ _GOOD_JOIN = {"id": "j", "task": "join", "left": "l.csv", "right": "r.csv", "gol
         ({**_GOOD_JOIN, "gold": [["a", 1]]}, "join gold must be a list of [left, right] pairs"),
         ({**_GOOD_JOIN, "right": None}, "join items need 'left' and 'right' paths"),
         ({k: v for k, v in _GOOD_ITEM.items() if k != "table"}, "missing 'table' path"),
+        ({**_GOOD_JOIN, "id": "a"}, "id 'a' repeats line 1"),
     ],
 )
 def test_load_manifest_names_the_line_and_fault_of_a_bad_item(tmp_path, item, message):
