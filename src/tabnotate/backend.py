@@ -26,7 +26,7 @@ import time
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .core import _content_lines
@@ -107,11 +107,7 @@ class Conversation:
                 raise ValueError("system turn only allowed at the start")
         else:
             previous = self._turns[-1].role if self._turns else None
-            expected = (
-                Role.USER
-                if previous in (None, Role.SYSTEM, Role.ASSISTANT)
-                else Role.ASSISTANT
-            )
+            expected = Role.ASSISTANT if previous is Role.USER else Role.USER
             if turn.role is not expected:
                 raise ValueError(
                     f"expected a {expected.value} turn after {previous}, "
@@ -227,6 +223,13 @@ def _require_user_tail(conversation: Conversation) -> Turn:
     return tail
 
 
+def _usage(
+    prices: PriceTable, counts: Sequence[int], wall_time: float, estimated: bool
+) -> Usage:
+    """A call's usage from its prompt and completion token counts."""
+    return Usage(*counts, wall_time, prices.cost(*counts), estimated)
+
+
 def _approx_counts(conversation: Conversation, reply: str) -> tuple[int, int]:
     """Prompt and completion tokens by the whitespace proxy, good enough for
     relative cost without a tokenizer.  Usage built from it is ``estimated``."""
@@ -287,15 +290,9 @@ class ScriptedBackend:
             raise MatchFailed(
                 f"transcript expected the prompt to contain {entry.match!r}"
             )
-        prompt_tokens, completion_tokens = _approx_counts(conversation, entry.response)
-        total = prompt_tokens + completion_tokens
-        return entry.response, Usage(
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            wall_time=total * SIMULATED_SECONDS_PER_TOKEN,
-            cost=self._prices.cost(prompt_tokens, completion_tokens),
-            estimated=True,
-        )
+        counts = _approx_counts(conversation, entry.response)
+        wall_time = sum(counts) * SIMULATED_SECONDS_PER_TOKEN
+        return entry.response, _usage(self._prices, counts, wall_time, True)
 
 
 def load_transcript(source: str, prices: PriceTable = DEFAULT_PRICES) -> ScriptedBackend:
@@ -333,6 +330,8 @@ class HttpEndpoint:
             raise ValueError("timeout must be finite and > 0")
         if self.api_key and ("\r" in self.api_key or "\n" in self.api_key):
             raise ValueError("api_key must not hold a CR or LF character")
+        if self.api_key and max(self.api_key) > "\xff":
+            raise ValueError("api_key must hold only Latin-1 characters")
 
 
 # The jittered pauses' ceilings before attempts 2 to 5, each cut to ``timeout``.
@@ -666,13 +665,6 @@ class HttpBackend:
         if estimated:  # billed by the same proxy as a scripted reply
             approx = _approx_counts(conversation, content)
             counts = [a if n is None else n for n, a in zip(counts, approx)]
-        prompt_tokens, completion_tokens = counts
-        if not all(type(n) is int and n >= 0 for n in (prompt_tokens, completion_tokens)):
+        if not all(type(n) is int and n >= 0 for n in counts):
             raise MalformedResponse("usage token counts must be non-negative integers")
-        return content, Usage(
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            wall_time=elapsed,
-            cost=self._prices.cost(prompt_tokens, completion_tokens),
-            estimated=estimated,
-        )
+        return content, _usage(self._prices, counts, elapsed, estimated)

@@ -29,6 +29,7 @@ from .core import (
     SamplingMode,
     SamplingStrategy,
     _content_lines,
+    csv_record,
     detect_ontology_format,
     load_ontology,
 )
@@ -254,7 +255,7 @@ def cmd_predict_join(args: argparse.Namespace) -> int:
     system = System(args.system)
     backend = _build_backend(args.backend) if system is System.MODEL else None
     prediction, _ = _predict_join(left, right, system, backend, config)
-    print(f"{','.join(prediction.left_cols)}\t{','.join(prediction.right_cols)}")
+    print(f"{csv_record(prediction.left_cols)}\t{csv_record(prediction.right_cols)}")
     return EXIT_OK
 
 

@@ -285,7 +285,7 @@ def _tokenize_names(names: list[str]) -> list[str]:
 
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance with unit-cost insert, delete, and substitute."""
-    return _Packed([(b, b)], len(b)).nearest(a)[0]
+    return _Packed([(b, b)]).nearest(a)[0]
 
 
 def label_similarity(a: str, b: str) -> float:
@@ -303,8 +303,8 @@ _POPCOUNT = bytes(bin(byte).count("1") for byte in range(256))
 
 
 class _Packed:
-    """Names whose tokenized forms all have one length, packed for a scan
-    of every name at once.
+    """Names whose tokenized forms all have one length, ``length`` (read
+    from the first), packed for a scan of every name at once.
 
     Name ``i``, in name order, takes slot ``i``: the ``width = 8 * (length
     // 8 + 1)`` bits from bit ``i * width``.  Its characters fill the low
@@ -317,10 +317,10 @@ class _Packed:
 
     __slots__ = ("names", "length", "masks", "full", "lows", "_text", "_zeros")
 
-    def __init__(self, group: list[tuple[str, str]], length: int) -> None:
+    def __init__(self, group: list[tuple[str, str]]) -> None:
+        self.length = length = len(group[0][1])
         width = 8 * (length // 8 + 1)
         self.names = tuple(name for name, _ in group)
-        self.length = length
         self.lows = ((1 << width * len(group)) - 1) // ((1 << width) - 1)
         self.full = self.lows * ((1 << length) - 1)
         # Most significant bit first, as ``int(..., 2)`` reads it.  The
@@ -424,7 +424,7 @@ class _NameIndex:
                 continue
             packed = self.packed.get(lb)
             if packed is None:
-                packed = self.packed[lb] = _Packed(self.groups[lb], lb)
+                packed = self.packed[lb] = _Packed(self.groups[lb])
             distance, name = packed.nearest(query)
             score = 1.0 - distance / denom
             if score > best or score == best and name < best_name:

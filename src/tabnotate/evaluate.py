@@ -130,7 +130,7 @@ def levenshtein_join(left: Table, right: Table) -> JoinPrediction:
     for r in sorted(right.headers):
         lowered = r.lower()
         groups.setdefault(len(lowered), []).append((r, lowered))
-    packed = [_Packed(group, lb) for lb, group in sorted(groups.items())]
+    packed = [_Packed(groups[lb]) for lb in sorted(groups)]
     best: tuple[float, str, str] = (float("inf"), "", "")
     for l in left.headers:
         query = l.lower()
@@ -211,8 +211,8 @@ def _parse_gold(task: Task, gold: object, lineno: int) -> object:
             raise _manifest_error(lineno, "table-class gold must be a string")
         return gold
     if task is Task.COLUMN_TYPE:
-        if not isinstance(gold, list) or not all(isinstance(g, str) for g in gold):
-            raise _manifest_error(lineno, "column-type gold must be a list of strings")
+        if not isinstance(gold, list) or not gold or not all(isinstance(g, str) for g in gold):
+            raise _manifest_error(lineno, "column-type gold must be a non-empty list of strings")
         return tuple(gold)
     if (
         not isinstance(gold, list)

@@ -453,6 +453,7 @@ def test_http_malformed_url_rejected_when_built(url):
         ("api_key", "sk-a\r\nX-Injected: 1"),
         ("api_key", "sk-a\nb"),
         ("api_key", "sk-a\rb"),
+        ("api_key", "sk-€"),
     ],
 )
 def test_http_endpoint_rejects_settings_that_break_complete(setting, value):

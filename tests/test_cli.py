@@ -263,6 +263,20 @@ def test_predict_join_levenshtein_baseline(workspace, capsys):
     assert out == "id\tident\n"
 
 
+def test_predict_join_quotes_a_name_that_holds_a_comma(workspace, capsys):
+    left = workspace / "l.csv"
+    right = workspace / "r.csv"
+    left.write_text('id,"a,b"\n1,x\n', encoding="utf-8")
+    right.write_text('key,"a,b"\n1,y\n', encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys,
+        "predict-join", str(left), str(right),
+        "--headers", "--system", "levenshtein",
+    )
+    assert code == 0
+    assert out == '"a,b"\t"a,b"\n'
+
+
 def test_predict_join_jaccard_rowless(workspace, capsys):
     left = workspace / "l.csv"
     right = workspace / "r.csv"
@@ -798,8 +812,18 @@ def test_nan_price_is_usage_error_before_any_call(workspace, capsys, monkeypatch
     assert not report_path.exists()
 
 
-def test_api_key_with_a_line_break_is_usage_error_before_any_item(workspace, capsys, monkeypatch):
-    monkeypatch.setenv("TABNOTATE_API_KEY", "sk-a\nb")
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("sk-a\nb", "api_key must not hold a CR or LF character"),
+        ("sk-€", "api_key must hold only Latin-1 characters"),
+    ],
+    ids=["line-break", "not-latin-1"],
+)
+def test_api_key_the_request_cannot_carry_is_usage_error_before_any_item(
+    workspace, capsys, monkeypatch, key, message
+):
+    monkeypatch.setenv("TABNOTATE_API_KEY", key)
     report_path = workspace / "report.json"
     code, out, err = run_cli(
         capsys,
@@ -809,6 +833,6 @@ def test_api_key_with_a_line_break_is_usage_error_before_any_item(workspace, cap
         "--backend", "http:http://127.0.0.1:1/v1",
     )
     assert code == 1
-    assert err == "error: api_key must not hold a CR or LF character\n"
+    assert err == f"error: {message}\n"
     assert out == ""
     assert not report_path.exists()

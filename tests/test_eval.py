@@ -412,6 +412,7 @@ def test_load_manifest_unknown_task(tmp_path):
 
 
 _GOOD_ITEM = {"id": "a", "task": "table-class", "table": "t.csv", "gold": "X"}
+_GOOD_COLUMNS = {"id": "c", "task": "column-type", "table": "t.csv", "gold": ["X"]}
 _GOOD_JOIN = {"id": "j", "task": "join", "left": "l.csv", "right": "r.csv", "gold": [["a", "b"]]}
 
 
@@ -429,6 +430,9 @@ _GOOD_JOIN = {"id": "j", "task": "join", "left": "l.csv", "right": "r.csv", "gol
         ({**_GOOD_JOIN, "right": None}, "join items need 'left' and 'right' paths"),
         ({k: v for k, v in _GOOD_ITEM.items() if k != "table"}, "missing 'table' path"),
         ({**_GOOD_JOIN, "id": "a"}, "id 'a' repeats line 1"),
+        ({**_GOOD_COLUMNS, "gold": []}, "column-type gold must be a non-empty list of strings"),
+        ({**_GOOD_COLUMNS, "gold": "x"}, "column-type gold must be a non-empty list of strings"),
+        ({**_GOOD_COLUMNS, "gold": ["a", 1]}, "column-type gold must be a non-empty list of strings"),
     ],
 )
 def test_load_manifest_names_the_line_and_fault_of_a_bad_item(tmp_path, item, message):
