@@ -126,15 +126,6 @@ class Conversation:
     def __len__(self) -> int:
         return len(self._turns)
 
-    def replaced_last(self, text: str) -> Conversation:
-        """New conversation with the final turn's text swapped out."""
-        if not self._turns:
-            raise ValueError("cannot replace a turn in an empty conversation")
-        clone = Conversation()
-        clone._turns = list(self._turns[:-1])
-        clone._turns.append(Turn(self._turns[-1].role, text))
-        return clone
-
     def to_messages(self) -> list[dict[str, str]]:
         return [{"role": t.role.value, "content": t.text} for t in self._turns]
 

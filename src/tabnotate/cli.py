@@ -217,8 +217,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def cmd_classify_table(args: argparse.Namespace) -> int:
-    config = _pipeline_config(args)
+def cmd_classify_table(args: argparse.Namespace, config: PipelineConfig) -> int:
     table = _read_table(args.csv_path, args.headers)
     if args.dump_prompt:
         components = table_class_prompt(table, config.allowed_classes, config.prompt_config)
@@ -231,8 +230,7 @@ def cmd_classify_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_annotate_columns(args: argparse.Namespace) -> int:
-    config = _pipeline_config(args)
+def cmd_annotate_columns(args: argparse.Namespace, config: PipelineConfig) -> int:
     table = _read_table(args.csv_path, args.headers)
     if args.dump_prompt:
         print(assemble(column_type_prompt(table, config.prompt_config)))
@@ -245,8 +243,7 @@ def cmd_annotate_columns(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_predict_join(args: argparse.Namespace) -> int:
-    config = _pipeline_config(args)
+def cmd_predict_join(args: argparse.Namespace, config: PipelineConfig) -> int:
     left = _read_table(args.left_csv, args.headers)
     right = _read_table(args.right_csv, args.headers)
     if args.dump_prompt:
@@ -259,8 +256,10 @@ def cmd_predict_join(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = _pipeline_config(args)
+def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
+    # Checked before any item runs, so a bad path costs no model call.
+    if args.report and not Path(args.report).parent.is_dir():
+        raise ValueError(f"--report {args.report!r}: no such directory")
     system = System(args.system)
     examples = load_manifest(args.manifest)
     ontology = None
@@ -290,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.run(args)
+        return args.run(args, _pipeline_config(args))
     except TaskFailed as exc:
         print(f"task failed: {exc}", file=sys.stderr)
         return EXIT_TASK

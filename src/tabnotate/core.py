@@ -289,14 +289,12 @@ def edit_distance(a: str, b: str) -> int:
 
 
 def label_similarity(a: str, b: str) -> float:
-    """Label similarity in [0, 1]: 1 - normalized edit distance.
+    """Label similarity in [0, 1]: 1 - edit distance / the longer length.
 
     Labels are compared in their tokenized forms, so ``iucnStatus`` and
-    ``IUCN_status`` are treated as equal.
+    ``IUCN_status`` are treated as equal; two empty forms score 1.0.
     """
-    ta, tb = tokenize_label(a), tokenize_label(b)
-    denom = max(len(ta), len(tb))
-    return 1.0 - edit_distance(ta, tb) / denom if denom else 1.0
+    return nearest_name((b,), a)[1]
 
 
 _POPCOUNT = bytes(bin(byte).count("1") for byte in range(256))

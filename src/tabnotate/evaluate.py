@@ -85,23 +85,22 @@ def _scores(correct: int, predicted: int, gold: int) -> WeightedMetrics:
     return WeightedMetrics(precision, recall, f1)
 
 
+def _weighted_mean(pairs: Sequence[tuple[int, WeightedMetrics]]) -> WeightedMetrics:
+    """Each metric's mean over ``(weight, metrics)`` pairs, summed by
+    :func:`math.fsum`, so neither their order nor the Python changes it."""
+    total = sum(weight for weight, _ in pairs)
+    names = (f.name for f in fields(WeightedMetrics))
+    return WeightedMetrics(
+        *(math.fsum(w * getattr(m, name) for w, m in pairs) / total for name in names)
+    )
+
+
 def weighted_metrics(stats: dict[str, ClassStats]) -> WeightedMetrics:
     """Support-weighted mean of per-class precision, recall, and F1."""
-    total_support = sum(s.support for s in stats.values())
-    if total_support == 0:
+    if not any(s.support for s in stats.values()):
         raise EmptyStats("no gold labels in the confusion stats")
-    precision_sum = recall_sum = f1_sum = 0.0
-    for s in stats.values():
-        if s.support == 0:
-            continue
-        m = _scores(s.tp, s.tp + s.fp, s.tp + s.fn)
-        precision_sum += s.support * m.precision
-        recall_sum += s.support * m.recall
-        f1_sum += s.support * m.f1
-    return WeightedMetrics(
-        precision=precision_sum / total_support,
-        recall=recall_sum / total_support,
-        f1=f1_sum / total_support,
+    return _weighted_mean(
+        [(s.support, _scores(s.tp, s.tp + s.fp, s.tp + s.fn)) for s in stats.values()]
     )
 
 
@@ -209,10 +208,14 @@ def _parse_gold(task: Task, gold: object, lineno: int) -> object:
     if task is Task.TABLE_CLASS:
         if not isinstance(gold, str):
             raise _manifest_error(lineno, "table-class gold must be a string")
+        if not gold:
+            raise _manifest_error(lineno, "table-class gold must not be empty")
         return gold
     if task is Task.COLUMN_TYPE:
         if not isinstance(gold, list) or not gold or not all(isinstance(g, str) for g in gold):
             raise _manifest_error(lineno, "column-type gold must be a non-empty list of strings")
+        if not all(gold):
+            raise _manifest_error(lineno, "column-type gold must not hold an empty label")
         return tuple(gold)
     if (
         not isinstance(gold, list)
@@ -339,8 +342,8 @@ def _aggregate(
     Classification groups use support-weighted multiclass metrics; joins
     use pair-level micro precision/recall over distinct predicted pairs.
     With several task groups the overall numbers are the groups' metrics
-    weighted by their gold instance counts (items, columns, or gold pairs)
-    and summed by :func:`math.fsum`, which rounds the same on every Python.
+    weighted by their gold instance counts (items, columns, or gold pairs),
+    averaged as :func:`weighted_metrics` averages its classes.
     """
     # (prediction, gold) label pairs per classification task, in report order.
     labels: dict[Task, list[tuple[str, str]]] = {Task.TABLE_CLASS: [], Task.COLUMN_TYPE: []}
@@ -372,13 +375,7 @@ def _aggregate(
     by_task = {name: {**asdict(m), "instances": weight} for name, m, weight in groups}
     if len(groups) == 1:
         return groups[0][1], by_task
-    total = sum(weight for _, _, weight in groups)
-    overall = WeightedMetrics(
-        precision=math.fsum(w * m.precision for _, m, w in groups) / total,
-        recall=math.fsum(w * m.recall for _, m, w in groups) / total,
-        f1=math.fsum(w * m.f1 for _, m, w in groups) / total,
-    )
-    return overall, by_task
+    return _weighted_mean([(weight, m) for _, m, weight in groups]), by_task
 
 
 def _json_ready(task: Task, value: object) -> object:

@@ -355,7 +355,7 @@ def anchor(conversation: Conversation, replacement: str) -> Conversation:
     last = conversation.last
     if last is None or last.role is not Role.ASSISTANT:
         raise InvalidState("anchoring requires a final assistant turn")
-    return conversation.replaced_last(replacement)
+    return Conversation((*conversation.turns[:-1], assistant(replacement)))
 
 
 def render_term(term: OntologyTerm | UnknownType) -> str:

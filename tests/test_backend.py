@@ -89,20 +89,6 @@ def test_turn_text_nonempty():
         Turn(Role.USER, "")
 
 
-def test_replaced_last_copies():
-    conv = conversation("q", "bad")
-    repaired = conv.replaced_last("good")
-    assert conv.last.text == "bad"
-    assert repaired.last.text == "good"
-    assert len(repaired) == len(conv)
-    assert repaired.turns[:-1] == conv.turns[:-1]
-
-
-def test_replaced_last_of_an_empty_conversation_is_an_error():
-    with pytest.raises(ValueError, match="empty conversation"):
-        Conversation().replaced_last("good")
-
-
 def test_generation_params_bounds():
     with pytest.raises(ValueError):
         GenerationParams(temperature=1.5)

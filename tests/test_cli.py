@@ -774,6 +774,22 @@ def test_eval_with_an_oversized_csv_field_fails_that_item_alone(workspace, big_c
     assert [item["correct"] for item in items] == [False, True]
 
 
+def test_eval_report_in_a_missing_directory_is_usage_error_before_any_item(
+    workspace, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(tabnotate.cli, "run_benchmark", lambda *args, **kwargs: calls.append(args))
+    report_path = workspace / "missing" / "r.json"
+    code, out, err = run_cli(
+        capsys, "eval", str(_join_manifest(workspace, "ev.csv")), "--system", "jaccard",
+        "--report", str(report_path),
+    )
+    assert code == 1
+    assert err == f"error: --report {str(report_path)!r}: no such directory\n"
+    assert out == ""
+    assert calls == []
+
+
 # -------------------------------------------------------------------- jobs
 
 

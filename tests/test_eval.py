@@ -117,6 +117,19 @@ def test_weighted_metrics_matches_brute_force():
         assert metrics.f1 == pytest.approx(f1, abs=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.sampled_from("ABCD")] * 2), min_size=1, max_size=40),
+    st.randoms(use_true_random=False),
+)
+def test_weighted_metrics_do_not_depend_on_item_order(pairs, rng):
+    shuffled = list(pairs)
+    rng.shuffle(shuffled)
+    assert weighted_metrics(per_class_stats(*zip(*shuffled))) == weighted_metrics(
+        per_class_stats(*zip(*pairs))
+    )
+
+
 # --------------------------------------------------------- edit distance
 
 
@@ -433,6 +446,8 @@ _GOOD_JOIN = {"id": "j", "task": "join", "left": "l.csv", "right": "r.csv", "gol
         ({**_GOOD_COLUMNS, "gold": []}, "column-type gold must be a non-empty list of strings"),
         ({**_GOOD_COLUMNS, "gold": "x"}, "column-type gold must be a non-empty list of strings"),
         ({**_GOOD_COLUMNS, "gold": ["a", 1]}, "column-type gold must be a non-empty list of strings"),
+        ({**_GOOD_ITEM, "gold": ""}, "table-class gold must not be empty"),
+        ({**_GOOD_COLUMNS, "gold": ["", ""]}, "column-type gold must not hold an empty label"),
     ],
 )
 def test_load_manifest_names_the_line_and_fault_of_a_bad_item(tmp_path, item, message):

@@ -337,8 +337,9 @@ def test_anchor_identity_repair():
 
 
 def test_anchor_requires_assistant_tail():
-    with pytest.raises(InvalidState):
-        anchor(make_conversation("prompt"), "x")
+    for conv in (make_conversation("prompt"), Conversation()):
+        with pytest.raises(InvalidState):
+            anchor(conv, "x")
 
 
 def test_anchor_touches_only_last_turn():

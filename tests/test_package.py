@@ -53,7 +53,11 @@ def test_modules_use_every_name_they_import():
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 for alias in node.names:
                     imported[alias.asname or alias.name] = node.lineno
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
         unused += [(path.name, line, name) for name, line in imported.items() if name not in used]
     assert unused == []
 
