@@ -65,7 +65,6 @@ class MalformedTranscript(ValueError):
 
 
 class Role(Enum):
-    SYSTEM = "system"
     USER = "user"
     ASSISTANT = "assistant"
 
@@ -88,13 +87,9 @@ def assistant(text: str) -> Turn:
     return Turn(Role.ASSISTANT, text)
 
 
-def system(text: str) -> Turn:
-    return Turn(Role.SYSTEM, text)
-
-
 class Conversation:
-    """Append-only chat history: optional leading system turn, then strict
-    user/assistant alternation."""
+    """Append-only chat history: user and assistant turns alternating,
+    starting with a user turn."""
 
     def __init__(self, turns: Iterable[Turn] = ()) -> None:
         self._turns: list[Turn] = []
@@ -102,17 +97,13 @@ class Conversation:
             self.append(turn)
 
     def append(self, turn: Turn) -> None:
-        if turn.role is Role.SYSTEM:
-            if self._turns:
-                raise ValueError("system turn only allowed at the start")
-        else:
-            previous = self._turns[-1].role if self._turns else None
-            expected = Role.ASSISTANT if previous is Role.USER else Role.USER
-            if turn.role is not expected:
-                raise ValueError(
-                    f"expected a {expected.value} turn after {previous}, "
-                    f"got {turn.role.value}"
-                )
+        previous = self._turns[-1].role if self._turns else None
+        expected = Role.ASSISTANT if previous is Role.USER else Role.USER
+        if turn.role is not expected:
+            raise ValueError(
+                f"expected a {expected.value} turn after {previous}, "
+                f"got {turn.role.value}"
+            )
         self._turns.append(turn)
 
     @property

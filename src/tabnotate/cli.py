@@ -12,6 +12,7 @@ TABNOTATE_PRICE_IN / TABNOTATE_PRICE_OUT for dollars per 1000 tokens.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -153,10 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _prices_from_env() -> PriceTable:
-    return PriceTable(
-        prompt_per_1k=float(os.environ.get("TABNOTATE_PRICE_IN", "0.0015")),
-        completion_per_1k=float(os.environ.get("TABNOTATE_PRICE_OUT", "0.002")),
-    )
+    prices = PriceTable()
+    for variable, field in (
+        ("TABNOTATE_PRICE_IN", "prompt_per_1k"),
+        ("TABNOTATE_PRICE_OUT", "completion_per_1k"),
+    ):
+        value = os.environ.get(variable)
+        if value is not None:
+            try:
+                prices = dataclasses.replace(prices, **{field: float(value)})
+            except ValueError as exc:
+                raise ValueError(f"{variable} {value!r}: {exc}") from exc
+    return prices
 
 
 def _build_backend(spec: str | None):

@@ -263,24 +263,23 @@ def tokenize_label(label: str) -> str:
     follows a lower-case letter or a digit, and before the last capital of
     an acronym that precedes a lower-case letter, so ``IUCNStatus`` gives
     ``iucn status`` and ``ISO3166Code`` gives ``iso3166 code``.  Every
-    other character is kept.
+    other character is kept.  The work is done by :func:`_tokenize_names`.
     """
-    return " ".join(_split_cases(label.replace("_", " ")).lower().split())
+    return _tokenize_names([label])[0]
 
 
 def _tokenize_names(names: list[str]) -> list[str]:
     """:func:`tokenize_label` of each name, in one pass.
 
-    The names are tokenized as one text, a name a line: ``"\\n"`` is
-    neither cased nor a digit, so no case boundary spans one, and
-    lowercasing never makes one.  A list with a name that holds a
-    ``"\\n"`` is tokenized name by name.
+    The names are tokenized as one text, a name a line, each ``"\\n"``
+    inside a name read as ``" "``: both are uncased, non-digit whitespace,
+    so neither the swap nor a line break moves a case boundary, changes a
+    lowercasing (final sigma included) or merges words.  An empty list
+    joins to one empty line, which the slice drops.
     """
-    text = "\n".join(names)
-    if text.count("\n") != len(names) - 1:
-        return list(map(tokenize_label, names))
+    text = "\n".join([name.replace("\n", " ") for name in names])
     lines = _split_cases(text.replace("_", " ")).lower().split("\n")
-    return [" ".join(line.split()) for line in lines]
+    return [" ".join(line.split()) for line in lines[: len(names)]]
 
 
 def edit_distance(a: str, b: str) -> int:

@@ -43,7 +43,6 @@ from tabnotate.backend import (
     _read_reply,
     assistant,
     load_transcript,
-    system,
     user,
 )
 
@@ -71,17 +70,24 @@ def test_conversation_alternation_enforced():
         conv.append(assistant("again"))
 
 
-def test_conversation_system_only_first():
-    conv = Conversation([system("be terse"), user("q")])
-    assert [t.role for t in conv.turns] == [Role.SYSTEM, Role.USER]
-    with pytest.raises(ValueError):
-        conv.append(system("late"))
-
-
-def test_conversation_must_start_with_user_or_system():
+def test_conversation_must_start_with_user():
     conv = Conversation()
     with pytest.raises(ValueError):
         conv.append(assistant("hello"))
+
+
+@given(roles=st.lists(st.sampled_from(Role), max_size=8))
+def test_conversation_accepts_exactly_alternation_from_a_user_turn(roles):
+    alternating = [Role.USER, Role.ASSISTANT] * 4
+    bad = next((i for i, role in enumerate(roles) if role is not alternating[i]), None)
+    turns = [Turn(role, "text") for role in roles]
+    if bad is None:
+        assert Conversation(turns).turns == tuple(turns)
+        return
+    previous = roles[bad - 1] if bad else None
+    message = f"expected a {alternating[bad].value} turn after {previous}, got {roles[bad].value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Conversation(turns)
 
 
 def test_turn_text_nonempty():
@@ -328,7 +334,7 @@ def test_http_happy_path(stub):
 def test_http_request_body_deterministic_and_complete(stub):
     stub.set_plan([(200, OK_PAYLOAD), (200, OK_PAYLOAD)])
     backend, _ = make_backend(stub)
-    conv = Conversation([system("sys"), user("hello")])
+    conv = Conversation([user("hello"), assistant("Hi"), user("again")])
     params = GenerationParams(temperature=0.25, max_tokens=64)
     backend.complete(conv, params)
     backend.complete(conv, params)
@@ -339,8 +345,9 @@ def test_http_request_body_deterministic_and_complete(stub):
     assert payload["temperature"] == 0.25
     assert payload["max_tokens"] == 64
     assert payload["messages"] == [
-        {"role": "system", "content": "sys"},
         {"role": "user", "content": "hello"},
+        {"role": "assistant", "content": "Hi"},
+        {"role": "user", "content": "again"},
     ]
 
 

@@ -829,6 +829,31 @@ def test_nan_price_is_usage_error_before_any_call(workspace, capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
+    "variable, value, reason",
+    [
+        ("TABNOTATE_PRICE_IN", "abc", "could not convert string to float: 'abc'"),
+        ("TABNOTATE_PRICE_OUT", "-1", "completion_per_1k must be finite and >= 0"),
+    ],
+    ids=["not-a-number", "negative"],
+)
+def test_bad_price_error_names_its_variable(
+    workspace, capsys, monkeypatch, variable, value, reason
+):
+    monkeypatch.setenv(variable, value)
+    built = []
+    monkeypatch.setattr(tabnotate.cli, "HttpBackend", lambda *args, **kwargs: built.append(args))
+    code, out, err = run_cli(
+        capsys,
+        "eval", str(eval_manifest(workspace)),
+        "--ontology", str(workspace / "ontology.tsv"),
+        "--backend", "http:http://127.0.0.1:9/v1",
+    )
+    assert code == 1
+    assert err == f"error: {variable} {value!r}: {reason}\n"
+    assert out == "" and built == []
+
+
+@pytest.mark.parametrize(
     "key, message",
     [
         ("sk-a\nb", "api_key must not hold a CR or LF character"),

@@ -451,12 +451,12 @@ _NAME_SOUP = "aBc1_ \t\x1c\néİǅΣ"
     )
 )
 def test_name_index_stores_each_names_tokenize_label(names):
-    # ASCII lists take the batch path through the regex, lists with a
-    # non-ASCII name the batch path through ``str`` case tests, and lists
-    # with a name holding "\n" the per-name path.
+    # ASCII lists take the batch through the regex, lists with a non-ASCII
+    # name the batch through ``str`` case tests, and a "\n" inside a name
+    # is read as a space; the manual scan of ``tokenize_ref`` is the oracle.
     index = tabnotate.core._NameIndex(names)
     stored = [pair for group in index.groups.values() for pair in group]
-    assert sorted(stored) == sorted((name, tokenize_label(name)) for name in names)
+    assert sorted(stored) == sorted((name, tokenize_ref(name)) for name in names)
     assert all(len(tokens) == lb for lb, group in index.groups.items() for _, tokens in group)
 
 
