@@ -269,6 +269,8 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
     # Checked before any item runs, so a bad path costs no model call.
     if args.report and not Path(args.report).parent.is_dir():
         raise ValueError(f"--report {args.report!r}: no such directory")
+    if args.report and Path(args.report).is_dir():
+        raise ValueError(f"--report {args.report!r}: is a directory")
     system = System(args.system)
     examples = load_manifest(args.manifest)
     ontology = None

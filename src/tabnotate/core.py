@@ -2,15 +2,15 @@
 
 Everything in this module is immutable after construction and side-effect
 free, so values can be shared freely across worker threads.  The exceptions
-are derived and change no answer: :func:`nearest_term` caches its name index
-and its results on the :class:`Ontology` it searches, and a :class:`Table`
-keeps the rows it splits when :attr:`Table.rows` is first read;
+are derived and change no answer: :func:`nearest_term` keeps one name index
+per kind on the :class:`Ontology` it searches, and a :class:`Table` keeps
+the rows it splits when :attr:`Table.rows` is first read;
 :meth:`Table.column_sets`, which gives each column's distinct cells, splits
-no row and keeps nothing.  The index
-tokenizes a kind's names in one pass, groups them by tokenized length, and
-packs a group into one int the first time a query visits it; a packed group
-builds a character's mask the first time a scan reads that character, and a
-scan scores every name of the group at once.
+no row and keeps nothing.  The index tokenizes a kind's names in one pass,
+groups them by tokenized length, packs a group into one int the first time
+a query visits it, and memoizes each label's answer; a packed group builds
+a character's mask the first time a scan reads that character, and a scan
+scores every name of the group at once.
 That scan, :class:`_Packed`, is the package's one edit-distance recurrence:
 :func:`edit_distance` runs it on a single name, and the ``levenshtein``
 join baseline on the right table's headers.
@@ -25,7 +25,6 @@ import re
 import struct
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 DBPEDIA_ONTOLOGY_IRI = "https://dbpedia.org/ontology/"
@@ -86,13 +85,17 @@ class Ontology:
     """Reference vocabulary of table classes and column properties.
 
     ``classes`` and ``properties`` map case-folded local names to terms;
-    collisions within a kind are rejected at construction.  The fields never
-    change; :func:`nearest_term` fills a derived cache that lives and dies
-    with the instance.
+    collisions within a kind are rejected at construction.  The terms never
+    change; :func:`nearest_term` keeps a kind's :class:`_NameIndex` in
+    ``_indexes``, a cache that lives and dies with the instance and takes
+    no part in equality or ``repr``.
     """
 
     classes: Mapping[str, OntologyTerm] = field(default_factory=dict)
     properties: Mapping[str, OntologyTerm] = field(default_factory=dict)
+    _indexes: dict[TermKind, _NameIndex] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for kind, bucket in ((TermKind.CLASS, self.classes), (TermKind.PROPERTY, self.properties)):
@@ -114,17 +117,6 @@ class Ontology:
                 )
             bucket[key] = term
         return cls(classes=classes, properties=properties)
-
-    @cached_property
-    def _derived(
-        self,
-    ) -> dict[TermKind, tuple[_NameIndex, dict[str, tuple[OntologyTerm, float]]]]:
-        """Per kind, the :class:`_NameIndex` of local names, tokenized in
-        one pass, whose length groups are packed as queries first visit
-        them and whose character masks are built as scans first read them,
-        and the memo of :func:`nearest_term` results; empty until first
-        use."""
-        return {}
 
     def terms(self, kind: TermKind) -> tuple[OntologyTerm, ...]:
         bucket = self.classes if kind is TermKind.CLASS else self.properties
@@ -271,15 +263,15 @@ def tokenize_label(label: str) -> str:
 def _tokenize_names(names: list[str]) -> list[str]:
     """:func:`tokenize_label` of each name, in one pass.
 
-    The names are tokenized as one text, a name a line, each ``"\\n"``
-    inside a name read as ``" "``: both are uncased, non-digit whitespace,
-    so neither the swap nor a line break moves a case boundary, changes a
-    lowercasing (final sigma included) or merges words.  An empty list
-    joins to one empty line, which the slice drops.
+    Each name's ``_`` and whitespace runs become single spaces, trimmed at
+    its ends, and the names are then split at case boundaries and
+    lowercased as one text, a name a line.  Whitespace is uncased, not
+    case-ignorable and never beside a case boundary, so collapsing it first
+    moves no boundary and changes no lowercasing (final sigma included).
+    An empty list joins to one empty line, which the slice drops.
     """
-    text = "\n".join([name.replace("\n", " ") for name in names])
-    lines = _split_cases(text.replace("_", " ")).lower().split("\n")
-    return [" ".join(line.split()) for line in lines[: len(names)]]
+    text = "\n".join([" ".join(name.replace("_", " ").split()) for name in names])
+    return _split_cases(text).lower().split("\n")[: len(names)]
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -321,8 +313,10 @@ class _Packed:
         self.lows = ((1 << width * len(group)) - 1) // ((1 << width) - 1)
         self.full = self.lows * ((1 << length) - 1)
         # Most significant bit first, as ``int(..., 2)`` reads it.  The
-        # padding is "\0", and ``& full`` keeps it out of a name's "\0" mask.
-        self._text = "".join(tokens.ljust(width, "\0") for _, tokens in group)[::-1]
+        # padding is "\0", and ``& full`` keeps it out of a name's "\0" mask;
+        # the last slot's padding would be leading zeros, so it is left out.
+        padding = "\0" * (width - length)
+        self._text = padding.join(tokens for _, tokens in group)[::-1]
         self._zeros = dict.fromkeys(map(ord, set(self._text)), "0")
         self.masks: dict[str, int] = {}
 
@@ -392,10 +386,11 @@ class _Packed:
 class _NameIndex:
     """Candidate names, tokenized in one pass (see :func:`_tokenize_names`)
     and grouped by tokenized length in name order; a group is packed into a
-    :class:`_Packed` the first time a query visits it.
+    :class:`_Packed` the first time a query visits it, and each label's
+    answer is memoized.
 
-    A packed group, like each of its masks, is published by one dict
-    assignment, so threads sharing an index never read half of one.
+    A packed group, each of its masks and each answer are published by one
+    dict assignment, so threads sharing an index never read half of one.
     """
 
     def __init__(self, names: Iterable[str]) -> None:
@@ -405,9 +400,12 @@ class _NameIndex:
             groups.setdefault(len(tokens), []).append((name, tokens))
         self.groups = groups
         self.packed: dict[int, _Packed] = {}
+        self.memo: dict[str, tuple[str, float]] = {}
 
     def nearest(self, label: str) -> tuple[str, float]:
-        """:func:`nearest_name` over the indexed names."""
+        """:func:`nearest_name` over the indexed names, memoized by label."""
+        if label in self.memo:
+            return self.memo[label]
         query = tokenize_label(label)
         la = len(query)
         best_name, best = "", -1.0
@@ -428,6 +426,7 @@ class _NameIndex:
                 best_name, best = name, score
         if best < 0.0:
             raise ValueError("no names to match against")
+        self.memo[label] = best_name, best
         return best_name, best
 
 
@@ -445,21 +444,17 @@ def nearest_term(
 ) -> tuple[OntologyTerm, float]:
     """Term of the requested kind whose local name is :func:`nearest_name`.
 
-    The kind's names are indexed on the ontology at the first call, each
-    length group is packed when a query first visits it, each of its
-    character masks is built when a scan first reads that character, and
-    every result is memoized there.
+    The kind's names are indexed on the ontology at the first call, and the
+    index packs its groups, builds its masks and memoizes its answers as
+    queries need them (see :class:`_NameIndex`).
     """
-    derived = ontology._derived
-    if kind not in derived:
-        derived[kind] = (_NameIndex(term.local_name for term in ontology.terms(kind)), {})
-    index, memo = derived[kind]
+    index = ontology._indexes.get(kind)
+    if index is None:
+        index = ontology._indexes[kind] = _NameIndex(t.local_name for t in ontology.terms(kind))
     if not index.groups:
         raise EmptyOntologyKind(f"ontology has no {kind.value} terms")
-    if canonical not in memo:
-        name, score = index.nearest(canonical)
-        memo[canonical] = (lookup(ontology, kind, name), score)
-    return memo[canonical]
+    name, score = index.nearest(canonical)
+    return lookup(ontology, kind, name), score
 
 
 class _Lines(list):

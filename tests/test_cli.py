@@ -790,6 +790,29 @@ def test_eval_report_in_a_missing_directory_is_usage_error_before_any_item(
     assert calls == []
 
 
+def test_eval_report_that_is_a_directory_is_usage_error_before_any_call(
+    workspace, capsys, monkeypatch
+):
+    calls = []
+    complete = ScriptedBackend.complete
+    monkeypatch.setattr(
+        ScriptedBackend, "complete", lambda *args: calls.append(args) or complete(*args)
+    )
+    manifest = eval_manifest(workspace)
+    backend = transcript(workspace, "t.jsonl", ["https://dbpedia.org/ontology/Animal"] * 3)
+    code, out, err = run_cli(
+        capsys,
+        "eval", str(manifest),
+        "--ontology", str(workspace / "ontology.tsv"),
+        "--backend", f"scripted:{backend}",
+        "--report", str(workspace),
+    )
+    assert code == 1
+    assert err == f"error: --report {str(workspace)!r}: is a directory\n"
+    assert out == ""
+    assert calls == []
+
+
 # -------------------------------------------------------------------- jobs
 
 

@@ -437,8 +437,10 @@ def test_nearest_term_shared_by_threads_gives_sequential_answers(ontology):
 
 # Every separator ``tokenize_label`` knows, "\n" (which joins the names of a
 # batch), both cases, digits, and letters outside ASCII: ``"İ".lower()`` is
-# two characters, ``ǅ`` is titlecase, and ``Σ`` lowercases by its context.
-_NAME_SOUP = "aBc1_ \t\x1c\néİǅΣ"
+# two characters, ``ǅ`` is titlecase, and ``Σ`` lowercases by its context,
+# which the case-ignorable ``'``, ``.``, soft hyphen and combining acute
+# extend across, up to whitespace that is collapsed before lowercasing.
+_NAME_SOUP = "aBc1_ \t\x1c\néİǅΣ'.\u00ad\u0301"
 
 
 @settings(max_examples=300, deadline=None)
@@ -466,7 +468,7 @@ def test_packed_groups_build_masks_only_for_query_characters(ontology):
     for label in ["vin", "iucnStatus", "ZIP", "modelYear"]:
         nearest_term(fresh, TermKind.PROPERTY, label)
         asked |= set(tokenize_label(label))
-        index, _ = fresh._derived[TermKind.PROPERTY]
+        index = fresh._indexes[TermKind.PROPERTY]
         assert index.packed
         for packed in index.packed.values():
             assert set(packed.masks) <= asked
@@ -493,6 +495,16 @@ def test_nearest_term_answers_do_not_depend_on_query_order(names, labels):
     }
     for label, (term, score) in ahead.items():
         assert (term.local_name, score) == nearest_label_ref(names, label)
+
+
+def test_ontology_cache_takes_no_part_in_equality_or_repr(ontology):
+    terms = [*ontology.terms(TermKind.CLASS), *ontology.terms(TermKind.PROPERTY)]
+    used, fresh = Ontology.from_terms(terms), Ontology.from_terms(terms)
+    nearest_term(used, TermKind.CLASS, "animl")
+    nearest_term(used, TermKind.PROPERTY, "iucnStatus")
+    assert used._indexes and not fresh._indexes
+    assert used == fresh
+    assert repr(used) == repr(fresh)
 
 
 def test_nearest_term_memo_is_kept_per_kind():
