@@ -79,9 +79,9 @@ _OPTIONS: dict[str, dict] = {
     "--backend": dict(metavar="SPEC", help="scripted:<transcript.jsonl> or http:<endpoint-url>"),
     "--ontology": dict(metavar="PATH", help="ontology term file"),
     "--headers": dict(action="store_true", help="treat the first CSV line as the header row"),
-    "--sample-rows": dict(type=int, default=5, metavar="N"),
-    "--temperature": dict(type=float, default=0.0, metavar="T"),
-    "--max-tokens": dict(type=int, default=256, metavar="N"),
+    "--sample-rows": dict(type=int, default=PromptConfig.sample_k, metavar="N"),
+    "--temperature": dict(type=float, default=GenerationParams.temperature, metavar="T"),
+    "--max-tokens": dict(type=int, default=GenerationParams.max_tokens, metavar="N"),
     "--seed": dict(
         type=int,
         default=None,

@@ -163,7 +163,9 @@ def load_ontology(
 
     Blank lines and ``#`` comments are skipped.  In the line-delimited
     format every line is a class IRI; the tab-separated format prefixes
-    each IRI with ``C\\t`` or ``P\\t`` to pick the term kind.
+    each IRI with ``C\\t`` or ``P\\t`` to pick the term kind.  An IRI
+    that holds whitespace, such as a third tab-separated column, is
+    rejected with its line number.
     """
     terms: list[OntologyTerm] = []
     for lineno, line in _content_lines(source, comments=True):
@@ -179,6 +181,8 @@ def load_ontology(
         else:
             kind = TermKind.CLASS
             iri = line
+        if len(iri.split()) > 1:
+            raise MalformedIri(f"line {lineno}: IRI holds whitespace: {iri!r}")
         try:
             terms.append(OntologyTerm(iri, kind))
         except MalformedIri as exc:
@@ -186,15 +190,16 @@ def load_ontology(
     return Ontology.from_terms(terms)
 
 
-_WRAPPER_CHARS = "`'\""
+_WRAPPER_CHARS = "`'\"<>"
 _TRAILING_PUNCT = (".", ",")
 
 
 def normalize_label(raw: str) -> str:
     """Reduce a model-emitted fragment to a bare ontology label.
 
-    Each pass strips surrounding whitespace, quotes and backticks, one
-    trailing ``.`` or ``,``, then, ignoring case, the ``dbo:`` prefix or the
+    Each pass strips surrounding whitespace, quotes, backticks and the
+    angle brackets of an N-Triples ``<IRI>``, one trailing ``.`` or ``,``,
+    then, ignoring case, the ``dbo:`` prefix or the
     ``https://dbpedia.org/ontology/`` stem; any other ``http(s)`` IRI is cut
     to its segment after the last ``/``.  Passes repeat until nothing
     changes, and :class:`EmptyLabel` is raised when nothing survives.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -281,33 +281,25 @@ class ItemOutcome:
     error: str | None = None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Report:
+    """A run's scores and costs, fields in report key order; a None ``elapsed_s`` is left out."""
+
     task: str
     system: str
     metrics: WeightedMetrics
     items: int
     throughput: float
+    elapsed_s: float | None
     total_cost: float
+    config: dict
+    usage: dict
+    by_task: dict[str, dict]
     per_item: list[ItemOutcome]
-    by_task: dict[str, dict] = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    usage: dict = field(default_factory=dict)
-    # Measured wall clock, for model runs on a backend whose time is real.
-    elapsed_s: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "system": self.system,
+        encoded = {
             "metrics": asdict(self.metrics),
-            "items": self.items,
-            "throughput": self.throughput,
-            **({} if self.elapsed_s is None else {"elapsed_s": self.elapsed_s}),
-            "total_cost": self.total_cost,
-            "config": self.config,
-            "usage": self.usage,
-            "by_task": self.by_task,
             "per_item": [
                 {
                     f.name: o.task.value if f.name == "task" else getattr(o, f.name)
@@ -316,6 +308,11 @@ class Report:
                 }
                 for o in self.per_item
             ],
+        }
+        return {
+            f.name: encoded.get(f.name, getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "elapsed_s" or self.elapsed_s is not None
         }
 
 
@@ -521,9 +518,8 @@ def run_benchmark(
         metrics=overall,
         items=len(outcomes),
         throughput=len(outcomes) / usage.wall_time if usage.wall_time > 0 else 0.0,
+        elapsed_s=time.perf_counter() - start if live else None,
         total_cost=usage.cost,
-        per_item=outcomes,
-        by_task=by_task,
         config={
             "temperature": config.params.temperature,
             "max_tokens": config.params.max_tokens,
@@ -538,5 +534,6 @@ def run_benchmark(
             "wall_time": usage.wall_time,
             "token_counts_approximate": usage.estimated,
         },
-        elapsed_s=time.perf_counter() - start if live else None,
+        by_task=by_task,
+        per_item=outcomes,
     )

@@ -9,7 +9,7 @@ The golden files under the test fixtures pin the exact rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import (
     EmptyTable,
@@ -62,34 +62,25 @@ JOIN_PREFIX = (
 TRUNCATION_MARKER = "…"
 MAX_CELL_CHARS = 256
 CHAR_BUDGET = 16384
-
-_FIELD_ORDER = (
-    "instruction",
-    "task_knowledge",
-    "demonstration",
-    "metadata",
-    "data_sample",
-    "prefix",
-)
+_MIN_CAP = 8  # the shortest that _fit cuts a header or row record
 
 
 @dataclass(frozen=True)
 class PromptComponents:
-    """The six optional prompt parts; at least one must be present."""
+    """The six optional prompt parts, in assembly order; at least one must be present."""
 
     instruction: str | None = None
-    demonstration: str | None = None
-    data_sample: str | None = None
-    metadata: str | None = None
     task_knowledge: str | None = None
+    demonstration: str | None = None
+    metadata: str | None = None
+    data_sample: str | None = None
     prefix: str | None = None
 
     def __post_init__(self) -> None:
-        present = [name for name in _FIELD_ORDER if getattr(self, name) is not None]
+        present = {name: text for name, text in vars(self).items() if text is not None}
         if not present:
             raise ValueError("at least one prompt component must be present")
-        for name in present:
-            text = getattr(self, name)
+        for name, text in present.items():
             if not text or text != text.strip("\n"):
                 raise ValueError(
                     f"component {name} must be nonempty with no leading or "
@@ -118,13 +109,12 @@ DEFAULT_PROMPT_CONFIG = PromptConfig()
 def assemble(components: PromptComponents) -> str:
     """Concatenate the present parts into the final prompt text.
 
-    Order is fixed: instruction, task knowledge, demonstration, metadata,
-    data sample, prefix, separated by single blank lines.  The builders
-    fence their data samples themselves (see :func:`_fence`).  Output is
-    byte-deterministic.
+    The parts keep :class:`PromptComponents`' field order (instruction,
+    task knowledge, demonstration, metadata, data sample, prefix),
+    separated by single blank lines.  The builders fence their data
+    samples themselves (see :func:`_fence`).  Output is byte-deterministic.
     """
-    parts = (getattr(components, name) for name in _FIELD_ORDER)
-    return "\n\n".join(part for part in parts if part is not None)
+    return "\n\n".join(part for part in vars(components).values() if part is not None)
 
 
 def _cut(text: str, limit: int) -> str:
@@ -149,27 +139,27 @@ def _sample_parts(table: Table, config: PromptConfig) -> tuple[str | None, Table
 
 def _fit(
     build: Callable[[list[str | None], list[str]], PromptComponents],
-    headers: list[str | None],
+    metadata: list[str | None],
     samples: list[Table],
 ) -> PromptComponents:
     """Prompt from ``build`` with the most sample rows that fit the budget.
 
-    ``build`` takes each table's metadata header record (None when it has
-    none) and each table's data body, and ``samples`` holds each table's
-    sample.  Every table keeps the same row count n >= 1 (all its rows if
-    it has fewer), the largest that fits.  Around a body of one or more
-    records the builders add only fixed text, so a prompt's length is that
-    fixed part, measured once, plus the bodies' characters.  If even one
-    row record per table, cut to 8 characters, cannot fit beside the
-    header records, the header records are cut first, halving a cap from
-    the longest down to 8, and the fixed part is measured with them cut.
+    ``metadata`` and ``samples`` hold each table's header record (None when
+    it has none) and sample; ``build`` takes the header records, maybe cut,
+    and data bodies.  Every table keeps the same row count n >= 1 (all its
+    rows if it has fewer), the largest that fits.  Around a body of one or
+    more records the builders add only fixed text, so a prompt's length is
+    that fixed part, measured once, plus the bodies' characters.  If even
+    one row record per table, cut to ``_MIN_CAP`` (8) characters, cannot fit
+    beside the header records, the header records are cut first, to each cap
+    of :func:`_caps` in turn, and the fixed part is measured with them cut.
     The rows are then serialized in one pass, row i of every table at a
-    time, that stops at the first i >= 1 whose rows no longer fit and
-    keeps n = i; no later row is read.  If n = 1 is too long, the row
-    records are capped the same way until the prompt fits.  A record is
-    cut whole, line breaks in its cells and all.  So a prompt goes over
-    ``CHAR_BUDGET`` only when its fixed text leaves no room for its header
-    and first row records cut to 8 characters each.
+    time, that stops at the first i >= 1 whose rows no longer fit and keeps
+    n = i; no later row is read.  If n = 1 is too long, the row records are
+    cut to the same caps until the prompt fits.  A record is cut whole, line
+    breaks in its cells and all.  So a prompt goes over ``CHAR_BUDGET`` only
+    when its fixed text leaves no room for its header and first row records
+    cut to 8 characters each.
     """
     records = [[_record(sample.row(0))] if sample.row_count else [] for sample in samples]
     probes = ["x" if serialized else "" for serialized in records]
@@ -177,13 +167,12 @@ def _fit(
     def fixed_part(headers: list[str | None]) -> int:
         return len(assemble(build(headers, probes))) - len("".join(probes))
 
-    floor = sum(len(_cut(serialized[0], 8)) for serialized in records if serialized)
-    used = fixed_part(headers)
-    full, cap = headers, max((len(header) for header in headers if header), default=0)
-    while used + floor > CHAR_BUDGET and cap > 8:
-        cap = max(8, cap // 2)
-        headers = [header and _cut(header, cap) for header in full]
+    floor = sum(len(_cut(serialized[0], _MIN_CAP)) for serialized in records if serialized)
+    for cap in _caps([header for header in metadata if header]):
+        headers = [header and _cut(header, cap) for header in metadata]
         used = fixed_part(headers)
+        if used + floor <= CHAR_BUDGET:
+            break
     used += sum(len(serialized[0]) for serialized in records if serialized)
     kept = max(sample.row_count for sample in samples)
     for i in range(1, kept):
@@ -195,13 +184,19 @@ def _fit(
             kept = i
             break
     records = [serialized[:kept] for serialized in records]
-    cap = max((len(record) for serialized in records for record in serialized), default=0)
-    while True:
+    for cap in _caps([record for serialized in records for record in serialized]):
         bodies = ["\n".join(_cut(record, cap) for record in serialized) for serialized in records]
         components = build(headers, bodies)
-        if cap <= 8 or len(assemble(components)) <= CHAR_BUDGET:
-            return components
-        cap = max(8, cap // 2)
+        if cap <= _MIN_CAP or len(assemble(components)) <= CHAR_BUDGET:
+            break
+    return components
+
+
+def _caps(texts: list[str]) -> Iterator[int]:
+    """The longest text's length (0 for none), then halved down to ``_MIN_CAP``."""
+    yield (cap := max(map(len, texts), default=0))
+    while cap > _MIN_CAP:
+        yield (cap := max(_MIN_CAP, cap // 2))
 
 
 def _fence(metadata: str | None, body: str) -> str:

@@ -21,7 +21,7 @@ def normalize_ref(raw: str) -> str:
         previous = None
         while text != previous:
             previous = text
-            text = text.strip().strip("`'\"").strip()
+            text = text.strip().strip("`'\"<>").strip()
             while text and text[-1] in ".,":
                 text = text[:-1].rstrip()
         return text

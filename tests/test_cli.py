@@ -113,6 +113,26 @@ def test_classify_without_an_ontology_is_a_usage_error(workspace, capsys):
     assert err == "error: --ontology is required for this command\n"
 
 
+def test_an_ontology_line_with_a_third_column_is_a_usage_error(workspace, capsys):
+    hospital = "C\thttps://dbpedia.org/ontology/Hospital\n"
+    assert hospital in ONTOLOGY_TEXT
+    ontology = workspace / "labelled.tsv"
+    ontology.write_text(
+        ONTOLOGY_TEXT.replace(hospital, hospital[:-1] + "\tHospital\n"), encoding="utf-8"
+    )
+    lineno = ONTOLOGY_TEXT[: ONTOLOGY_TEXT.index(hospital)].count("\n") + 1
+    backend = transcript(workspace, "t.jsonl", ["https://dbpedia.org/ontology/Hospital"])
+    code, out, err = run_cli(
+        capsys, "classify-table", str(workspace / "ev.csv"), "--headers",
+        "--ontology", str(ontology), "--backend", f"scripted:{backend}",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: line {lineno}: IRI holds whitespace: "
+        "'https://dbpedia.org/ontology/Hospital\\tHospital'\n"
+    )
+
+
 def test_an_empty_class_list_is_a_usage_error(workspace, capsys):
     classes = workspace / "classes.txt"
     classes.write_text("# none yet\n\n  \n", encoding="utf-8")

@@ -115,6 +115,15 @@ def test_load_reports_line_numbers():
             "X\thttps://dbpedia.org/ontology/Ok\n",
             OntologyFormat.TAB_SEPARATED_KIND_IRI,
         )
+    # An IRI that holds whitespace, such as a third tab-separated column.
+    for text, format in (
+        ("C\thttps://x.org/Ok\nC\thttps://x.org/Hospital\tHospital\n",
+         OntologyFormat.TAB_SEPARATED_KIND_IRI),
+        ("https://x.org/Ok\nhttps://x.org/Hospital Hospital\n", OntologyFormat.LINE_DELIMITED_IRI),
+        ("https://x.org/Ok\nhttps://x.org/\u00a0Hospital\n", OntologyFormat.LINE_DELIMITED_IRI),
+    ):
+        with pytest.raises(MalformedIri, match=r"^line 2: IRI holds whitespace: 'https://x\.org/"):
+            load_ontology(text, format)
 
 
 @pytest.mark.parametrize(
@@ -213,7 +222,7 @@ def test_normalize_idempotent_on_random_decorations():
 
 
 _LABEL_PIECES = st.sampled_from([
-    "`", "'", '"', ".", ",", " ", "\t", "\n", "/", ":", "dbo:", "DBO:",
+    "`", "'", '"', "<", ">", ".", ",", " ", "\t", "\n", "/", ":", "dbo:", "DBO:",
     "https://dbpedia.org/ontology/", "HTTPS://DBPEDIA.ORG/Ontology/",
     "http://example.org/vocab/", "https://", "Hospital", "iucnStatus", "x",
 ])

@@ -384,6 +384,22 @@ def test_misspelt_property_becomes_nearest(animals_table, ontology):
     assert result.conversation.last.text == "`dbo:conservationStatus, dbo:binomial`"
 
 
+def test_angle_bracketed_iri_is_read_as_its_term():
+    # <IRI> is how N-Triples and Turtle write an IRI.
+    ontology = load_ontology(
+        "".join(
+            f"P\thttps://dbpedia.org/ontology/{name}\n"
+            for name in ("author", "title", "birthPlace", "releaseDate", "isbn")
+        ),
+        OntologyFormat.TAB_SEPARATED_KIND_IRI,
+    )
+    table = Table("books", ("Code", "Name"), (("978-0", "Emma"),))
+    backend = ScriptedBackend(["`<http://dbpedia.org/ontology/isbn>, dbo:title`"])
+    result = run_column_type_task(table, ontology, backend)
+    assert [a.local_name for a in result.value] == ["isbn", "title"]
+    assert result.violations == () and result.anchored is False
+
+
 def test_empty_label_does_not_overwrite_its_neighbour(ev_table, ontology):
     backend = ScriptedBackend(
         ["`dbo:manufacturer, Unknown, , dbo:vehicleIdentificationNumber`"]

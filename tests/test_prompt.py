@@ -98,6 +98,7 @@ def test_assemble_distinguishes_component_contents():
         data_sample="v1,v2",
         prefix="pre",
     )
+    assert assemble(base) == "inst\n\nknow\n\ndemo\n\nh1,h2\n\nv1,v2\n\npre"
     prompts = {assemble(base)}
     for field in ("instruction", "task_knowledge", "demonstration", "metadata",
                   "data_sample", "prefix"):
