@@ -24,7 +24,7 @@ import re
 import threading
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
@@ -87,38 +87,39 @@ def assistant(text: str) -> Turn:
     return Turn(Role.ASSISTANT, text)
 
 
+_A_TURN = {Role.USER: "a user turn", Role.ASSISTANT: "an assistant turn"}
+
+
+@dataclass(frozen=True)
 class Conversation:
-    """Append-only chat history: user and assistant turns alternating,
-    starting with a user turn."""
+    """Chat history as an immutable value: user and assistant turns
+    alternating, starting with a user turn.  ``conversation + turn`` is a
+    new conversation; two conversations with equal turns are equal and
+    hash alike."""
 
-    def __init__(self, turns: Iterable[Turn] = ()) -> None:
-        self._turns: list[Turn] = []
-        for turn in turns:
-            self.append(turn)
+    turns: tuple[Turn, ...] = ()
 
-    def append(self, turn: Turn) -> None:
-        previous = self._turns[-1].role if self._turns else None
-        expected = Role.ASSISTANT if previous is Role.USER else Role.USER
-        if turn.role is not expected:
-            raise ValueError(
-                f"expected a {expected.value} turn after {previous}, "
-                f"got {turn.role.value}"
-            )
-        self._turns.append(turn)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "turns", tuple(self.turns))
+        for index, turn in enumerate(self.turns):
+            previous = self.turns[index - 1].role if index else None
+            expected = Role.ASSISTANT if previous is Role.USER else Role.USER
+            if turn.role is not expected:
+                after = f"after {_A_TURN[previous]}" if previous else "first"
+                raise ValueError(f"expected {_A_TURN[expected]} {after}, got {_A_TURN[turn.role]}")
 
-    @property
-    def turns(self) -> tuple[Turn, ...]:
-        return tuple(self._turns)
+    def __add__(self, turn: Turn) -> Conversation:
+        return Conversation((*self.turns, turn))
 
     @property
     def last(self) -> Turn | None:
-        return self._turns[-1] if self._turns else None
+        return self.turns[-1] if self.turns else None
 
     def __len__(self) -> int:
-        return len(self._turns)
+        return len(self.turns)
 
     def to_messages(self) -> list[dict[str, str]]:
-        return [{"role": t.role.value, "content": t.text} for t in self._turns]
+        return [{"role": t.role.value, "content": t.text} for t in self.turns]
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,7 @@ class HttpEndpoint:
 
     url: str
     model: str
-    api_key: str | None = None
+    api_key: str | None = field(default=None, repr=False)
     timeout: float = 60.0
 
     def __post_init__(self) -> None:

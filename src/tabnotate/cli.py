@@ -114,7 +114,7 @@ _SHARED = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tabnotate", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="tabnotate", description="Command-line interface.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, help_text, positionals, options, run in (
         (

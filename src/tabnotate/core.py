@@ -661,15 +661,16 @@ def read_csv(text: str, name: str, headers: bool) -> Table:
 
     When ``headers`` is true the first record becomes the header row.
     Ragged records are rejected by the Table invariants; a kept line's
-    cells are counted by its commas (see :func:`_records`).  Text the CSV
-    reader rejects, such as an over-long field, raises ``ValueError`` naming the table.
+    cells are counted by its commas (see :func:`_records`).  Every
+    ``ValueError``, for those or for text the CSV reader rejects (such as
+    an over-long field), starts with the table's name and ``: ``.
     """
     try:
         records = _records(text)
-    except csv.Error as exc:
-        raise ValueError(f"{name}: {exc}") from None
-    if headers:
+        if not headers:
+            return Table(name=name, headers=None, rows=records)
         if not records:
-            raise ValueError(f"{name}: expected a header row, got empty input")
+            raise ValueError("expected a header row, got empty input")
         return Table(name=name, headers=_row(records.pop(0)), rows=records)
-    return Table(name=name, headers=None, rows=records)
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None

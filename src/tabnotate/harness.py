@@ -116,7 +116,7 @@ class TaskRun(Generic[_Value]):
     """One task's answer: its feasible ``value``, the last raw response,
     whether the final assistant turn was anchored (anchoring on and any
     violation), the model calls made, the violations fixed in order, and
-    the conversation as it ends."""
+    the conversation as it ends, which starts with the turns it was given."""
 
     value: _Value
     raw_response: str
@@ -347,11 +347,8 @@ def check_join(
 
 
 def anchor(conversation: Conversation, replacement: str) -> Conversation:
-    """New conversation whose final assistant turn says ``replacement``.
-
-    The original conversation is untouched; turn count and all earlier
-    turns are preserved.
-    """
+    """The conversation with its final assistant turn saying ``replacement``:
+    turn count and all earlier turns are preserved."""
     last = conversation.last
     if last is None or last.role is not Role.ASSISTANT:
         raise InvalidState("anchoring requires a final assistant turn")
@@ -379,7 +376,7 @@ def _ask_parse_repair(
     wanted: str,
     backend: Backend,
     config: PipelineConfig,
-    conversation: Conversation | None = None,
+    conversation: Conversation = Conversation(),
 ) -> TaskRun[_Value]:
     """Ask, read, anchor: the one loop behind all three tasks.
 
@@ -390,33 +387,32 @@ def _ask_parse_repair(
     re-ask spliced over the bad turn, and its violation leads the list.
     With anchoring on, an answer that ``read`` fixed then rewrites the final
     assistant turn once.  ``wanted`` names what the task lacked when no
-    answer parses.  A given ``conversation`` is copied, never changed.
+    answer parses.  The run's conversation is ``conversation`` plus this
+    task's turns; being a value, the one given cannot change.
     """
-    conv = Conversation(conversation.turns if conversation is not None else ())
-    conv.append(user(prompt))
+    conv = conversation + user(prompt)
     raw_response, _ = backend.complete(conv, config.params)
     # An empty completion still occupies an assistant turn: a lone space
     # holds it, and the raw response is what is read.
-    conv.append(assistant(raw_response or " "))
-    attempts, reasked = 1, ()
+    conv += assistant(raw_response or " ")
+    reasked = ()
     while True:
         try:
             value, violations = read(raw_response)
             break
         except ParseError as exc:
-            if not config.anchoring_enabled or attempts > 1:
-                raise TaskFailed(exc.violation, f"no {wanted} after {attempts} attempts") from exc
-            retry = Conversation(conv.turns)
-            retry.append(user(clarification))
-            raw_response, _ = backend.complete(retry, config.params)
+            if not config.anchoring_enabled or reasked:
+                message = f"no {wanted} after {1 + len(reasked)} attempts"
+                raise TaskFailed(exc.violation, message) from exc
+            raw_response, _ = backend.complete(conv + user(clarification), config.params)
             conv = anchor(conv, raw_response or " ")
-            attempts, reasked = attempts + 1, (exc.violation,)
+            reasked = (exc.violation,)
 
     if config.anchoring_enabled and violations:
         conv = anchor(conv, render(value))
     violations = reasked + violations
     anchored = config.anchoring_enabled and bool(violations)
-    return TaskRun(value, raw_response, anchored, attempts, violations, conv)
+    return TaskRun(value, raw_response, anchored, 1 + len(reasked), violations, conv)
 
 
 def run_table_class_task(
@@ -424,7 +420,7 @@ def run_table_class_task(
     ontology: Ontology,
     backend: Backend,
     config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
-    conversation: Conversation | None = None,
+    conversation: Conversation = Conversation(),
 ) -> TaskRun[OntologyTerm]:
     """Ask for the table's ontology class, mitigating infeasible answers."""
     prompt = assemble(table_class_prompt(table, config.allowed_classes, config.prompt_config))
@@ -447,7 +443,7 @@ def run_column_type_task(
     ontology: Ontology,
     backend: Backend,
     config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
-    conversation: Conversation | None = None,
+    conversation: Conversation = Conversation(),
 ) -> TaskRun[tuple[OntologyTerm | UnknownType, ...]]:
     """Ask for one property per column, mitigating infeasible answers."""
     prompt = assemble(column_type_prompt(table, config.prompt_config))
@@ -480,7 +476,7 @@ def run_table_pipeline(
     """Table class then column types, sharing one conversation so the
     class finding informs the type answers (unless context flow is off)."""
     class_run = run_table_class_task(table, ontology, backend, config)
-    followup = class_run.conversation if config.context_flow else None
+    followup = class_run.conversation if config.context_flow else Conversation()
     return class_run, run_column_type_task(table, ontology, backend, config, conversation=followup)
 
 

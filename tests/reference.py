@@ -167,7 +167,7 @@ def best_levenshtein_pair_ref(left, right) -> tuple[str, str]:
 def read_csv_ref(text: str, name: str, headers: bool):
     """``(headers, rows)`` of the text as :func:`csv.reader` reads it, checked
     row by row against the table invariants; raises ``ValueError`` with the
-    message ``read_csv`` must give."""
+    message ``read_csv`` must give, which starts with the table's name."""
     try:
         records = [tuple(record) for record in csv.reader(io.StringIO(text, newline=""))]
     except csv.Error as exc:
@@ -178,15 +178,15 @@ def read_csv_ref(text: str, name: str, headers: bool):
             raise ValueError(f"{name}: expected a header row, got empty input")
         head, records = records[0], records[1:]
         if not head:
-            raise ValueError("header row must have at least one column")
+            raise ValueError(f"{name}: header row must have at least one column")
     arity = len(head) if head is not None else None
     for i, row in enumerate(records):
         if arity is None:
             arity = len(row)
             if arity == 0:
-                raise ValueError("rows must have at least one cell")
+                raise ValueError(f"{name}: rows must have at least one cell")
         if len(row) != arity:
-            raise ValueError(f"row {i} has {len(row)} cells, expected {arity}")
+            raise ValueError(f"{name}: row {i} has {len(row)} cells, expected {arity}")
     return head, tuple(records)
 
 

@@ -53,7 +53,7 @@ def conversation(*texts: str) -> Conversation:
     conv = Conversation()
     roles = [user, assistant]
     for i, text in enumerate(texts):
-        conv.append(roles[i % 2](text))
+        conv += roles[i % 2](text)
     return conv
 
 
@@ -61,19 +61,18 @@ def conversation(*texts: str) -> Conversation:
 
 
 def test_conversation_alternation_enforced():
-    conv = Conversation()
-    conv.append(user("q"))
+    conv = Conversation() + user("q")
+    message = "^expected an assistant turn after a user turn, got a user turn$"
+    with pytest.raises(ValueError, match=message):
+        conv + user("again")
+    conv += assistant("a")
     with pytest.raises(ValueError):
-        conv.append(user("again"))
-    conv.append(assistant("a"))
-    with pytest.raises(ValueError):
-        conv.append(assistant("again"))
+        conv + assistant("again")
 
 
 def test_conversation_must_start_with_user():
-    conv = Conversation()
-    with pytest.raises(ValueError):
-        conv.append(assistant("hello"))
+    with pytest.raises(ValueError, match="^expected a user turn first, got an assistant turn$"):
+        Conversation() + assistant("hello")
 
 
 @given(roles=st.lists(st.sampled_from(Role), max_size=8))
@@ -84,10 +83,27 @@ def test_conversation_accepts_exactly_alternation_from_a_user_turn(roles):
     if bad is None:
         assert Conversation(turns).turns == tuple(turns)
         return
-    previous = roles[bad - 1] if bad else None
-    message = f"expected a {alternating[bad].value} turn after {previous}, got {roles[bad].value}"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    a_turn = {Role.USER: "a user turn", Role.ASSISTANT: "an assistant turn"}
+    after = f"after {a_turn[roles[bad - 1]]}" if bad else "first"
+    message = f"expected {a_turn[alternating[bad]]} {after}, got {a_turn[roles[bad]]}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Conversation(turns)
+
+
+@given(
+    texts=st.lists(st.text(min_size=1, max_size=3), max_size=6),
+    text=st.text(min_size=1, max_size=3),
+)
+def test_conversation_is_a_value(texts, text):
+    turns = [(user, assistant)[i % 2](t) for i, t in enumerate(texts)]
+    conv = Conversation(turns)
+    turn = (user, assistant)[len(turns) % 2](text)
+    longer = conv + turn
+    assert conv == Conversation(turns) and conv.turns == tuple(turns)
+    assert longer.turns == (*turns, turn) and longer != conv
+    twin = Conversation(iter(turns))
+    assert twin == conv and hash(twin) == hash(conv)
+    assert twin + turn == longer and hash(twin + turn) == hash(longer)
 
 
 def test_turn_text_nonempty():
@@ -452,6 +468,12 @@ def test_http_malformed_url_rejected_when_built(url):
 def test_http_endpoint_rejects_settings_that_break_complete(setting, value):
     with pytest.raises(ValueError, match=setting):
         HttpEndpoint(url="http://127.0.0.1:1/v1", model="m", **{setting: value})
+
+
+def test_http_endpoint_repr_hides_the_api_key():
+    text = repr(HttpEndpoint("http://x", "m", api_key="sk-secret"))
+    assert "sk-secret" not in text and "api_key" not in text
+    assert text == "HttpEndpoint(url='http://x', model='m', timeout=60.0)"
 
 
 def test_http_endpoint_accepts_its_edge_settings():

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -771,6 +775,17 @@ def test_oversized_csv_field_is_a_usage_error(workspace, big_csv, capsys, argv):
     assert err == "error: big: field larger than field limit (131072)\n"
 
 
+def test_a_ragged_table_is_a_usage_error_naming_the_table(workspace, capsys):
+    (workspace / "l.csv").write_text("id,name\n1,x\n", encoding="utf-8")
+    (workspace / "r.csv").write_text("ident,title\n1\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "predict-join", str(workspace / "l.csv"), str(workspace / "r.csv"),
+        "--headers", "--system", "jaccard",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: r: row 0 has 1 cells, expected 2\n"
+
+
 def test_eval_with_an_oversized_csv_field_fails_that_item_alone(workspace, big_csv, capsys):
     manifest = workspace / "join.jsonl"
     manifest.write_text(
@@ -920,3 +935,18 @@ def test_api_key_the_request_cannot_carry_is_usage_error_before_any_item(
     assert err == f"error: {message}\n"
     assert out == ""
     assert not report_path.exists()
+
+
+def test_help_is_unchanged_when_docstrings_are_stripped():
+    """``python -OO`` drops docstrings, and the parser's description must
+    not come from one."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tabnotate.cli.__file__).parent.parent)}
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-B", *flags, "-m", "tabnotate.cli", "--help"],
+            capture_output=True, encoding="utf-8", env=env, check=True,
+        ).stdout
+        for flags in ((), ("-OO",))
+    ]
+    assert outputs[0].startswith("usage: tabnotate")
+    assert outputs[1] == outputs[0]

@@ -768,7 +768,7 @@ def test_read_csv_table_equals_the_eagerly_built_table(text, headers, k, seed):
 @pytest.mark.parametrize("text, headers", [("1\n\n2", False), ("h\n1\n\n2", True)])
 def test_blank_line_in_a_one_column_table_is_a_row_of_no_cells(text, headers):
     for source in (text, text.replace("1", '"1"')):  # split and csv.reader paths
-        with pytest.raises(ValueError, match=r"^row 1 has 0 cells, expected 1$"):
+        with pytest.raises(ValueError, match=r"^t: row 1 has 0 cells, expected 1$"):
             read_csv(source, "t", headers=headers)
 
 
@@ -853,7 +853,7 @@ def test_ragged_row_error_names_the_first_bad_row(headers, rows, message):
         Table("t", headers, rows)
     text = "\n".join(",".join(row) for row in ((headers,) if headers else ()) + rows)
     for source in (text, text.replace("1", '"1"')):  # split and csv.reader paths
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^t: {re.escape(message)}$"):
             read_csv(source, "t", headers=headers is not None)
 
 

@@ -318,7 +318,7 @@ def make_conversation(*texts: str) -> Conversation:
     conv = Conversation()
     builders = [user, assistant]
     for index, text in enumerate(texts):
-        conv.append(builders[index % 2](text))
+        conv += builders[index % 2](text)
     return conv
 
 
@@ -693,6 +693,16 @@ def test_context_flow_shares_conversation(animals_table, ontology):
         animals_table, ontology, backend, config, conversation=conv
     ).conversation
     assert len(conv2) == 4  # two user/assistant exchanges in one history
+
+
+@pytest.mark.parametrize("responses", [["dbo:Animal"], ["no idea", "dbo:Animal"]])
+def test_a_task_continues_the_conversation_it_is_given(animals_table, ontology, responses):
+    given = make_conversation("earlier question", "earlier answer")
+    backend = ScriptedBackend(responses)
+    run = run_table_class_task(animals_table, ontology, backend, conversation=given)
+    assert run.conversation.turns[:2] == given.turns
+    assert len(run.conversation) == 4 and run.attempts == len(responses)
+    assert given == make_conversation("earlier question", "earlier answer")
 
 
 def test_backend_errors_propagate(ev_table, ontology):
